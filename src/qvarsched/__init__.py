@@ -43,7 +43,16 @@ from .circuits import (
     metrics,
 )
 from .oracle import OracleReport, dense_state, enumerate_assignments, enumerate_solutions
-from .vqa import OptimizerConfig, VqaResult, minimize, run_qaoa, run_vqe
+from .vqa import (
+    Instance,
+    OptimizerConfig,
+    VqaResult,
+    build_circuit,
+    minimize,
+    optimize,
+    run_qaoa,
+    run_vqe,
+)
 from .bench import (
     ExperimentConfig,
     ExperimentReport,

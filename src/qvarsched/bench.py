@@ -17,8 +17,6 @@ from statistics import mean, stdev
 
 import numpy as np
 
-from .circuits import build_ansatz, build_qaoa
-from .encoder import encode
 from .errors import InstanceMismatchError
 from .oracle import OracleReport, enumerate_solutions
 from .problem import (
@@ -26,12 +24,18 @@ from .problem import (
     AssignmentProblem,
     ProblemVariant,
     VariableLayout,
-    build_layout,
     check_feasible,
     make_problem,
 )
-from .simulator import Counts, diagonal_energies, run
-from .vqa import OptimizerConfig, run_qaoa, run_vqe
+from .simulator import Circuit, Counts, run
+from .vqa import Instance, OptimizerConfig, build_circuit, optimize
+
+# Not called here; bound only because perfbench/tracing.py wraps these names
+# on this module.
+from .circuits import build_ansatz, build_qaoa  # noqa: F401
+from .encoder import encode  # noqa: F401
+from .simulator import diagonal_energies  # noqa: F401
+from .vqa import run_qaoa, run_vqe  # noqa: F401
 
 CSV_COLUMNS = (
     "instance",
@@ -139,24 +143,24 @@ def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[s
     return means, stds
 
 
-def run_experiment(config: ExperimentConfig, max_qubits: int = 24) -> ExperimentReport:
-    """Execute R seeded runs, score each at the configured shot count."""
-    problem = config.problem
-    layout = build_layout(problem)
+def run_experiment(
+    config: ExperimentConfig, max_qubits: int = 24, *, _instance: Instance | None = None
+) -> ExperimentReport:
+    """Execute R seeded runs, score each at the configured shot count.
+
+    _instance is internal: scaling_sweep passes the Instance of config.problem
+    it already built, so that its timing probe shares it.
+    """
+    instance = Instance(config.problem, max_qubits) if _instance is None else _instance
+    problem, layout = instance.problem, instance.layout
     report = enumerate_solutions(problem, layout, max_qubits=max_qubits)
+    circuit = build_circuit(config.algorithm, instance, config.reps)
     run_seeds = np.random.default_rng(config.seed).integers(2**31, size=config.runs)
     records: list[RunRecord] = []
     for raw_seed in run_seeds:
         seed = int(raw_seed)
         optimizer = replace(config.optimizer, seed=seed)
-        if config.algorithm == "qaoa":
-            result = run_qaoa(
-                problem, config.reps, optimizer, config.mode, config.shots, max_qubits
-            )
-        else:
-            result = run_vqe(
-                problem, config.algorithm, optimizer, config.mode, config.shots, max_qubits
-            )
+        result = optimize(instance, circuit, optimizer, config.mode, config.shots, max_qubits)
         metrics = score(result.counts, report, problem, layout)
         metrics = replace(
             metrics, iterations=result.iterations, wall_time=result.wall_time
@@ -225,21 +229,14 @@ class SweepPoint:
     report: ExperimentReport
 
 
-def _time_statevector(problem: AssignmentProblem, algorithm: str, max_qubits: int) -> float:
+def _time_statevector(instance: Instance, circuit: Circuit, max_qubits: int) -> float:
     """Best-of-3 wall time of one circuit execution plus one expectation."""
-    layout = build_layout(problem)
-    model = encode(problem, layout)
-    if algorithm == "qaoa":
-        circuit = build_qaoa(model, 1)
-    else:
-        circuit = build_ansatz(algorithm, problem, layout)
     theta = np.full(len(circuit.parameters), 1.0)
-    energies = diagonal_energies(model)
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
         state = run(circuit, theta, max_qubits=max_qubits)
-        float(state.probabilities() @ energies)
+        float(state.probabilities() @ instance.energies)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -271,8 +268,10 @@ def scaling_sweep(
             seed=seed,
             label=f"{variant.name.lower()}-p{processes}",
         )
-        report = run_experiment(config, max_qubits=max_qubits)
-        sim_seconds = _time_statevector(problem, algorithm, max_qubits)
+        instance = Instance(problem, max_qubits)
+        report = run_experiment(config, max_qubits=max_qubits, _instance=instance)
+        circuit = build_circuit(algorithm, instance)
+        sim_seconds = _time_statevector(instance, circuit, max_qubits)
         points.append(SweepPoint(processes, report.qubit_count, sim_seconds, report))
     return points
 

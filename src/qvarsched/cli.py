@@ -104,9 +104,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         algorithm=spec.algorithm,
         optimizer=optimizer,
         reps=spec.reps,
-        mode=args.mode or spec.mode,
-        shots=args.shots or spec.shots,
-        runs=args.runs or spec.runs,
+        mode=spec.mode if args.mode is None else args.mode,
+        shots=spec.shots if args.shots is None else args.shots,
+        runs=spec.runs if args.runs is None else args.runs,
         seed=spec.seed if args.seed is None else args.seed,
         label=spec.problem_path.stem,
     )
@@ -131,14 +131,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         variant=variant,
         algorithm=args.algorithm,
         optimizer=optimizer,
-        mode=args.mode or "exact",
-        shots=args.shots or 4096,
-        runs=args.runs or 1,
-        seed=args.seed or 0,
+        mode=args.mode,
+        shots=args.shots,
+        runs=args.runs,
+        seed=args.seed,
         max_qubits=args.max_qubits,
     )
     _write_output(bench.sweep_csv(points), args.out)
     return 0
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,9 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="run an experiment spec file")
     solve_p.add_argument("spec")
     solve_p.add_argument("--out", default="results")
-    solve_p.add_argument("--seed", type=int)
-    solve_p.add_argument("--runs", type=int)
-    solve_p.add_argument("--shots", type=int)
+    solve_p.add_argument("--seed", type=_at_least(0))
+    solve_p.add_argument("--runs", type=_at_least(1))
+    solve_p.add_argument("--shots", type=_at_least(1))
     solve_p.add_argument("--mode", choices=("exact", "sampled"))
     solve_p.add_argument("--max-qubits", type=int, default=24)
     solve_p.set_defaults(func=cmd_solve)
@@ -176,10 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--pmax", type=int, default=7)
     sweep_p.add_argument("--max-iterations", type=int, default=20)
     sweep_p.add_argument("--restarts", type=int, default=1)
-    sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--runs", type=int)
-    sweep_p.add_argument("--shots", type=int)
-    sweep_p.add_argument("--mode", choices=("exact", "sampled"))
+    sweep_p.add_argument("--seed", type=_at_least(0), default=0)
+    sweep_p.add_argument("--runs", type=_at_least(1), default=1)
+    sweep_p.add_argument("--shots", type=_at_least(1), default=4096)
+    sweep_p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     sweep_p.add_argument("--max-qubits", type=int, default=24)
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)

@@ -183,6 +183,10 @@ def parse_experiment(text: str, base_dir: Path) -> ExperimentSpec:
         raise ParseError(f"unknown keywords: {', '.join(sorted(settings))}")
     if spec.runs < 1:
         raise ParseError("runs must be >= 1")
+    if spec.shots < 1:
+        raise ParseError("shots must be >= 1")
+    if spec.seed < 0:
+        raise ParseError("seed must be >= 0")
     if spec.reps < 1:
         raise ParseError("reps must be >= 1")
     return spec

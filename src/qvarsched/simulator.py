@@ -158,9 +158,7 @@ def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: floa
     nd = amplitudes.reshape((2,) * qubit_count)
     name = gate.name
     if angle is None and gate.angle is not None:
-        if isinstance(gate.angle, Param):
-            raise UnboundParameterError(f"parameter {gate.angle.name!r} is not bound")
-        angle = float(gate.angle)
+        angle = _resolve_angle(gate, {})
 
     if name == "x":
         _flip(nd, gate.qubits[0])
@@ -268,16 +266,25 @@ class Counts:
     shots: int
 
 
-def sample(state: StateVector, shots: int, seed: int) -> Counts:
-    """Multinomial measurement sample; deterministic for a given seed."""
+def sample_indices(state: StateVector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial measurement sample as (ascending basis indices, hits per index).
+
+    Only indices hit at least once are returned; deterministic for a given seed.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = state.probabilities()
     probs = probs / probs.sum()
     draws = np.random.default_rng(seed).multinomial(shots, probs)
-    hits = np.nonzero(draws)[0]
+    indices = np.nonzero(draws)[0]
+    return indices, draws[indices]
+
+
+def sample(state: StateVector, shots: int, seed: int) -> Counts:
+    """Multinomial measurement sample as bitstring counts; deterministic for a given seed."""
+    indices, hits = sample_indices(state, shots, seed)
     n = state.qubit_count
-    return Counts({index_to_bits(int(i), n): int(draws[i]) for i in hits}, shots)
+    return Counts({index_to_bits(int(i), n): int(h) for i, h in zip(indices, hits)}, shots)
 
 
 def circuit_to_text(circuit: Circuit) -> str:

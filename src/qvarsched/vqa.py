@@ -17,17 +17,18 @@ import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from .circuits import build_ansatz, build_qaoa
-from .encoder import IsingModel, encode
-from .errors import NonFiniteObjectiveError
+from .encoder import encode
+from .errors import NonFiniteObjectiveError, QubitCountExceededError
 from .problem import AssignmentProblem, build_layout
 from .simulator import (
     DEFAULT_MAX_QUBITS,
     Circuit,
     Counts,
-    bits_to_index,
+    StateVector,
     diagonal_energies,
     run,
     sample,
+    sample_indices,
 )
 
 _SEED_RANGE = 2**31
@@ -117,25 +118,53 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
     return MinimizeResult(tuple(points[best]), trace[best], tuple(trace))
 
 
-def _counts_energy(counts: Counts, energies: np.ndarray) -> float:
-    total = sum(
-        count * energies[bits_to_index(bits)] for bits, count in counts.counts.items()
-    )
-    return float(total) / counts.shots
+class Instance:
+    """One problem built once: its qubit layout, Ising model and the energy
+    of every basis state, shared by every circuit, run and restart on it.
+
+    The qubit cap is checked before any 2^Q work.
+    """
+
+    def __init__(self, problem: AssignmentProblem, max_qubits: int = DEFAULT_MAX_QUBITS):
+        layout = build_layout(problem)
+        if layout.qubit_count > max_qubits:
+            raise QubitCountExceededError(
+                f"{layout.qubit_count} qubits exceeds the maximum of {max_qubits}"
+            )
+        self.problem = problem
+        self.layout = layout
+        self.model = encode(problem, layout)
+        self.energies = diagonal_energies(self.model)
 
 
-def _optimize_circuit(
+def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
+    """The circuit of an algorithm name: an "a1".."a4" ansatz, or "qaoa" with reps layers."""
+    if algorithm == "qaoa":
+        return build_qaoa(instance.model, reps)
+    return build_ansatz(algorithm, instance.problem, instance.layout)
+
+
+def _sampled_energy(state: StateVector, shots: int, seed: int, energies: np.ndarray) -> float:
+    indices, hits = sample_indices(state, shots, seed)
+    # Summed strictly left to right in ascending index order, so the value is
+    # bit-identical to summing the user-facing Counts in its key order.
+    return float(np.add.accumulate(hits * energies[indices])[-1]) / shots
+
+
+def optimize(
+    instance: Instance,
     circuit: Circuit,
-    model: IsingModel,
     config: OptimizerConfig,
-    mode: str,
-    shots: int,
-    max_qubits: int,
+    mode: str = "exact",
+    shots: int = 4096,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
+    """Minimize the instance's energy over the circuit's parameters, then
+    measure the best point with the given number of shots."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     started = time.perf_counter()
-    energies = diagonal_energies(model)
+    energies = instance.energies
     dim = len(circuit.parameters)
     master = np.random.default_rng(config.seed)
     final_seed = int(master.integers(_SEED_RANGE))
@@ -155,8 +184,7 @@ def _optimize_circuit(
 
             def objective(theta: np.ndarray) -> float:
                 state = run(circuit, theta, max_qubits=max_qubits)
-                counts = sample(state, shots, int(rng.integers(_SEED_RANGE)))
-                return _counts_energy(counts, energies)
+                return _sampled_energy(state, shots, int(rng.integers(_SEED_RANGE)), energies)
 
         result = minimize(objective, dim, replace(config, seed=restart_seed))
         if best is None or result.value < best.value:
@@ -183,10 +211,9 @@ def run_vqe(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
-    layout = build_layout(problem)
-    model = encode(problem, layout)
-    circuit = build_ansatz(ansatz, problem, layout)
-    return _optimize_circuit(circuit, model, config, mode, shots, max_qubits)
+    instance = Instance(problem, max_qubits)
+    circuit = build_ansatz(ansatz, problem, instance.layout)
+    return optimize(instance, circuit, config, mode, shots, max_qubits)
 
 
 def run_qaoa(
@@ -198,7 +225,5 @@ def run_qaoa(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""
-    layout = build_layout(problem)
-    model = encode(problem, layout)
-    circuit = build_qaoa(model, reps)
-    return _optimize_circuit(circuit, model, config, mode, shots, max_qubits)
+    instance = Instance(problem, max_qubits)
+    return optimize(instance, build_qaoa(instance.model, reps), config, mode, shots, max_qubits)

@@ -149,3 +149,16 @@ def random_problem(
         problem = make_problem(variant, weights, values, capacities, thresholds)
         if qubit_count(problem) <= max_qubits:
             return problem
+
+
+def spy_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name with a pass-through wrapper; returns its call list."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls

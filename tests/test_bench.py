@@ -8,6 +8,7 @@ from qvarsched import (
     run_experiment,
     scaling_instance,
     score,
+    vqa,
 )
 from qvarsched.bench import (
     CSV_COLUMNS,
@@ -20,7 +21,7 @@ from qvarsched.errors import InstanceMismatchError
 from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import Circuit, Counts, Gate, run, sample
 
-from helpers import reference_problem
+from helpers import reference_problem, spy_calls
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +161,18 @@ def test_scaling_sweep_small():
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("processes,qubits,sim_seconds")
     assert len(lines) == 3
+
+
+def test_instance_is_built_once_per_experiment_and_sweep_point(monkeypatch):
+    encoded = spy_calls(monkeypatch, vqa, "encode")
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    config = ExperimentConfig(
+        problem=reference_problem("EOHL"),
+        algorithm="a4",
+        optimizer=OptimizerConfig(max_iterations=10, restarts=2),
+        runs=3,
+    )
+    run_experiment(config)
+    assert len(encoded) == 1 and len(energies) == 1
+    scaling_sweep([3], optimizer=OptimizerConfig(max_iterations=5, restarts=1))
+    assert len(encoded) == 2 and len(energies) == 2

@@ -3,13 +3,14 @@ import io
 
 import pytest
 
+from qvarsched import bench, vqa
 from qvarsched.cli import main
 from qvarsched.encoder import model_from_text, encode
 from qvarsched.errors import ParseError
 from qvarsched.files import format_problem, parse_experiment, parse_problem
 from qvarsched.problem import build_layout
 
-from helpers import reference_problem
+from helpers import reference_problem, spy_calls
 
 EOHL_FILE = """\
 qvarsched-v1 problem
@@ -183,6 +184,43 @@ def test_cmd_solve_seed_override_changes_runs(tmp_path):
     main(["solve", str(spec_path), "--out", str(tmp_path / "b"), "--runs", "1", "--seed", "1"])
     rows_b = list(csv.reader(io.StringIO((tmp_path / "b.csv").read_text())))
     assert rows[1][2] != rows_b[1][2]  # different run seeds
+
+
+@pytest.mark.parametrize("line", ["runs 0", "shots 0", "seed -1"])
+def test_parse_experiment_rejects_out_of_range_settings(tmp_path, line):
+    with pytest.raises(ParseError, match=line.split()[0]):
+        parse_experiment(
+            f"qvarsched-v1 experiment\nproblem x\nalgorithm a1\n{line}\n", tmp_path
+        )
+
+
+@pytest.mark.parametrize(
+    "override", [("--runs", "0"), ("--shots", "0"), ("--seed", "-1")]
+)
+def test_cmd_solve_rejects_out_of_range_overrides_before_running(
+    tmp_path, monkeypatch, capsys, override
+):
+    spec_path = _solve_files(tmp_path)
+    experiments = spy_calls(monkeypatch, bench, "run_experiment")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(spec_path), "--out", str(tmp_path / "r"), *override])
+    assert exc.value.code == 2
+    assert override[0] in capsys.readouterr().err
+    assert experiments == []
+
+
+def test_cmd_solve_bad_spec_setting_exits_2_before_running(tmp_path, monkeypatch):
+    spec_path = _solve_files(tmp_path, extra="shots 0\n")
+    experiments = spy_calls(monkeypatch, bench, "run_experiment")
+    assert main(["solve", str(spec_path), "--out", str(tmp_path / "r")]) == 2
+    assert experiments == []
+
+
+def test_cmd_solve_qubit_cap_fails_before_energies(tmp_path, monkeypatch):
+    spec_path = _solve_files(tmp_path)
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    assert main(["solve", str(spec_path), "--out", str(tmp_path / "r"), "--max-qubits", "7"]) == 3
+    assert energies == []
 
 
 def test_cmd_oracle_scaling_family_member(tmp_path, capsys):

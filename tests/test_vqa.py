@@ -7,16 +7,19 @@ from qvarsched import (
     build_layout,
     encode,
     expectation_diagonal,
+    make_problem,
     run_qaoa,
     run_vqe,
+    vqa,
 )
+from qvarsched.bench import scaling_instance
 from qvarsched.circuits import a1_basis_angles, build_ansatz, build_qaoa
-from qvarsched.errors import NonFiniteObjectiveError
+from qvarsched.errors import NonFiniteObjectiveError, QubitCountExceededError
 from qvarsched.oracle import dense_state, enumerate_solutions
-from qvarsched.simulator import bits_to_index, diagonal_energies, run
+from qvarsched.simulator import bits_to_index, diagonal_energies, run, sample
 from qvarsched.vqa import minimize
 
-from helpers import reference_problem
+from helpers import reference_problem, spy_calls
 
 
 def test_minimize_quadratic():
@@ -153,6 +156,14 @@ def test_qaoa_expectation_matches_dense_evolution():
         assert abs(fast - dense) < 1e-9
 
 
+def _reparsed_energy(counts, energies):
+    """Sampled energy through the bitstring Counts, in their key order."""
+    value = sum(
+        count * energies[bits_to_index(bits)] for bits, count in counts.counts.items()
+    )
+    return value / counts.shots
+
+
 def test_sampled_mode_estimator_is_unbiased():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
@@ -165,14 +176,8 @@ def test_sampled_mode_estimator_is_unbiased():
     exact = expectation_diagonal(state, model)
     shots = 512
     estimates = []
-    from qvarsched.simulator import sample
-
     for batch in range(100):
-        counts = sample(state, shots, seed=batch)
-        value = sum(
-            count * energies[bits_to_index(bits)] for bits, count in counts.counts.items()
-        )
-        estimates.append(value / shots)
+        estimates.append(_reparsed_energy(sample(state, shots, seed=batch), energies))
     probs = state.probabilities()
     variance = float(probs @ (energies - exact) ** 2)
     sem = (variance / shots / 100) ** 0.5
@@ -196,3 +201,27 @@ def test_trace_best_value_consistency():
     assert result.value == min(result.trace)
     assert result.iterations == len(result.trace)
     assert result.counts.shots == 4096
+
+
+def test_sampled_energy_matches_bitstring_reparse_bit_for_bit():
+    # Fractional gains make the energies inexact binary fractions, so any change
+    # in summation order shows up in the last bits.
+    problem = make_problem(
+        "EOFL", [1, 1, 1], [("7/3", "1/7"), ("3/11", "5/9"), ("1/7", "7/3")], (2, 2)
+    )
+    instance = vqa.Instance(problem)
+    circuit = build_ansatz("a1", problem, instance.layout)
+    rng = np.random.default_rng(5)
+    for seed in range(300):
+        state = run(circuit, rng.uniform(0, np.pi, len(circuit.parameters)))
+        indexed = vqa._sampled_energy(state, 4096, seed, instance.energies)
+        assert indexed == _reparsed_energy(sample(state, 4096, seed), instance.energies)
+
+
+def test_qubit_cap_is_checked_before_any_encoding(monkeypatch):
+    encoded = spy_calls(monkeypatch, vqa, "encode")
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    config = OptimizerConfig(seed=0, restarts=1, max_iterations=5)
+    with pytest.raises(QubitCountExceededError, match="11 qubits"):
+        run_vqe(scaling_instance(3), "a4", config, max_qubits=8)
+    assert encoded == [] and energies == []
