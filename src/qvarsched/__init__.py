@@ -42,7 +42,7 @@ from .circuits import (
     build_qaoa,
     metrics,
 )
-from .oracle import OracleReport, dense_state, enumerate_assignments, enumerate_solutions
+from .oracle import OracleReport, dense_state, enumerate_solutions
 from .vqa import (
     Instance,
     OptimizerConfig,

@@ -19,14 +19,7 @@ import numpy as np
 
 from .errors import InstanceMismatchError
 from .oracle import OracleReport, enumerate_solutions
-from .problem import (
-    ECHL,
-    AssignmentProblem,
-    ProblemVariant,
-    VariableLayout,
-    check_feasible,
-    make_problem,
-)
+from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
 from .simulator import Circuit, Counts, run
 from .vqa import Instance, OptimizerConfig, build_circuit, optimize
 
@@ -34,6 +27,7 @@ from .vqa import Instance, OptimizerConfig, build_circuit, optimize
 # on this module.
 from .circuits import build_ansatz, build_qaoa  # noqa: F401
 from .encoder import encode  # noqa: F401
+from .problem import check_feasible  # noqa: F401
 from .simulator import diagonal_energies  # noqa: F401
 from .vqa import run_qaoa, run_vqe  # noqa: F401
 
@@ -60,18 +54,9 @@ class Metrics:
     wall_time: float = 0.0
 
 
-def score(
-    counts: Counts,
-    report: OracleReport,
-    problem: AssignmentProblem,
-    layout: VariableLayout,
-) -> Metrics:
+def score(counts: Counts, report: OracleReport) -> Metrics:
     """Score a measured distribution against the oracle ground truth."""
-    q = layout.qubit_count
-    if report.total != 1 << q:
-        raise InstanceMismatchError(
-            f"oracle report covers {report.total} strings, layout implies {1 << q}"
-        )
+    q = report.total.bit_length() - 1
     best_hits = 0
     feasible_hits = 0
     for bits, count in counts.counts.items():
@@ -79,7 +64,7 @@ def score(
             raise InstanceMismatchError(
                 f"counts contain {len(bits)}-bit strings, instance has {q} qubits"
             )
-        if check_feasible(problem, layout, bits).feasible:
+        if bits in report.feasible_bitstrings:
             feasible_hits += count
             if bits in report.optimal_bitstrings:
                 best_hits += count
@@ -161,7 +146,7 @@ def run_experiment(
         seed = int(raw_seed)
         optimizer = replace(config.optimizer, seed=seed)
         result = optimize(instance, circuit, optimizer, config.mode, config.shots, max_qubits)
-        metrics = score(result.counts, report, problem, layout)
+        metrics = score(result.counts, report)
         metrics = replace(
             metrics, iterations=result.iterations, wall_time=result.wall_time
         )

@@ -184,10 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="scaling sweep over the synthetic family")
     sweep_p.add_argument("--variant", default="ECHL", choices=("ECFL", "EOFL", "ECHL", "EOHL"))
     sweep_p.add_argument("--algorithm", default="a4")
-    sweep_p.add_argument("--pmin", type=int, default=3)
-    sweep_p.add_argument("--pmax", type=int, default=7)
-    sweep_p.add_argument("--max-iterations", type=int, default=20)
-    sweep_p.add_argument("--restarts", type=int, default=1)
+    sweep_p.add_argument("--pmin", type=_at_least(1), default=3)
+    sweep_p.add_argument("--pmax", type=_at_least(1), default=7)
+    sweep_p.add_argument("--max-iterations", type=_at_least(1), default=20)
+    sweep_p.add_argument("--restarts", type=_at_least(1), default=1)
     sweep_p.add_argument("--seed", type=_at_least(0), default=0)
     sweep_p.add_argument("--runs", type=_at_least(1), default=1)
     sweep_p.add_argument("--shots", type=_at_least(1), default=4096)
@@ -201,6 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.pmax < args.pmin:
+        parser.error(f"--pmax {args.pmax} is below --pmin {args.pmin}")
     try:
         return args.func(args)
     except ParseError as exc:

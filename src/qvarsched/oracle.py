@@ -1,17 +1,17 @@
-"""Classical ground truth: exhaustive enumeration and dense-matrix circuits.
+"""Classical ground truth: exact enumeration and dense-matrix circuits.
 
-enumerate_solutions scans all 2^Q bitstrings (vectorised, chunked) for the
-same equalities check_feasible tests; enumerate_assignments is an
-independent structured shortcut that walks the (N + c)^P target tuples and
-derives each slack register. dense_state rebuilds every gate as an explicit
-2^n x 2^n matrix, sharing no kernel code with the fast simulator.
+enumerate_solutions walks the (N + c)^P target tuples, derives each slack
+register and sums exact Fraction gains; it never visits the 2^Q bitstrings,
+and per-string check_feasible over all of them is its independent
+counterpart. dense_state rebuilds every gate as an explicit 2^n x 2^n
+matrix, sharing no kernel code with the fast simulator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import cos, lcm, sin
+from math import cos, sin
 
 import numpy as np
 
@@ -24,9 +24,8 @@ from .problem import (
     assignment_bits,
     gain,
 )
-from .simulator import Circuit, Gate, Param, _bind, index_to_bits
+from .simulator import Circuit, Gate, Param, _bind
 
-_CHUNK_BITS = 20
 DENSE_MAX_QUBITS = 6
 
 
@@ -38,61 +37,7 @@ class OracleReport:
     feasible_count: int
     total: int
     infeasible_instance: bool
-
-
-def _bit_column(index: np.ndarray, qubit_count: int, qubit: int) -> np.ndarray:
-    return ((index >> (qubit_count - 1 - qubit)) & 1).astype(np.int64)
-
-
-def _scan_chunk(
-    problem: AssignmentProblem,
-    layout: VariableLayout,
-    lo: int,
-    hi: int,
-    scaled_values: list[list[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, feasible mask, scaled gains) over one index range."""
-    q = layout.qubit_count
-    index = np.arange(lo, hi, dtype=np.int64)
-    feasible = np.ones(hi - lo, dtype=bool)
-    for i in range(problem.num_processes):
-        total = np.zeros(hi - lo, dtype=np.int64)
-        for qubit in layout.process_block(i):
-            total += _bit_column(index, q, qubit)
-        feasible &= total == 1
-    for j, node in enumerate(problem.nodes):
-        total = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(problem.num_processes):
-            total += problem.processes[i].weight * _bit_column(
-                index, q, layout.assign_qubit(i, j)
-            )
-        for k, qubit in enumerate(layout.slack_qubits(j)):
-            total += (1 << k) * _bit_column(index, q, qubit)
-        feasible &= total == node.capacity
-    gains = np.zeros(hi - lo, dtype=np.int64)
-    for i in range(problem.num_processes):
-        for j in range(problem.num_nodes):
-            v = scaled_values[i][j]
-            if v:
-                gains += v * _bit_column(index, q, layout.assign_qubit(i, j))
-    return index, feasible, gains
-
-
-def _scaled_values(problem: AssignmentProblem) -> tuple[list[list[int]], int]:
-    denom = lcm(*(v.denominator for p in problem.processes for v in p.values))
-    scaled = [[int(v * denom) for v in p.values] for p in problem.processes]
-    return scaled, denom
-
-
-def feasible_mask(problem: AssignmentProblem, layout: VariableLayout) -> np.ndarray:
-    """Boolean feasibility of every bitstring, ordered by basis index."""
-    if layout.qubit_count > _CHUNK_BITS:
-        raise QubitCountExceededError(
-            f"feasible_mask supports up to {_CHUNK_BITS} qubits, got {layout.qubit_count}"
-        )
-    scaled, _ = _scaled_values(problem)
-    _, mask, _ = _scan_chunk(problem, layout, 0, 1 << layout.qubit_count, scaled)
-    return mask
+    feasible_bitstrings: frozenset[str]
 
 
 def enumerate_solutions(
@@ -101,53 +46,24 @@ def enumerate_solutions(
     *,
     max_qubits: int = 24,
 ) -> OracleReport:
-    """Exhaustive scan of the full 2^Q solution space."""
+    """Exact optima and feasibility counts from a walk over target tuples.
+
+    Each process goes to one of the N nodes or, where allowed, the Cloud, so
+    the walk visits (N + c)^P tuples (c = 1 with a Cloud, else 0): at most
+    3^8 = 6,561 under the default 24-qubit cap, against 2^Q strings for a
+    full scan. A tuple is feasible exactly when every residual capacity fits
+    its slack register, in which case the register value is unique, so each
+    feasible tuple gives exactly one feasible bitstring. Gains are exact
+    Fractions.
+    """
     q = layout.qubit_count
     if q > max_qubits:
         raise QubitCountExceededError(f"{q} qubits exceeds the maximum of {max_qubits}")
-    scaled, denom = _scaled_values(problem)
-    feasible_count = 0
-    best_scaled: int | None = None
-    best_indices: list[int] = []
-    step = 1 << min(q, _CHUNK_BITS)
-    for lo in range(0, 1 << q, step):
-        index, mask, gains = _scan_chunk(problem, layout, lo, lo + step, scaled)
-        hits = index[mask]
-        if hits.size == 0:
-            continue
-        feasible_count += int(hits.size)
-        chunk_gains = gains[mask]
-        top = int(chunk_gains.max())
-        if best_scaled is None or top > best_scaled:
-            best_scaled = top
-            best_indices = []
-        if top == best_scaled:
-            best_indices.extend(int(i) for i in hits[chunk_gains == best_scaled])
-    optimal = frozenset(index_to_bits(i, q) for i in best_indices)
-    return OracleReport(
-        optimal_gain=None if best_scaled is None else Fraction(best_scaled, denom),
-        optimal_bitstrings=optimal,
-        best_count=len(optimal),
-        feasible_count=feasible_count,
-        total=1 << q,
-        infeasible_instance=feasible_count == 0,
-    )
-
-
-def enumerate_assignments(
-    problem: AssignmentProblem, layout: VariableLayout
-) -> OracleReport:
-    """Structured shortcut: iterate target tuples and derive slack registers.
-
-    A target tuple is feasible exactly when every residual capacity fits its
-    slack register, in which case the register value is unique, so the
-    counts agree with the full bitstring scan.
-    """
     options = list(range(problem.num_nodes))
     if problem.variant.cloud_allowed:
         options.append(CLOUD)
     register_sizes = [1 << len(layout.slack_qubits(j)) for j in range(problem.num_nodes)]
-    feasible_count = 0
+    feasible_bits: list[str] = []
     best: Fraction | None = None
     best_bits: list[str] = []
     for targets in product(options, repeat=problem.num_processes):
@@ -158,21 +74,23 @@ def enumerate_assignments(
         residuals = [node.capacity - load for node, load in zip(problem.nodes, loads)]
         if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
             continue
-        feasible_count += 1
         assignment = Assignment(tuple(targets), tuple(loads), tuple(residuals))
+        bits = assignment_bits(layout, assignment)
+        feasible_bits.append(bits)
         value = gain(problem, assignment)
         if best is None or value > best:
             best = value
             best_bits = []
         if value == best:
-            best_bits.append(assignment_bits(layout, assignment))
+            best_bits.append(bits)
     return OracleReport(
         optimal_gain=best,
         optimal_bitstrings=frozenset(best_bits),
         best_count=len(best_bits),
-        feasible_count=feasible_count,
-        total=1 << layout.qubit_count,
-        infeasible_instance=feasible_count == 0,
+        feasible_count=len(feasible_bits),
+        total=1 << q,
+        infeasible_instance=not feasible_bits,
+        feasible_bitstrings=frozenset(feasible_bits),
     )
 
 

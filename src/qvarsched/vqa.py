@@ -32,6 +32,7 @@ from .simulator import (
 )
 
 _SEED_RANGE = 2**31
+_COBYLA_RHOBEG = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,17 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not (isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.method.lower() not in ("cobyla", "nelder-mead"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
+        if self.method.lower() == "cobyla" and self.tolerance > _COBYLA_RHOBEG:
+            raise ValueError(
+                f"cobyla tolerance must be <= the initial trust radius "
+                f"{_COBYLA_RHOBEG}, got {self.tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
             x0,
             method="COBYLA",
             tol=config.tolerance,
-            options={"maxiter": config.max_iterations, "rhobeg": 1.0},
+            options={"maxiter": config.max_iterations, "rhobeg": _COBYLA_RHOBEG},
         )
     else:
         scipy_minimize(

@@ -3,7 +3,9 @@
 direct_objective evaluates the penalized objective straight from the binary
 variables (gain plus squared equality residuals); it never touches the
 encoder's polynomial expansion, so it serves as the independent route when
-checking IsingModel energies.
+checking IsingModel energies. brute_force_oracle is the per-string
+counterpart of enumerate_solutions: check_feasible and gain on all 2^Q
+strings.
 """
 from __future__ import annotations
 
@@ -13,7 +15,11 @@ import numpy as np
 
 from qvarsched import (
     AssignmentProblem,
+    OracleReport,
     VariableLayout,
+    check_feasible,
+    decode,
+    gain,
     make_problem,
 )
 from qvarsched.encoder import penalty_weight
@@ -82,6 +88,34 @@ def direct_objective(problem: AssignmentProblem, layout: VariableLayout, bits: s
         residual = node.capacity - load - slack
         total += a * residual * residual
     return total
+
+
+def brute_force_oracle(problem: AssignmentProblem, layout: VariableLayout) -> OracleReport:
+    """The oracle's report from check_feasible and gain on every one of the 2^Q strings."""
+    q = layout.qubit_count
+    gains = {}
+    for index in range(1 << q):
+        bits = format(index, f"0{q}b")
+        if check_feasible(problem, layout, bits).feasible:
+            gains[bits] = gain(problem, decode(layout, bits))
+    best = max(gains.values(), default=None)
+    optimal = frozenset(bits for bits, value in gains.items() if value == best)
+    return OracleReport(
+        optimal_gain=best,
+        optimal_bitstrings=optimal,
+        best_count=len(optimal),
+        feasible_count=len(gains),
+        total=1 << q,
+        infeasible_instance=not gains,
+        feasible_bitstrings=frozenset(gains),
+    )
+
+
+def feasible_mask(report: OracleReport) -> np.ndarray:
+    """Feasibility of every basis index, read from the oracle's feasible strings."""
+    mask = np.zeros(report.total, dtype=bool)
+    mask[[int(bits, 2) for bits in report.feasible_bitstrings]] = True
+    return mask
 
 
 def direct_objective_vector(problem: AssignmentProblem, layout: VariableLayout) -> np.ndarray:

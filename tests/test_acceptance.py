@@ -25,7 +25,7 @@ from qvarsched import (
 from qvarsched.bench import scaling_sweep, sweep_csv
 from qvarsched.circuits import CircuitMetrics
 from qvarsched.encoder import IsingModel
-from qvarsched.oracle import dense_state, enumerate_solutions, feasible_mask
+from qvarsched.oracle import dense_state, enumerate_solutions
 from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     GOLDEN_LINEAR,
     GOLDEN_PAIRS,
     REFERENCE_COUNTS,
+    feasible_mask,
     random_problem,
     reference_problem,
 )
@@ -198,12 +199,12 @@ def test_criterion_07_penalty_separation():
         layout = build_layout(problem)
         model = encode(problem, layout)
         energies = diagonal_energies(model)
-        mask = feasible_mask(problem, layout)
+        report = enumerate_solutions(problem, layout)
+        mask = feasible_mask(report)
         if mask.any():
             assert energies[mask].max() <= 0
         if (~mask).any():
             assert energies[~mask].min() >= 1
-        report = enumerate_solutions(problem, layout)
         if not report.infeasible_instance:
             argmin = set(np.nonzero(energies == energies.min())[0].tolist())
             assert argmin == {int(bits, 2) for bits in report.optimal_bitstrings}
@@ -217,11 +218,11 @@ def test_criterion_08_vqe_quality():
     oracle_report = enumerate_solutions(problem, layout)
     config = OptimizerConfig(seed=3, restarts=10, max_iterations=400)
     a4 = run_vqe(problem, "a4", config)
-    a4_metrics = score(a4.counts, oracle_report, problem, layout)
+    a4_metrics = score(a4.counts, oracle_report)
     assert a4_metrics.p_feas >= 0.9
     assert a4_metrics.p_best >= 0.3
     a1 = run_vqe(problem, "a1", config)
-    a1_metrics = score(a1.counts, oracle_report, problem, layout)
+    a1_metrics = score(a1.counts, oracle_report)
     assert a1_metrics.p_feas >= 0.5
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
@@ -247,7 +248,7 @@ def test_criterion_09_qaoa_vs_vqe_ordering():
                 result = run_qaoa(problem, reps, config)
             else:
                 result = run_vqe(problem, algorithm, config)
-            values.append(score(result.counts, oracle_report, problem, layout).p_best)
+            values.append(score(result.counts, oracle_report).p_best)
         return float(np.median(values))
 
     vqe_median = median_p_best("a1")

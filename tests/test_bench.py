@@ -25,55 +25,47 @@ from helpers import reference_problem, spy_calls
 
 
 @pytest.fixture(scope="module")
-def eohl():
+def report():
     problem = reference_problem("EOHL")
-    layout = build_layout(problem)
-    report = enumerate_solutions(problem, layout)
-    return problem, layout, report
+    return enumerate_solutions(problem, build_layout(problem))
 
 
-def test_score_all_shots_on_one_optimum(eohl):
-    problem, layout, report = eohl
+def test_score_all_shots_on_one_optimum(report):
     counts = Counts({"10100101": 4096}, 4096)
-    metrics = score(counts, report, problem, layout)
+    metrics = score(counts, report)
     assert metrics.p_best == 1.0 and metrics.p_feas == 1.0
     assert metrics.c_best == 256 / 2 == 128.0
     assert metrics.c_feas == 256 / 4
 
 
-def test_score_uniform_counts(eohl):
-    problem, layout, report = eohl
+def test_score_uniform_counts(report):
     counts = Counts({format(i, "08b"): 16 for i in range(256)}, 4096)
-    metrics = score(counts, report, problem, layout)
+    metrics = score(counts, report)
     assert metrics.p_feas == 4 / 256
     assert metrics.c_feas == 1.0
     assert metrics.c_best == 1.0
 
 
-def test_score_infeasible_only_counts(eohl):
-    problem, layout, report = eohl
+def test_score_infeasible_only_counts(report):
     counts = Counts({"11111111": 4096}, 4096)
-    metrics = score(counts, report, problem, layout)
+    metrics = score(counts, report)
     assert metrics == type(metrics)(0.0, 0.0, 0.0, 0.0)
 
 
-def test_score_is_pure(eohl):
-    problem, layout, report = eohl
+def test_score_is_pure(report):
     counts = Counts({"10100101": 100, "11100000": 28}, 128)
-    assert score(counts, report, problem, layout) == score(counts, report, problem, layout)
+    assert score(counts, report) == score(counts, report)
 
 
-def test_score_instance_mismatch(eohl):
-    problem, layout, report = eohl
+def test_score_instance_mismatch(report):
     with pytest.raises(InstanceMismatchError):
-        score(Counts({"101": 1}, 1), report, problem, layout)
+        score(Counts({"101": 1}, 1), report)
 
 
-def test_c_feas_of_uniform_sampler_is_one(eohl):
-    problem, layout, report = eohl
+def test_c_feas_of_uniform_sampler_is_one(report):
     circuit = Circuit(8, tuple(Gate("h", (q,)) for q in range(8)), ())
     counts = sample(run(circuit), 4096, seed=101)
-    metrics = score(counts, report, problem, layout)
+    metrics = score(counts, report)
     p = report.feasible_count / report.total
     sigma_c = (p * (1 - p) / 4096) ** 0.5 * report.total / report.feasible_count
     assert abs(metrics.c_feas - 1.0) < 3 * sigma_c
@@ -90,8 +82,8 @@ def _tiny_config(problem, algorithm="a4", runs=3, seed=11, **kwargs):
     )
 
 
-def test_run_experiment_structure(eohl):
-    problem, _, _ = eohl
+def test_run_experiment_structure():
+    problem = reference_problem("EOHL")
     report = run_experiment(_tiny_config(problem))
     assert len(report.runs) == 3
     assert report.qubit_count == 8
@@ -101,8 +93,8 @@ def test_run_experiment_structure(eohl):
         assert min(values) <= report.mean[field] <= max(values)
 
 
-def test_run_experiment_deterministic_modulo_timing(eohl):
-    problem, _, _ = eohl
+def test_run_experiment_deterministic_modulo_timing():
+    problem = reference_problem("EOHL")
     first = run_experiment(_tiny_config(problem))
     second = run_experiment(_tiny_config(problem))
     for a, b in zip(first.runs, second.runs):
@@ -112,16 +104,16 @@ def test_run_experiment_deterministic_modulo_timing(eohl):
         assert a.metrics.iterations == b.metrics.iterations
 
 
-def test_run_experiment_qaoa_label(eohl):
-    problem, _, _ = eohl
+def test_run_experiment_qaoa_label():
+    problem = reference_problem("EOHL")
     config = _tiny_config(problem, algorithm="qaoa", runs=1, reps=2)
     report = run_experiment(config)
     assert report.algorithm == "qaoa-2"
     assert len(report.runs[0].parameters) == 4
 
 
-def test_ansatz_comparison_shape(eohl):
-    problem, _, _ = eohl
+def test_ansatz_comparison_shape():
+    problem = reference_problem("EOHL")
     reports = [
         run_experiment(_tiny_config(problem, algorithm=kind, runs=2))
         for kind in ("a1", "a2", "a3", "a4")

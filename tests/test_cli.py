@@ -127,6 +127,26 @@ def test_cmd_oracle_infeasible(tmp_path, capsys):
     assert "infeasible_instance yes" in capsys.readouterr().out
 
 
+# Gains whose common denominator, scaled to integers, overflows int64.
+WRAP_FILE = """\
+qvarsched-v1 problem
+variant EOFL
+process weight=1 values=2147483646/2147483647
+process weight=1 values=2147483628/2147483629
+process weight=1 values=1
+node capacity=3
+"""
+
+
+def test_cmd_oracle_gain_is_exact_past_int64(tmp_path, capsys):
+    path = tmp_path / "wrap.problem"
+    path.write_text(WRAP_FILE)
+    assert main(["oracle", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "optimal_gain 13835057922138177613/4611685975477714963\n" in out
+    assert "optimum 11100\n" in out
+
+
 def _solve_files(tmp_path, runs=2, algorithm="a4", extra=""):
     problem_path = tmp_path / "eohl.problem"
     problem_path.write_text(EOHL_FILE)
@@ -216,6 +236,15 @@ def test_cmd_solve_bad_spec_setting_exits_2_before_running(tmp_path, monkeypatch
     assert experiments == []
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "1e300"])
+def test_cmd_solve_tolerance_cobyla_would_reset_exits_2(tmp_path, monkeypatch, capsys, tolerance):
+    spec_path = _solve_files(tmp_path, extra=f"tolerance {tolerance}\n")
+    experiments = spy_calls(monkeypatch, bench, "run_experiment")
+    assert main(["solve", str(spec_path), "--out", str(tmp_path / "r")]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert experiments == []
+
+
 def test_cmd_solve_qubit_cap_fails_before_energies(tmp_path, monkeypatch):
     spec_path = _solve_files(tmp_path)
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
@@ -253,3 +282,23 @@ def test_cmd_sweep(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "11"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--restarts", "0"),
+        ("--max-iterations", "0"),
+        ("--pmin", "0"),
+        ("--pmax", "0"),
+        ("--pmin", "5", "--pmax", "3"),
+    ],
+    ids=" ".join,
+)
+def test_cmd_sweep_rejects_bad_integers_before_running(monkeypatch, capsys, options):
+    sweeps = spy_calls(monkeypatch, bench, "scaling_sweep")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *options])
+    assert exc.value.code == 2
+    assert options[-2] in capsys.readouterr().err
+    assert sweeps == []

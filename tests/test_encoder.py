@@ -12,7 +12,7 @@ from qvarsched.encoder import (
     model_to_text,
 )
 from qvarsched.errors import MalformedBitstringError
-from qvarsched.oracle import enumerate_solutions, feasible_mask
+from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import diagonal_energies
 
 from helpers import (
@@ -21,6 +21,7 @@ from helpers import (
     GOLDEN_PAIRS,
     direct_objective,
     direct_objective_vector,
+    feasible_mask,
     random_problem,
     reference_problem,
 )
@@ -103,12 +104,12 @@ def test_penalty_separation_randomized():
         layout = build_layout(problem)
         model = encode(problem, layout)
         energies = diagonal_energies(model)
-        mask = feasible_mask(problem, layout)
+        report = enumerate_solutions(problem, layout)
+        mask = feasible_mask(report)
         if mask.any():
             assert energies[mask].max() <= 0
         if (~mask).any():
             assert energies[~mask].min() >= 1
-        report = enumerate_solutions(problem, layout)
         argmin = set(np.nonzero(energies == energies.min())[0].tolist())
         if report.infeasible_instance:
             assert not mask.any()

@@ -1,27 +1,31 @@
+from fractions import Fraction
 from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qvarsched import (
     build_layout,
     build_qaoa,
-    check_feasible,
     encode,
     make_problem,
+    qubit_count,
     run,
 )
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import QubitCountExceededError
-from qvarsched.oracle import (
-    dense_state,
-    enumerate_assignments,
-    enumerate_solutions,
-    feasible_mask,
-)
+from qvarsched.oracle import dense_state, enumerate_solutions
 from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies
 
-from helpers import REFERENCE_COUNTS, random_problem, reference_problem
+from helpers import (
+    REFERENCE_COUNTS,
+    brute_force_oracle,
+    feasible_mask,
+    random_problem,
+    reference_problem,
+)
 
 
 @pytest.mark.parametrize("variant", sorted(REFERENCE_COUNTS))
@@ -50,26 +54,62 @@ def test_infeasible_instance():
     assert report.infeasible_instance
     assert report.feasible_count == 0 and report.best_count == 0
     assert report.optimal_gain is None
-    assert enumerate_assignments(problem, layout) == report
+    assert brute_force_oracle(problem, layout) == report
 
 
-def test_structured_enumeration_agrees_with_full_scan():
+def test_enumeration_matches_brute_force_oracle():
     rng = np.random.default_rng(41)
     for _ in range(30):
-        problem = random_problem(rng)
+        problem = random_problem(rng, max_qubits=10)
         layout = build_layout(problem)
-        assert enumerate_assignments(problem, layout) == enumerate_solutions(problem, layout)
+        assert enumerate_solutions(problem, layout) == brute_force_oracle(problem, layout)
 
 
-def test_feasible_mask_matches_check_feasible():
+def test_feasible_bitstrings_match_check_feasible():
     rng = np.random.default_rng(53)
     for _ in range(8):
         problem = random_problem(rng, max_qubits=9)
         layout = build_layout(problem)
-        mask = feasible_mask(problem, layout)
-        for index in range(1 << layout.qubit_count):
-            bits = format(index, f"0{layout.qubit_count}b")
-            assert mask[index] == check_feasible(problem, layout, bits).feasible
+        report = enumerate_solutions(problem, layout)
+        expected = brute_force_oracle(problem, layout).feasible_bitstrings
+        assert report.feasible_bitstrings == expected
+        assert np.flatnonzero(feasible_mask(report)).tolist() == sorted(
+            int(bits, 2) for bits in expected
+        )
+
+
+# Gains with denominators near 2^31: a common denominator of two or three of
+# them overflows int64, so any fixed-width scaling of the gains would wrap.
+_WIDE_GAINS = st.builds(
+    Fraction, st.integers(0, 2**31), st.integers(2**31 - 64, 2**31 + 64)
+)
+
+
+@st.composite
+def wide_gain_problems(draw):
+    variant = draw(st.sampled_from(["ECFL", "EOFL", "ECHL", "EOHL"]))
+    processes = draw(st.integers(1, 3))
+    nodes = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.integers(1, 3), min_size=processes, max_size=processes))
+    values = draw(
+        st.lists(
+            st.lists(_WIDE_GAINS, min_size=nodes, max_size=nodes),
+            min_size=processes,
+            max_size=processes,
+        )
+    )
+    thresholds = [draw(st.integers(0, 2)) if variant.endswith("HL") else 0 for _ in range(nodes)]
+    capacities = [t + draw(st.integers(1, 4)) for t in thresholds]
+    problem = make_problem(variant, weights, values, capacities, thresholds)
+    assume(qubit_count(problem) <= 10)
+    return problem
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(wide_gain_problems())
+def test_enumeration_is_exact_on_wide_denominators(problem):
+    layout = build_layout(problem)
+    assert enumerate_solutions(problem, layout) == brute_force_oracle(problem, layout)
 
 
 def test_optimum_matches_energy_argmin():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import rosen
@@ -79,6 +81,22 @@ def test_config_validation():
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(method="bfgs")
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-4, 1e300, 1.5])
+def test_config_rejects_tolerance_cobyla_would_reset(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        OptimizerConfig(tolerance=tolerance)
+
+
+def test_cobyla_tolerance_bound_is_the_initial_trust_radius():
+    config = OptimizerConfig(tolerance=1.0, max_iterations=50, initial_point=(0.5, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minimize(lambda x: float(x @ x), 2, config)
+    OptimizerConfig(method="nelder-mead", tolerance=1.5)
+    with pytest.raises(ValueError, match="tolerance"):
+        OptimizerConfig(method="nelder-mead", tolerance=float("inf"))
 
 
 def test_run_vqe_deterministic_in_exact_mode():
