@@ -134,7 +134,8 @@ def run_experiment(
     """Execute R seeded runs, score each at the configured shot count.
 
     _instance is internal: scaling_sweep passes the Instance of config.problem
-    it already built, so that its timing probe shares it.
+    it already built, so that its timing probe shares it and the circuit
+    build_circuit keeps on it.
     """
     instance = Instance(config.problem, max_qubits) if _instance is None else _instance
     problem, layout = instance.problem, instance.layout

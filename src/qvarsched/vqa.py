@@ -2,14 +2,17 @@
 
 The derivative-free minimizer is scipy's COBYLA (initial trust radius 1.0,
 the configured tolerance as the final one), with Nelder-Mead as a selectable
-fallback. Initial points are drawn uniformly from [0, pi) per seed and every
-source of randomness — restart initial points, sampled-mode measurement
-seeds, the final 4096-shot measurement — derives from the config seed, so
-exact-mode runs are bit-reproducible.
+fallback. COBYLA needs at least dim + 2 evaluations, so a smaller
+max_iterations is raised to that with a warning, and the budget actually used
+is recorded on the result. Initial points are drawn uniformly from [0, pi)
+per seed and every source of randomness — restart initial points,
+sampled-mode measurement seeds, the final 4096-shot measurement — derives
+from the config seed, so exact-mode runs are bit-reproducible.
 """
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, replace
 from math import isfinite, pi
 
@@ -65,6 +68,7 @@ class MinimizeResult:
     parameters: tuple[float, ...]
     value: float
     trace: tuple[float, ...]
+    budget: int  # the evaluation budget the optimizer was given
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,7 @@ class VqaResult:
     iterations: int
     counts: Counts
     wall_time: float
+    budget: int  # the evaluation budget each restart was given
 
 
 def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
@@ -87,7 +92,7 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
         x0 = np.random.default_rng(config.seed).uniform(0.0, pi, dim)
     if dim == 0:
         value = float(objective(np.zeros(0)))
-        return MinimizeResult((), value, (value,))
+        return MinimizeResult((), value, (value,), 1)
 
     trace: list[float] = []
     points: list[np.ndarray] = []
@@ -100,13 +105,21 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
         points.append(np.array(x, dtype=float))
         return value
 
+    budget = config.max_iterations
     if config.method.lower() == "cobyla":
+        if budget < dim + 2:
+            budget = dim + 2
+            warnings.warn(
+                f"cobyla needs at least dim + 2 = {budget} evaluations; "
+                f"max_iterations {config.max_iterations} raised to {budget}",
+                stacklevel=2,
+            )
         scipy_minimize(
             wrapped,
             x0,
             method="COBYLA",
             tol=config.tolerance,
-            options={"maxiter": config.max_iterations, "rhobeg": _COBYLA_RHOBEG},
+            options={"maxiter": budget, "rhobeg": _COBYLA_RHOBEG},
         )
     else:
         scipy_minimize(
@@ -121,12 +134,13 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
             },
         )
     best = int(np.argmin(trace))
-    return MinimizeResult(tuple(points[best]), trace[best], tuple(trace))
+    return MinimizeResult(tuple(points[best]), trace[best], tuple(trace), budget)
 
 
 class Instance:
-    """One problem built once: its qubit layout, Ising model and the energy
-    of every basis state, shared by every circuit, run and restart on it.
+    """One problem built once: its qubit layout, Ising model, the energy of
+    every basis state and the circuits built for it (see build_circuit),
+    shared by every run and restart on it.
 
     The qubit cap is checked before any 2^Q work.
     """
@@ -141,13 +155,23 @@ class Instance:
         self.layout = layout
         self.model = encode(problem, layout)
         self.energies = diagonal_energies(self.model)
+        self.circuits: dict[tuple[str, int], Circuit] = {}
 
 
 def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
-    """The circuit of an algorithm name: an "a1".."a4" ansatz, or "qaoa" with reps layers."""
-    if algorithm == "qaoa":
-        return build_qaoa(instance.model, reps)
-    return build_ansatz(algorithm, instance.problem, instance.layout)
+    """The circuit of an algorithm name: an "a1".."a4" ansatz, or "qaoa" with reps layers.
+
+    Built once per instance and kept on it: every call with the same instance
+    returns the same Circuit object, so its program is compiled only once.
+    """
+    key = (algorithm, reps if algorithm == "qaoa" else 1)
+    if key not in instance.circuits:
+        if algorithm == "qaoa":
+            circuit = build_qaoa(instance.model, reps)
+        else:
+            circuit = build_ansatz(algorithm, instance.problem, instance.layout)
+        instance.circuits[key] = circuit
+    return instance.circuits[key]
 
 
 def _sampled_energy(state: StateVector, shots: int, seed: int, energies: np.ndarray) -> float:
@@ -205,6 +229,7 @@ def optimize(
         iterations=len(best.trace),
         counts=counts,
         wall_time=time.perf_counter() - started,
+        budget=best.budget,
     )
 
 

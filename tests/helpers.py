@@ -5,7 +5,10 @@ variables (gain plus squared equality residuals); it never touches the
 encoder's polynomial expansion, so it serves as the independent route when
 checking IsingModel energies. brute_force_oracle is the per-string
 counterpart of enumerate_solutions: check_feasible and gain on all 2^Q
-strings.
+strings. reference_run and reference_energies are the slow counterparts of
+simulator.run and simulator.diagonal_energies: the gate-by-gate complex128
+loop and the per-term energy sum, whose results the fast paths must equal
+bit for bit.
 """
 from __future__ import annotations
 
@@ -22,8 +25,9 @@ from qvarsched import (
     gain,
     make_problem,
 )
-from qvarsched.encoder import penalty_weight
+from qvarsched.encoder import IsingModel, penalty_weight
 from qvarsched.problem import parse_bits
+from qvarsched.simulator import Circuit, _bind, _resolve_angle, apply_gate
 
 REFERENCE_WEIGHTS = (2, 1, 1)
 REFERENCE_VALUES = ((2, 1), (3, 1), (2, 1))
@@ -196,3 +200,32 @@ def spy_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def reference_run(circuit: Circuit, params=None) -> np.ndarray:
+    """Final amplitudes from apply_gate once per gate on a complex128 |0...0>."""
+    n = circuit.qubit_count
+    binding = _bind(circuit, params)
+    amplitudes = np.zeros(1 << n, dtype=np.complex128)
+    amplitudes[0] = 1.0
+    for gate in circuit.gates:
+        angle = _resolve_angle(gate, binding) if gate.angle is not None else None
+        apply_gate(amplitudes, gate, n, angle)
+    return amplitudes
+
+
+def reference_energies(model: IsingModel) -> np.ndarray:
+    """Energy of every basis index, one full-length spin product per term."""
+    q = model.qubit_count
+    index = np.arange(1 << q, dtype=np.int64)
+
+    def spin(i: int) -> np.ndarray:
+        return 1.0 - 2.0 * ((index >> (q - 1 - i)) & 1)
+
+    energies = np.full(1 << q, float(model.constant))
+    for i, coeff in enumerate(model.linear):
+        if coeff:
+            energies += float(coeff) * spin(i)
+    for (i, j), coeff in model.pairwise.items():
+        energies += float(coeff) * spin(i) * spin(j)
+    return energies

@@ -8,6 +8,7 @@ from qvarsched import (
     run_experiment,
     scaling_instance,
     score,
+    simulator,
     vqa,
 )
 from qvarsched.bench import (
@@ -168,3 +169,11 @@ def test_instance_is_built_once_per_experiment_and_sweep_point(monkeypatch):
     assert len(encoded) == 1 and len(energies) == 1
     scaling_sweep([3], optimizer=OptimizerConfig(max_iterations=5, restarts=1))
     assert len(encoded) == 2 and len(energies) == 2
+
+
+def test_sweep_compiles_each_point_circuit_once(monkeypatch):
+    compiled = spy_calls(monkeypatch, simulator, "_compile")
+    points = scaling_sweep([3, 4], optimizer=OptimizerConfig(max_iterations=10, restarts=2))
+    # Every evaluation, final measurement and timing probe of a point runs
+    # one compiled program.
+    assert [c.qubit_count for (c,) in compiled] == [p.qubit_count for p in points]

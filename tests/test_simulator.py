@@ -3,6 +3,8 @@ from math import cos, pi, sin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvarsched import build_layout, encode, expectation_diagonal, run, sample
 from qvarsched.encoder import IsingModel
@@ -11,8 +13,9 @@ from qvarsched.errors import (
     QubitCountExceededError,
     UnboundParameterError,
 )
-from qvarsched.oracle import gate_unitary
+from qvarsched.oracle import dense_state, gate_unitary
 from qvarsched.simulator import (
+    GATE_NAMES,
     Circuit,
     Gate,
     Param,
@@ -24,7 +27,7 @@ from qvarsched.simulator import (
     index_to_bits,
 )
 
-from helpers import reference_problem
+from helpers import reference_energies, reference_problem, reference_run
 
 
 def _random_state(rng, n):
@@ -32,8 +35,8 @@ def _random_state(rng, n):
     return amps / np.linalg.norm(amps)
 
 
-def _random_gate(rng, n):
-    kind = rng.choice(["x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub"])
+def _random_gate(rng, n, kinds=GATE_NAMES):
+    kind = rng.choice(kinds)
     qubits = rng.permutation(n)
     angle = float(rng.uniform(0, 2 * pi))
     if kind in ("x", "h"):
@@ -225,3 +228,93 @@ def test_circuit_text_dump():
         "cry 0,1 t0",
         "csub 0,1 -1",
     ]
+
+
+_REAL_KINDS = ("x", "h", "ry", "cx", "cry", "mcx", "csub")
+_PERMUTATION_KINDS = ("x", "cx", "mcx", "csub")
+
+
+@st.composite
+def _circuits(draw):
+    """A random circuit: an optional leading x run or full or partial h
+    layer, then single gates mixed with runs of permutation gates."""
+    n = draw(st.integers(2, 8))
+    kinds = draw(st.sampled_from((GATE_NAMES, _REAL_KINDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(q) for q in rng.permutation(n)]
+    prefix = draw(st.sampled_from(("none", "x", "full h", "short h", "repeated h")))
+    if prefix == "x":
+        gates = [Gate("x", (int(q),)) for q in rng.integers(n, size=draw(st.integers(1, 4)))]
+    elif prefix == "full h":
+        gates = [Gate("h", (q,)) for q in order]
+    elif prefix == "short h":
+        gates = [Gate("h", (q,)) for q in order[: draw(st.integers(1, n - 1))]]
+    elif prefix == "repeated h":
+        # n h gates that still miss a qubit.
+        gates = [Gate("h", (q,)) for q in (*order[: n - 1], order[0])]
+    else:
+        gates = []
+    # A group of one is any gate; a longer group is a run of permutation gates.
+    for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=12)):
+        pool = kinds if size == 1 else _PERMUTATION_KINDS
+        gates += [_random_gate(rng, n, pool) for _ in range(size)]
+    return Circuit(n, tuple(gates), ())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_circuits())
+def test_run_equals_the_gate_by_gate_loop_bit_for_bit(circuit):
+    state = run(circuit)
+    reference = reference_run(circuit)
+    assert state.probabilities().tobytes() == (np.abs(reference) ** 2).tobytes()
+    assert np.max(np.abs(state.amplitudes - dense_state(circuit, max_qubits=8))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [(0, 1, 2), (2, 0, 1), (0, 1), (0, 1, 1), (0, 0, 1, 2), (1, 2, 0, 0)],
+)
+def test_only_a_leading_h_on_every_qubit_folds_into_the_uniform_state(layer):
+    gates = (*(Gate("h", (q,)) for q in layer), Gate("ry", (1,), 0.4), Gate("cx", (1, 2)))
+    circuit = Circuit(3, gates, ())
+    state = run(circuit)
+    assert state.probabilities().tobytes() == (np.abs(reference_run(circuit)) ** 2).tobytes()
+    assert np.max(np.abs(state.amplitudes - dense_state(circuit))) < 1e-12
+
+
+def test_phase_gates_on_every_qubit_equal_the_gate_by_gate_loop_bit_for_bit():
+    # apply_gate multiplies single elements here, which rounds differently
+    # from a broadcast multiply once both parts of an amplitude are nonzero.
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        a, b, c = (float(t) for t in rng.uniform(0, 2 * pi, 3))
+        mix = [Gate(kind, (q,), a) for q in (0, 1) for kind in ("rx", "ry")]
+        for circuit in (
+            Circuit(1, (*mix[:2], Gate("rz", (0,), b), Gate("rx", (0,), c)), ()),
+            Circuit(2, (*mix, Gate("rzz", (0, 1), b), Gate("rx", (0,), c)), ()),
+        ):
+            expected = np.abs(reference_run(circuit)) ** 2
+            assert run(circuit).probabilities().tobytes() == expected.tobytes()
+
+
+_COEFFICIENTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
+)
+
+
+@st.composite
+def _ising_models(draw):
+    q = draw(st.integers(0, 10))
+    linear = tuple(draw(st.lists(_COEFFICIENTS, min_size=q, max_size=q)))
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    # Drawn in shuffled order: the energies add the terms in dict order.
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    pairwise = {pair: draw(_COEFFICIENTS) for pair in chosen}
+    return IsingModel(q, draw(_COEFFICIENTS), linear, pairwise, Fraction(1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_ising_models())
+def test_energies_equal_the_per_term_sum_bit_for_bit(model):
+    assert diagonal_energies(model).tobytes() == reference_energies(model).tobytes()

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ def test_cobyla_tolerance_bound_is_the_initial_trust_radius():
     OptimizerConfig(method="nelder-mead", tolerance=1.5)
     with pytest.raises(ValueError, match="tolerance"):
         OptimizerConfig(method="nelder-mead", tolerance=float("inf"))
+
+
+def test_cobyla_budget_below_dim_plus_two_is_raised_and_recorded():
+    config = OptimizerConfig(max_iterations=1, initial_point=(0.5, 0.5))
+    with pytest.warns(UserWarning, match="max_iterations 1 raised to 4"):
+        result = minimize(lambda x: float(x @ x), 2, config)
+    assert result.budget == 4 and len(result.trace) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert minimize(lambda x: float(x @ x), 2, replace(config, max_iterations=4)).budget == 4
+        nelder_mead = replace(config, method="nelder-mead")
+        assert minimize(lambda x: float(x @ x), 2, nelder_mead).budget == 1
+    problem = reference_problem("EOHL")
+    with pytest.warns(UserWarning, match="raised to 4"):
+        assert run_qaoa(problem, 1, replace(config, restarts=2)).budget == 4
+    assert run_qaoa(problem, 1, replace(config, max_iterations=7)).budget == 7
 
 
 def test_run_vqe_deterministic_in_exact_mode():
