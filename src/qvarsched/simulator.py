@@ -11,21 +11,38 @@ Conventions:
     mapped to (r - constant) mod 2^m.
 
 run() compiles each Circuit once, on its first run, into a program that the
-Circuit object keeps; every later run of that object executes the program:
-  - leading x gates fold into the initial basis index;
+Circuit object keeps; every later run of that object executes the program.
+
+A circuit made only of real gates (x, h, ry, cx, cry, mcx, csub), as every
+a1-a4 ansatz is, becomes a support program: it runs on the basis states the
+circuit can reach from |0...0>. Compile tracks them as slots, labels[k]
+being the basis index slot k holds, by bit arithmetic on the labels alone:
+  - a permutation gate (x, cx, mcx, csub) relabels the slots and costs
+    nothing at run time;
+  - an h, ry or cry gate becomes slot arrays (lo, hi) for the pairs it mixes
+    that have a member in the support; an absent partner gets a new slot
+    holding 0.
+Run evaluates m00*a0 + m01*a1 and m10*a0 + m11*a1 on the slots, the
+expression _apply_matrix evaluates, and scatters the slots once into a dense
+float64 vector. Outside the support the dense loop holds +0 or -0 where a
+new slot holds +0, so each amplitude agrees with the dense loop's up to the
+sign of a zero: a zero term m*(+-0) = +-0 leaves a nonzero sum unchanged,
+and a sum of zeros is a zero. As |+-0|^2 = +0, every probability equals the
+gate-by-gate loop's bit for bit. A circuit whose support would outgrow
+SUPPORT_FRACTION of the 2^Q basis states is compiled to a dense program
+instead.
+
+A dense program updates all 2^Q amplitudes, on float64 for real-gate circuits
+and complex128 otherwise (QAOA):
   - a circuit that opens with an h on every qubit starts from the uniform
     state instead, whose amplitude is the chain of products by 1/sqrt(2)
     that those h gates compute;
-  - each run of two or more parameter-free permutation gates (x, cx, mcx,
-    csub) becomes one int32 gather index, built by applying apply_gate to
-    an arange;
   - each rz and rzz that leaves out some qubit is one multiply by a
     broadcast table of its phases;
   - every other gate goes through apply_gate.
-A circuit made only of real gates (x, h, ry, cx, cry, mcx, csub) runs on
-float64 amplitudes, any other on complex128. Either way every probability
-|a|^2 equals, bit for bit, the one from applying apply_gate gate by gate to a
-complex128 |0...0>. The norm is checked after every run.
+Either way every probability |a|^2 equals, bit for bit, the one from applying
+apply_gate gate by gate to a complex128 |0...0>. The norm is checked after
+every run.
 """
 from __future__ import annotations
 
@@ -49,6 +66,11 @@ NORM_TOLERANCE = 1e-9
 GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub")
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
+# Largest support, as a fraction of 2^Q, that keeps a support program. Per h
+# or ry gate at Q=18 and Q=20 a support program took about 0.35x the dense
+# time at 1/4 and 1.2-1.3x at the full 2^Q; its slot arrays cost 16 bytes a
+# pair, kept per gate.
+SUPPORT_FRACTION = 1 / 4
 
 
 @dataclass(frozen=True)
@@ -80,21 +102,8 @@ class Circuit:
     parameters: tuple[str, ...]
 
     @cached_property
-    def _program(self) -> _Program:
+    def _program(self) -> _DenseProgram | _SupportProgram:
         return _compile(self)
-
-
-@dataclass(frozen=True, eq=False)
-class _Program:
-    """A circuit compiled for run().
-
-    start is the initial basis index, or None for the uniform state; each op
-    is a gather index (np.ndarray) or a Gate.
-    """
-
-    dtype: type
-    start: int | None
-    ops: tuple[np.ndarray | Gate, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,49 +272,135 @@ def _apply_phase(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: fl
     nd *= table.reshape(shape)
 
 
-def _gather_index(gates: Sequence[Gate], qubit_count: int) -> np.ndarray:
-    """index such that state[index] is state after the permutation gates."""
-    index = np.arange(1 << qubit_count, dtype=np.int32)
-    for gate in gates:
-        apply_gate(index, gate, qubit_count)
-    return index
+def _bits(qubits: Sequence[int], qubit_count: int) -> int:
+    """The basis-index bits that stand for qubits."""
+    return sum(1 << (qubit_count - 1 - q) for q in qubits)
 
 
-def _compile(circuit: Circuit) -> _Program:
-    n, gates = circuit.qubit_count, circuit.gates
-    dtype = np.float64 if all(g.name in _REAL_GATES for g in gates) else np.complex128
-    start, k = 0, 0
-    if n and {(g.name, g.qubits) for g in gates[:n]} == {("h", (q,)) for q in range(n)}:
-        start, k = None, n
-    else:
-        while k < len(gates) and gates[k].name == "x":
-            start ^= 1 << (n - 1 - gates[k].qubits[0])
-            k += 1
-    ops: list[np.ndarray | Gate] = []
-    while k < len(gates):
-        end = k
-        while end < len(gates) and gates[end].name in _PERMUTATION_GATES:
-            end += 1
-        if end - k >= 2:
-            ops.append(_gather_index(gates[k:end], n))
-            k = end
+def _relabel(labels: np.ndarray, gate: Gate, qubit_count: int) -> np.ndarray:
+    """The basis index each of labels moves to under a permutation gate."""
+    if gate.name == "x":
+        return labels ^ _bits(gate.qubits, qubit_count)
+    if gate.name in ("cx", "mcx"):
+        *controls, target = gate.qubits
+        mask = _bits(controls, qubit_count)
+        return np.where((labels & mask) == mask, labels ^ _bits((target,), qubit_count), labels)
+    control, *register = gate.qubits
+    value = np.zeros_like(labels)
+    for k, q in enumerate(register):
+        value |= ((labels >> (qubit_count - 1 - q)) & 1) << k
+    value = (value - gate.constant) % (1 << len(register))
+    moved = labels & ~_bits(register, qubit_count)
+    for k, q in enumerate(register):
+        moved |= ((value >> k) & 1) << (qubit_count - 1 - q)
+    return np.where(labels & _bits((control,), qubit_count), moved, labels)
+
+
+@dataclass(frozen=True, eq=False)
+class _SupportProgram:
+    """A real-gate circuit run on the basis states it can reach from |0...0>.
+
+    Slot 0 starts as |0...0> with amplitude 1 and labels[k] is the basis index
+    slot k holds at the end; each op is an h, ry or cry gate with the slot
+    arrays (lo, hi) of the amplitude pairs it mixes.
+    """
+
+    labels: np.ndarray
+    ops: tuple[tuple[Gate, np.ndarray, np.ndarray], ...]
+
+    def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
+        slots = np.zeros(len(self.labels))
+        slots[0] = 1.0
+        for gate, lo, hi in self.ops:
+            if gate.name == "h":
+                matrix = _H
+            else:
+                matrix = _rotation_matrix("ry", _resolve_angle(gate, binding))
+            # The expression _apply_matrix evaluates, on the slots.
+            a0, a1 = slots[lo], slots[hi]
+            slots[lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
+            slots[hi] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+        amplitudes = np.zeros(1 << qubit_count)
+        amplitudes[self.labels] = slots
+        return amplitudes
+
+
+@dataclass(frozen=True, eq=False)
+class _DenseProgram:
+    """A circuit run on all 2^Q amplitudes.
+
+    uniform marks a circuit whose leading h on every qubit is folded into
+    the uniform state; gates are what remains after that prefix.
+    """
+
+    dtype: type
+    uniform: bool
+    gates: tuple[Gate, ...]
+
+    def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
+        if self.uniform:
+            # What h on each qubit of |0...0> computes: every amplitude is
+            # multiplied by 1/sqrt(2) once per gate (the other term adds zero).
+            amplitude = 1.0
+            for _ in range(qubit_count):
+                amplitude = _H[0, 0] * amplitude
+            amplitudes = np.full(1 << qubit_count, amplitude, dtype=self.dtype)
         else:
-            ops.append(gates[k])
-            k += 1
-    return _Program(dtype, start, tuple(ops))
+            amplitudes = np.zeros(1 << qubit_count, dtype=self.dtype)
+            amplitudes[0] = 1.0
+        for gate in self.gates:
+            angle = _resolve_angle(gate, binding) if gate.angle is not None else None
+            # On every qubit apply_gate multiplies single elements, which numpy
+            # rounds differently from an array multiply, so it keeps that case.
+            if gate.name in ("rz", "rzz") and len(gate.qubits) < qubit_count:
+                _apply_phase(amplitudes, gate, qubit_count, angle)
+            else:
+                apply_gate(amplitudes, gate, qubit_count, angle)
+        return amplitudes
 
 
-def _initial_state(program: _Program, qubit_count: int) -> np.ndarray:
-    if program.start is None:
-        # What h on each qubit of |0...0> computes: every amplitude is
-        # multiplied by 1/sqrt(2) once per gate (the other term adds zero).
-        amplitude = 1.0
-        for _ in range(qubit_count):
-            amplitude = _H[0, 0] * amplitude
-        return np.full(1 << qubit_count, amplitude, dtype=program.dtype)
-    amplitudes = np.zeros(1 << qubit_count, dtype=program.dtype)
-    amplitudes[program.start] = 1.0
-    return amplitudes
+def _compile_support(circuit: Circuit) -> _SupportProgram | None:
+    """The support program, or None once the support outgrows SUPPORT_FRACTION."""
+    n = circuit.qubit_count
+    labels = np.zeros(1, dtype=np.int64)
+    ops = []
+    for gate in circuit.gates:
+        if gate.name in _PERMUTATION_GATES:
+            labels = _relabel(labels, gate, n)
+            continue
+        *controls, target = gate.qubits
+        mask, bit = _bits(controls, n), _bits((target,), n)
+        slots = np.flatnonzero((labels & mask) == mask)
+        held = labels[slots]
+        partners = held ^ bit
+        order = np.argsort(labels)
+        found = np.searchsorted(labels, partners, sorter=order).clip(max=len(labels) - 1)
+        partner_slots = order[found]
+        missing = labels[partner_slots] != partners
+        partner_slots[missing] = len(labels) + np.arange(np.count_nonzero(missing))
+        labels = np.concatenate((labels, partners[missing]))
+        if len(labels) > SUPPORT_FRACTION * (1 << n):
+            return None
+        # Each pair once: from its low member, or from a high member alone.
+        low = (held & bit) == 0
+        pairs = low | missing
+        lo = np.where(low, slots, partner_slots)[pairs]
+        hi = np.where(low, partner_slots, slots)[pairs]
+        ops.append((gate, lo, hi))
+    return _SupportProgram(labels, tuple(ops))
+
+
+def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
+    n, gates = circuit.qubit_count, circuit.gates
+    real = all(g.name in _REAL_GATES for g in gates)
+    if real:
+        program = _compile_support(circuit)
+        if program is not None:
+            return program
+    dtype = np.float64 if real else np.complex128
+    if n and {(g.name, g.qubits) for g in gates[:n]} == {("h", (q,)) for q in range(n)}:
+        return _DenseProgram(dtype, True, gates[n:])
+    return _DenseProgram(dtype, False, gates)
 
 
 def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
@@ -314,23 +409,7 @@ def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) 
     if n > max_qubits:
         raise QubitCountExceededError(f"{n} qubits exceeds the maximum of {max_qubits}")
     binding = _bind(circuit, params)
-    program = circuit._program
-    amplitudes = _initial_state(program, n)
-    spare = None
-    for op in program.ops:
-        if isinstance(op, np.ndarray):
-            if spare is None:
-                spare = np.empty_like(amplitudes)
-            np.take(amplitudes, op, out=spare, mode="clip")
-            amplitudes, spare = spare, amplitudes
-            continue
-        angle = _resolve_angle(op, binding) if op.angle is not None else None
-        # On every qubit apply_gate multiplies single elements, which numpy
-        # rounds differently from an array multiply, so it keeps that case.
-        if op.name in ("rz", "rzz") and len(op.qubits) < n:
-            _apply_phase(amplitudes, op, n, angle)
-        else:
-            apply_gate(amplitudes, op, n, angle)
+    amplitudes = circuit._program.execute(n, binding)
     norm = float(np.vdot(amplitudes, amplitudes).real)
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ArithmeticError(f"statevector norm drifted to {norm}")

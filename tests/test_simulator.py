@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 from math import cos, pi, sin
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvarsched import build_layout, encode, expectation_diagonal, run, sample
+from qvarsched.bench import scaling_instance
+from qvarsched.circuits import ANSATZ_BUILDERS
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import (
     DimensionMismatchError,
     QubitCountExceededError,
     UnboundParameterError,
 )
+from qvarsched.files import parse_problem
 from qvarsched.oracle import dense_state, gate_unitary
 from qvarsched.simulator import (
     GATE_NAMES,
+    SUPPORT_FRACTION,
     Circuit,
     Gate,
     Param,
@@ -25,6 +31,9 @@ from qvarsched.simulator import (
     circuit_to_text,
     diagonal_energies,
     index_to_bits,
+    _DenseProgram,
+    _relabel,
+    _SupportProgram,
 )
 
 from helpers import reference_energies, reference_problem, reference_run
@@ -295,6 +304,112 @@ def test_phase_gates_on_every_qubit_equal_the_gate_by_gate_loop_bit_for_bit():
         ):
             expected = np.abs(reference_run(circuit)) ** 2
             assert run(circuit).probabilities().tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_relabelling_equals_apply_gate_on_an_arange(n, size, seed):
+    rng = np.random.default_rng(seed)
+    index = np.arange(1 << n, dtype=np.int64)
+    labels, moved = index, index.copy()
+    for _ in range(size):
+        gate = _random_gate(rng, n, _PERMUTATION_KINDS)
+        labels = _relabel(labels, gate, n)
+        apply_gate(moved, gate, n)
+    # moved holds at each basis index the index whose amplitude went there.
+    assert np.array_equal(moved[labels], index)
+
+
+@st.composite
+def _support_circuits(draw):
+    """A real-gate circuit from |0...0>: one-hot blocks as the ansatzes build
+    them, then a few h/ry rotations mixed with csub and mcx gates, few enough
+    that the support stays within SUPPORT_FRACTION of the basis."""
+    n = draw(st.integers(4, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(q) for q in rng.permutation(n)]
+    gates, parameters, support = [], [], 1
+    while len(order) >= 2 and draw(st.booleans()):
+        size = draw(st.integers(2, min(4, len(order))))
+        block, order = order[:size], order[size:]
+        gates.append(Gate("x", (block[0],)))
+        for t in range(size - 1):
+            name = f"t{len(parameters)}"
+            parameters.append(name)
+            gates.append(Gate("cry", (block[t], block[t + 1]), Param(name)))
+        gates += [Gate("cx", (block[t + 1], block[t])) for t in range(size - 1)]
+        support *= size
+    # Each rotation at most doubles the support.
+    rotations = 0
+    while support << (rotations + 1) <= SUPPORT_FRACTION * (1 << n):
+        rotations += 1
+    extra = ["rotation"] * draw(st.integers(0, rotations))
+    extra += ["permutation"] * draw(st.integers(0, 4))
+    for kind in rng.permutation(extra):
+        if kind == "rotation":
+            gates.append(_random_gate(rng, n, ("h", "ry")))
+        else:
+            gates.append(_random_gate(rng, n, ("csub", "mcx")))
+    values = rng.uniform(0, 2 * pi, len(parameters))
+    return Circuit(n, tuple(gates), tuple(parameters)), values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_support_circuits())
+def test_support_program_equals_the_gate_by_gate_loop_bit_for_bit(drawn):
+    circuit, values = drawn
+    assert isinstance(circuit._program, _SupportProgram)
+    state = run(circuit, values)
+    reference = reference_run(circuit, values)
+    assert state.probabilities().tobytes() == (np.abs(reference) ** 2).tobytes()
+    dense = dense_state(circuit, values, max_qubits=9)
+    assert np.max(np.abs(state.amplitudes - dense)) < 1e-12
+
+
+def test_support_past_the_fraction_compiles_to_the_dense_program():
+    # Each h on a new qubit doubles the support.
+    within = int(np.log2(SUPPORT_FRACTION * (1 << 6)))
+    for count, kind in ((within, _SupportProgram), (within + 1, _DenseProgram)):
+        circuit = Circuit(6, tuple(Gate("h", (q,)) for q in range(count)), ())
+        assert type(circuit._program) is kind
+        expected = np.abs(reference_run(circuit)) ** 2
+        assert run(circuit).probabilities().tobytes() == expected.tobytes()
+
+
+_PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def _ansatz_cases():
+    for path in sorted(_PROBLEMS.glob("*.problem")):
+        problem = parse_problem(path.read_text())
+        for kind in sorted(ANSATZ_BUILDERS):
+            yield pytest.param(problem, kind, id=f"{path.stem}-{kind}")
+    for processes in range(3, 7):
+        yield pytest.param(scaling_instance(processes), "a4", id=f"scaling-p{processes}-a4")
+
+
+@pytest.mark.parametrize("problem, kind", _ansatz_cases())
+def test_ansatz_circuits_take_the_support_path_bit_for_bit(problem, kind):
+    circuit = ANSATZ_BUILDERS[kind](problem, build_layout(problem))
+    assert isinstance(circuit._program, _SupportProgram)
+    values = np.random.default_rng(7).uniform(0, pi, len(circuit.parameters))
+    expected = np.abs(reference_run(circuit, values)) ** 2
+    assert run(circuit, values).probabilities().tobytes() == expected.tobytes()
+
+
+def test_compiling_the_support_program_does_no_full_basis_work():
+    problem = scaling_instance(7)
+    circuit = ANSATZ_BUILDERS["a4"](problem, build_layout(problem))
+    assert circuit.qubit_count == 23
+    tracemalloc.start()
+    try:
+        program = circuit._program
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(program, _SupportProgram)
+    # An array with one byte per basis state would alone take 2^23 bytes.
+    assert peak < 2**23 // 16
 
 
 _COEFFICIENTS = st.one_of(
