@@ -28,12 +28,10 @@ float64 vector. Outside the support the dense loop holds +0 or -0 where a
 new slot holds +0, so each amplitude agrees with the dense loop's up to the
 sign of a zero: a zero term m*(+-0) = +-0 leaves a nonzero sum unchanged,
 and a sum of zeros is a zero. As |+-0|^2 = +0, every probability equals the
-gate-by-gate loop's bit for bit. A circuit whose support would outgrow
-SUPPORT_FRACTION of the 2^Q basis states is compiled to a dense program
-instead.
+gate-by-gate loop's bit for bit, whatever the size of the support.
 
-A dense program updates all 2^Q amplitudes, on float64 for real-gate circuits
-and complex128 otherwise (QAOA):
+Any other circuit (QAOA) becomes a dense program that updates all 2^Q
+complex128 amplitudes:
   - a circuit that opens with an h on every qubit starts from the uniform
     state instead, whose amplitude is the chain of products by 1/sqrt(2)
     that those h gates compute;
@@ -66,11 +64,6 @@ NORM_TOLERANCE = 1e-9
 GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub")
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
-# Largest support, as a fraction of 2^Q, that keeps a support program. Per h
-# or ry gate at Q=18 and Q=20 a support program took about 0.35x the dense
-# time at 1/4 and 1.2-1.3x at the full 2^Q; its slot arrays cost 16 bytes a
-# pair, kept per gate.
-SUPPORT_FRACTION = 1 / 4
 
 
 @dataclass(frozen=True)
@@ -327,13 +320,12 @@ class _SupportProgram:
 
 @dataclass(frozen=True, eq=False)
 class _DenseProgram:
-    """A circuit run on all 2^Q amplitudes.
+    """A circuit run on all 2^Q complex128 amplitudes.
 
     uniform marks a circuit whose leading h on every qubit is folded into
     the uniform state; gates are what remains after that prefix.
     """
 
-    dtype: type
     uniform: bool
     gates: tuple[Gate, ...]
 
@@ -344,9 +336,9 @@ class _DenseProgram:
             amplitude = 1.0
             for _ in range(qubit_count):
                 amplitude = _H[0, 0] * amplitude
-            amplitudes = np.full(1 << qubit_count, amplitude, dtype=self.dtype)
+            amplitudes = np.full(1 << qubit_count, amplitude, dtype=np.complex128)
         else:
-            amplitudes = np.zeros(1 << qubit_count, dtype=self.dtype)
+            amplitudes = np.zeros(1 << qubit_count, dtype=np.complex128)
             amplitudes[0] = 1.0
         for gate in self.gates:
             angle = _resolve_angle(gate, binding) if gate.angle is not None else None
@@ -359,8 +351,7 @@ class _DenseProgram:
         return amplitudes
 
 
-def _compile_support(circuit: Circuit) -> _SupportProgram | None:
-    """The support program, or None once the support outgrows SUPPORT_FRACTION."""
+def _compile_support(circuit: Circuit) -> _SupportProgram:
     n = circuit.qubit_count
     labels = np.zeros(1, dtype=np.int64)
     ops = []
@@ -379,8 +370,6 @@ def _compile_support(circuit: Circuit) -> _SupportProgram | None:
         missing = labels[partner_slots] != partners
         partner_slots[missing] = len(labels) + np.arange(np.count_nonzero(missing))
         labels = np.concatenate((labels, partners[missing]))
-        if len(labels) > SUPPORT_FRACTION * (1 << n):
-            return None
         # Each pair once: from its low member, or from a high member alone.
         low = (held & bit) == 0
         pairs = low | missing
@@ -392,15 +381,11 @@ def _compile_support(circuit: Circuit) -> _SupportProgram | None:
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
     n, gates = circuit.qubit_count, circuit.gates
-    real = all(g.name in _REAL_GATES for g in gates)
-    if real:
-        program = _compile_support(circuit)
-        if program is not None:
-            return program
-    dtype = np.float64 if real else np.complex128
+    if all(g.name in _REAL_GATES for g in gates):
+        return _compile_support(circuit)
     if n and {(g.name, g.qubits) for g in gates[:n]} == {("h", (q,)) for q in range(n)}:
-        return _DenseProgram(dtype, True, gates[n:])
-    return _DenseProgram(dtype, False, gates)
+        return _DenseProgram(True, gates[n:])
+    return _DenseProgram(False, gates)
 
 
 def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:

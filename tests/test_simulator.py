@@ -21,7 +21,6 @@ from qvarsched.files import parse_problem
 from qvarsched.oracle import dense_state, gate_unitary
 from qvarsched.simulator import (
     GATE_NAMES,
-    SUPPORT_FRACTION,
     Circuit,
     Gate,
     Param,
@@ -279,13 +278,23 @@ def test_run_equals_the_gate_by_gate_loop_bit_for_bit(circuit):
     assert np.max(np.abs(state.amplitudes - dense_state(circuit, max_qubits=8))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "layer",
-    [(0, 1, 2), (2, 0, 1), (0, 1), (0, 1, 1), (0, 0, 1, 2), (1, 2, 0, 0)],
-)
+_H_LAYERS = [(0, 1, 2), (2, 0, 1), (0, 1), (0, 1, 1), (0, 0, 1, 2), (1, 2, 0, 0)]
+
+
+@pytest.mark.parametrize("layer", _H_LAYERS)
 def test_only_a_leading_h_on_every_qubit_folds_into_the_uniform_state(layer):
     gates = (*(Gate("h", (q,)) for q in layer), Gate("ry", (1,), 0.4), Gate("cx", (1, 2)))
     circuit = Circuit(3, gates, ())
+    state = run(circuit)
+    assert state.probabilities().tobytes() == (np.abs(reference_run(circuit)) ** 2).tobytes()
+    assert np.max(np.abs(state.amplitudes - dense_state(circuit))) < 1e-12
+
+
+@pytest.mark.parametrize("layer", _H_LAYERS)
+def test_the_dense_program_folds_only_a_leading_h_on_every_qubit(layer):
+    gates = (*(Gate("h", (q,)) for q in layer), Gate("rx", (1,), 0.4), Gate("cx", (1, 2)))
+    circuit = Circuit(3, gates, ())
+    assert circuit._program.uniform == (set(layer[:3]) == {0, 1, 2})
     state = run(circuit)
     assert state.probabilities().tobytes() == (np.abs(reference_run(circuit)) ** 2).tobytes()
     assert np.max(np.abs(state.amplitudes - dense_state(circuit))) < 1e-12
@@ -323,12 +332,11 @@ def test_relabelling_equals_apply_gate_on_an_arange(n, size, seed):
 @st.composite
 def _support_circuits(draw):
     """A real-gate circuit from |0...0>: one-hot blocks as the ansatzes build
-    them, then a few h/ry rotations mixed with csub and mcx gates, few enough
-    that the support stays within SUPPORT_FRACTION of the basis."""
+    them, then a few h/ry rotations mixed with csub and mcx gates."""
     n = draw(st.integers(4, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = [int(q) for q in rng.permutation(n)]
-    gates, parameters, support = [], [], 1
+    gates, parameters = [], []
     while len(order) >= 2 and draw(st.booleans()):
         size = draw(st.integers(2, min(4, len(order))))
         block, order = order[:size], order[size:]
@@ -338,12 +346,7 @@ def _support_circuits(draw):
             parameters.append(name)
             gates.append(Gate("cry", (block[t], block[t + 1]), Param(name)))
         gates += [Gate("cx", (block[t + 1], block[t])) for t in range(size - 1)]
-        support *= size
-    # Each rotation at most doubles the support.
-    rotations = 0
-    while support << (rotations + 1) <= SUPPORT_FRACTION * (1 << n):
-        rotations += 1
-    extra = ["rotation"] * draw(st.integers(0, rotations))
+    extra = ["rotation"] * draw(st.integers(0, 4))
     extra += ["permutation"] * draw(st.integers(0, 4))
     for kind in rng.permutation(extra):
         if kind == "rotation":
@@ -366,14 +369,20 @@ def test_support_program_equals_the_gate_by_gate_loop_bit_for_bit(drawn):
     assert np.max(np.abs(state.amplitudes - dense)) < 1e-12
 
 
-def test_support_past_the_fraction_compiles_to_the_dense_program():
-    # Each h on a new qubit doubles the support.
-    within = int(np.log2(SUPPORT_FRACTION * (1 << 6)))
-    for count, kind in ((within, _SupportProgram), (within + 1, _DenseProgram)):
-        circuit = Circuit(6, tuple(Gate("h", (q,)) for q in range(count)), ())
-        assert type(circuit._program) is kind
-        expected = np.abs(reference_run(circuit)) ** 2
-        assert run(circuit).probabilities().tobytes() == expected.tobytes()
+@pytest.mark.parametrize("count", range(7))
+def test_real_gate_circuits_take_the_support_path_up_to_the_full_basis(count):
+    # Each h on a new qubit doubles the support, up to all 2^6 basis states.
+    circuit = Circuit(6, tuple(Gate("h", (q,)) for q in range(count)), ())
+    assert isinstance(circuit._program, _SupportProgram)
+    expected = np.abs(reference_run(circuit)) ** 2
+    assert run(circuit).probabilities().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["rx", "rz", "rzz"])
+def test_a_complex_gate_sends_the_circuit_to_the_dense_program(kind):
+    qubits = (0, 1) if kind == "rzz" else (0,)
+    circuit = Circuit(2, (Gate("h", (1,)), Gate(kind, qubits, 0.3)), ())
+    assert isinstance(circuit._program, _DenseProgram)
 
 
 _PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
