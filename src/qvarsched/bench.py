@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from statistics import mean, stdev
 
 import numpy as np
@@ -50,8 +50,6 @@ class Metrics:
     p_feas: float
     c_best: float
     c_feas: float
-    iterations: int = 0
-    wall_time: float = 0.0
 
 
 def score(counts: Counts, report: OracleReport) -> Metrics:
@@ -100,9 +98,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One seeded run: its scores, and the optimizer's best point, evaluation
+    count and wall time from its VqaResult."""
+
     seed: int
     metrics: Metrics
     parameters: tuple[float, ...]
+    iterations: int
+    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,14 @@ class ExperimentReport:
     std: dict[str, float]
 
 
-_AGGREGATE_FIELDS = ("p_best", "p_feas", "c_best", "c_feas", "iterations", "wall_time")
-
-
 def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[str, float]]:
+    rows = [
+        {**asdict(r.metrics), "iterations": r.iterations, "wall_time": r.wall_time}
+        for r in records
+    ]
     means, stds = {}, {}
-    for field in _AGGREGATE_FIELDS:
-        values = [float(getattr(r.metrics, field)) for r in records]
+    for field in rows[0]:
+        values = [float(row[field]) for row in rows]
         means[field] = mean(values)
         stds[field] = stdev(values) if len(values) > 1 else 0.0
     return means, stds
@@ -148,10 +152,9 @@ def run_experiment(
         optimizer = replace(config.optimizer, seed=seed)
         result = optimize(instance, circuit, optimizer, config.mode, config.shots, max_qubits)
         metrics = score(result.counts, report)
-        metrics = replace(
-            metrics, iterations=result.iterations, wall_time=result.wall_time
+        records.append(
+            RunRecord(seed, metrics, result.parameters, result.iterations, result.wall_time)
         )
-        records.append(RunRecord(seed, metrics, result.parameters))
     means, stds = _aggregate(tuple(records))
     return ExperimentReport(
         label=config.label or problem.variant.name.lower(),
@@ -183,8 +186,8 @@ def report_csv(reports: list[ExperimentReport] | ExperimentReport) -> str:
                     f"{m.p_feas:.6f}",
                     f"{m.c_best:.6f}",
                     f"{m.c_feas:.6f}",
-                    m.iterations,
-                    f"{m.wall_time * 1e3:.3f}",
+                    record.iterations,
+                    f"{record.wall_time * 1e3:.3f}",
                 ]
             )
     return buffer.getvalue()
@@ -222,6 +225,9 @@ def _time_statevector(instance: Instance, circuit: Circuit, max_qubits: int) -> 
     for _ in range(3):
         started = time.perf_counter()
         state = run(circuit, theta, max_qubits=max_qubits)
+        # probabilities() squares all 2^Q amplitudes, unlike the support-side
+        # probability_vector that optimize uses: sim_seconds must time the
+        # dense statevector simulator, whose growth with Q the sweep reports.
         float(state.probabilities() @ instance.energies)
         best = min(best, time.perf_counter() - started)
     return best

@@ -41,11 +41,33 @@ complex128 amplitudes:
 Either way every probability |a|^2 equals, bit for bit, the one from applying
 apply_gate gate by gate to a complex128 |0...0>. The norm is checked after
 every run.
+
+run() hands a support program's labels, sorted, to the state as
+StateVector.support; every amplitude outside it is +0. probability_vector
+then squares only the support and scatters it into zeros, which is
+state.probabilities() bit for bit. sample_indices draws its multinomial over
+the support in ascending order instead of over all 2^Q indices, with one
+trailing category of probability 0 for index 2^Q - 1 when the support lacks
+it. The draws are the same: numpy's Generator.multinomial draws a binomial
+for every category but the last, and for p = 0 that binomial uses no random
+numbers, returns 0 and leaves the remaining probability as it was; the draws
+left after the loop go to the last category, which the trailing zero keeps at
+index 2^Q - 1.
+
+diagonal_energies views the 2^Q energies as rows of 2^k contiguous entries
+(k = _ROW_QUBITS, or Q if smaller): the first Q - k qubits pick the row and
+the last k the entry in it. For each sign pattern of a term's qubits above
+the row it adds, with +=, one row holding the term's +-coeff values over its
+qubits inside the row to the rows with that pattern. Each energy receives
+the same float adds, in the same order, as from one broadcast table per term
+over the (2,)*Q view; coeff times +-1.0 is exact, sign of zero included, in
+any order of the factors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import cos, sin
 from typing import Mapping, Sequence
 
@@ -64,6 +86,8 @@ NORM_TOLERANCE = 1e-9
 GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub")
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
+# diagonal_energies adds rows of 2^_ROW_QUBITS entries (32 KiB of float64).
+_ROW_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -101,10 +125,15 @@ class Circuit:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
+    """support, when set, holds ascending basis indices outside which every
+    amplitude is +0."""
+
     qubit_count: int
     amplitudes: np.ndarray
+    support: np.ndarray | None = None
 
     def probabilities(self) -> np.ndarray:
+        """|a|^2 of all 2^Q amplitudes, whatever the support."""
         return np.abs(self.amplitudes) ** 2
 
 
@@ -294,11 +323,12 @@ class _SupportProgram:
     """A real-gate circuit run on the basis states it can reach from |0...0>.
 
     Slot 0 starts as |0...0> with amplitude 1 and labels[k] is the basis index
-    slot k holds at the end; each op is an h, ry or cry gate with the slot
-    arrays (lo, hi) of the amplitude pairs it mixes.
+    slot k holds at the end; support is labels sorted. Each op is an h, ry or
+    cry gate with the slot arrays (lo, hi) of the amplitude pairs it mixes.
     """
 
     labels: np.ndarray
+    support: np.ndarray
     ops: tuple[tuple[Gate, np.ndarray, np.ndarray], ...]
 
     def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
@@ -328,6 +358,7 @@ class _DenseProgram:
 
     uniform: bool
     gates: tuple[Gate, ...]
+    support = None
 
     def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
         if self.uniform:
@@ -376,7 +407,7 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
         lo = np.where(low, slots, partner_slots)[pairs]
         hi = np.where(low, partner_slots, slots)[pairs]
         ops.append((gate, lo, hi))
-    return _SupportProgram(labels, tuple(ops))
+    return _SupportProgram(labels, np.sort(labels), tuple(ops))
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
@@ -394,34 +425,48 @@ def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) 
     if n > max_qubits:
         raise QubitCountExceededError(f"{n} qubits exceeds the maximum of {max_qubits}")
     binding = _bind(circuit, params)
-    amplitudes = circuit._program.execute(n, binding)
+    program = circuit._program
+    amplitudes = program.execute(n, binding)
     norm = float(np.vdot(amplitudes, amplitudes).real)
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
-    return StateVector(n, amplitudes)
+    return StateVector(n, amplitudes, program.support)
 
 
 def diagonal_energies(model: IsingModel) -> np.ndarray:
     """Energy of every basis state, ordered by basis index.
 
-    Each term adds its table of +-coeff values, broadcast over the (2,)*Q
-    view, in place: linear terms first, then pairwise in dict order.
+    Each term adds its +-coeff values in place, linear terms first, then
+    pairwise in dict order, as rows of 2^_ROW_QUBITS contiguous entries (see
+    the module docstring).
     """
     q = model.qubit_count
+    width = min(q, _ROW_QUBITS)
+    top = q - width  # qubits 0..top-1 pick the row
     energies = np.full(1 << q, float(model.constant))
-    view = energies.reshape((2,) * q)
-    spin = np.array([1.0, -1.0])
+    rows = energies.reshape((2,) * top + (1 << width,))
+    entry = np.arange(1 << width)
+    spin = (1.0, -1.0)
 
-    def along(i: int) -> np.ndarray:
-        shape = [1] * q
-        shape[i] = 2
-        return spin.reshape(shape)
+    def add(coeff, qubits: Sequence[int]):
+        row = float(coeff)
+        for i in qubits:
+            if i >= top:
+                row = row * (1.0 - 2.0 * ((entry >> (q - 1 - i)) & 1))
+        above = [i for i in qubits if i < top]
+        for bits in product((0, 1), repeat=len(above)):
+            key: list = [slice(None)] * top
+            value = row
+            for i, bit in zip(above, bits):
+                key[i] = bit
+                value = value * spin[bit]
+            rows[tuple(key)] += value
 
     for i, coeff in enumerate(model.linear):
         if coeff:
-            view += float(coeff) * along(i)
-    for (i, j), coeff in model.pairwise.items():
-        view += float(coeff) * along(i) * along(j)
+            add(coeff, (i,))
+    for pair, coeff in model.pairwise.items():
+        add(coeff, pair)
     return energies
 
 
@@ -440,18 +485,38 @@ class Counts:
     shots: int
 
 
+def probability_vector(state: StateVector) -> np.ndarray:
+    """state.probabilities() bit for bit; a state with a support squares
+    only the support and scatters it into zeros."""
+    if state.support is None:
+        return state.probabilities()
+    probs = np.zeros(len(state.amplitudes))
+    probs[state.support] = np.abs(state.amplitudes[state.support]) ** 2
+    return probs
+
+
 def sample_indices(state: StateVector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Multinomial measurement sample as (ascending basis indices, hits per index).
 
-    Only indices hit at least once are returned; deterministic for a given seed.
+    Only indices hit at least once are returned; deterministic for a given
+    seed. A state with a support draws over the support (see the module
+    docstring) and gets the draws of a state without one.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
+    probs = probability_vector(state)
+    total = probs.sum()
+    categories = state.support
+    if categories is None:
+        probs = probs / total
+    else:
+        if categories[-1] != len(probs) - 1:
+            categories = np.append(categories, len(probs) - 1)
+        probs = probs[categories] / total
     draws = np.random.default_rng(seed).multinomial(shots, probs)
-    indices = np.nonzero(draws)[0]
-    return indices, draws[indices]
+    hit = np.nonzero(draws)[0]
+    indices = hit if categories is None else categories[hit]
+    return indices, draws[hit]
 
 
 def sample(state: StateVector, shots: int, seed: int) -> Counts:

@@ -29,6 +29,7 @@ from .simulator import (
     Counts,
     StateVector,
     diagonal_energies,
+    probability_vector,
     run,
     sample,
     sample_indices,
@@ -208,7 +209,7 @@ def optimize(
 
             def objective(theta: np.ndarray) -> float:
                 state = run(circuit, theta, max_qubits=max_qubits)
-                return float(state.probabilities() @ energies)
+                return float(probability_vector(state) @ energies)
 
         else:
 

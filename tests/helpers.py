@@ -8,7 +8,8 @@ counterpart of enumerate_solutions: check_feasible and gain on all 2^Q
 strings. reference_run and reference_energies are the slow counterparts of
 simulator.run and simulator.diagonal_energies: the gate-by-gate complex128
 loop and the per-term energy sum, whose results the fast paths must equal
-bit for bit.
+bit for bit. reference_sample is the dense counterpart of
+simulator.sample_indices: a multinomial over every one of the 2^Q indices.
 """
 from __future__ import annotations
 
@@ -229,3 +230,11 @@ def reference_energies(model: IsingModel) -> np.ndarray:
     for (i, j), coeff in model.pairwise.items():
         energies += float(coeff) * spin(i) * spin(j)
     return energies
+
+
+def reference_sample(amplitudes: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices hit, hits) of one multinomial draw over all 2^Q basis indices."""
+    probs = np.abs(amplitudes) ** 2
+    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    indices = np.nonzero(draws)[0]
+    return indices, draws[indices]

@@ -102,7 +102,7 @@ def test_run_experiment_deterministic_modulo_timing():
         assert a.seed == b.seed
         assert a.parameters == b.parameters
         assert (a.metrics.p_best, a.metrics.p_feas) == (b.metrics.p_best, b.metrics.p_feas)
-        assert a.metrics.iterations == b.metrics.iterations
+        assert a.iterations == b.iterations
 
 
 def test_run_experiment_qaoa_label():

@@ -2,8 +2,10 @@ import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qvarsched import bench, vqa
+from qvarsched import bench, make_problem, vqa
 from qvarsched.cli import main
 from qvarsched.encoder import model_from_text, encode
 from qvarsched.errors import ParseError
@@ -37,6 +39,28 @@ node capacity=2
 def test_parse_problem_round_trip():
     problem = parse_problem(EOHL_FILE)
     assert problem == reference_problem("EOHL")
+    assert parse_problem(format_problem(problem)) == problem
+
+
+@st.composite
+def _problems(draw):
+    variant = draw(st.sampled_from(("EOFL", "EOHL", "ECFL", "ECHL")))
+    nodes = draw(st.integers(1, 4))
+    values = st.lists(
+        st.fractions(min_value=0, max_denominator=10**6), min_size=nodes, max_size=nodes
+    )
+    processes = draw(st.lists(st.tuples(st.integers(1, 10**6), values), min_size=1, max_size=6))
+    capacities = draw(st.lists(st.integers(1, 10**6), min_size=nodes, max_size=nodes))
+    thresholds = None
+    if variant.endswith("HL"):
+        thresholds = [draw(st.integers(0, capacity - 1)) for capacity in capacities]
+    weights = [weight for weight, _ in processes]
+    return make_problem(variant, weights, [row for _, row in processes], capacities, thresholds)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_problems())
+def test_format_problem_round_trips_through_parse_problem(problem):
     assert parse_problem(format_problem(problem)) == problem
 
 

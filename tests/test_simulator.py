@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qvarsched import build_layout, encode, expectation_diagonal, run, sample
@@ -20,6 +20,7 @@ from qvarsched.errors import (
 from qvarsched.files import parse_problem
 from qvarsched.oracle import dense_state, gate_unitary
 from qvarsched.simulator import (
+    _ROW_QUBITS,
     GATE_NAMES,
     Circuit,
     Gate,
@@ -30,12 +31,15 @@ from qvarsched.simulator import (
     circuit_to_text,
     diagonal_energies,
     index_to_bits,
+    probability_vector,
+    sample_indices,
     _DenseProgram,
     _relabel,
     _SupportProgram,
 )
+from qvarsched.vqa import Instance, build_circuit
 
-from helpers import reference_energies, reference_problem, reference_run
+from helpers import reference_energies, reference_problem, reference_run, reference_sample
 
 
 def _random_state(rng, n):
@@ -402,6 +406,74 @@ def test_ansatz_circuits_take_the_support_path_bit_for_bit(problem, kind):
     assert run(circuit, values).probabilities().tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("problem, kind", _ansatz_cases())
+def test_the_objective_squares_the_support_to_the_dense_probabilities_bit_for_bit(problem, kind):
+    instance = Instance(problem)
+    circuit = build_circuit(kind, instance)
+    values = np.random.default_rng(7).uniform(0, pi, len(circuit.parameters))
+    state = run(circuit, values)
+    assert state.support is not None
+    dense = state.probabilities()
+    probs = probability_vector(state)
+    assert probs.tobytes() == dense.tobytes()
+    assert (probs @ instance.energies).tobytes() == (dense @ instance.energies).tobytes()
+
+
+def test_probabilities_squares_every_amplitude_whatever_the_support():
+    # The sweep's sim_seconds probe times the dense simulator through it.
+    problem = scaling_instance(3)
+    circuit = ANSATZ_BUILDERS["a4"](problem, build_layout(problem))
+    state = run(circuit, np.full(len(circuit.parameters), 1.0))
+    assert 1 < len(state.support) < 1 << circuit.qubit_count
+    expected = np.abs(state.amplitudes) ** 2
+    assert state.probabilities().tobytes() == expected.tobytes()
+    # A support that leaves out nonzero amplitudes changes nothing.
+    narrowed = StateVector(state.qubit_count, state.amplitudes, state.support[:1])
+    assert narrowed.probabilities().tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_support_circuits(), st.booleans(), st.data())
+def test_support_sampling_equals_the_dense_multinomial_bit_for_bit(drawn, last_held, data):
+    circuit, values = drawn
+    n, last = circuit.qubit_count, (1 << circuit.qubit_count) - 1
+    support = run(circuit, values).support
+    # x on the zero bits of one index moves it to 2^n - 1 and moves every
+    # label by the same xor, so 2^n - 1 is held iff that index was.
+    if last_held:
+        chosen = data.draw(st.sampled_from(support.tolist()))
+    else:
+        absent = np.setdiff1d(np.arange(last + 1), support)
+        assume(len(absent) > 0)
+        chosen = data.draw(st.sampled_from(absent.tolist()))
+    flips = tuple(Gate("x", (q,)) for q in range(n) if not chosen >> (n - 1 - q) & 1)
+    state = run(Circuit(n, circuit.gates + flips, circuit.parameters), values)
+    assert (state.support[-1] == last) == last_held
+    shots = data.draw(st.integers(1, 10**5))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    indices, hits = sample_indices(state, shots, seed)
+    expected_indices, expected_hits = reference_sample(state.amplitudes, shots, seed)
+    assert indices.dtype == expected_indices.dtype
+    assert indices.tobytes() == expected_indices.tobytes()
+    assert hits.tobytes() == expected_hits.tobytes()
+
+
+def test_support_sampling_keeps_the_leftover_draws_at_the_last_index():
+    # With a tiny last probability and 10^15 shots, the multinomial has draws
+    # left after its last nonzero category, and hands them to index 2^Q - 1,
+    # whose probability is 0.
+    amplitudes = np.zeros(8)
+    amplitudes[:4] = (
+        0.24373561805389007, 0.6243061961662504, 0.7421824047498687, 1.3198061729297087e-07
+    )
+    state = StateVector(3, amplitudes, np.arange(4))
+    expected_indices, expected_hits = reference_sample(amplitudes, 10**15, 0)
+    assert expected_indices[-1] == 7 and expected_hits[-1] > 0
+    indices, hits = sample_indices(state, 10**15, 0)
+    assert indices.tobytes() == expected_indices.tobytes()
+    assert hits.tobytes() == expected_hits.tobytes()
+
+
 def test_compiling_the_support_program_does_no_full_basis_work():
     problem = scaling_instance(7)
     circuit = ANSATZ_BUILDERS["a4"](problem, build_layout(problem))
@@ -437,4 +509,29 @@ def _ising_models(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_ising_models())
 def test_energies_equal_the_per_term_sum_bit_for_bit(model):
+    assert diagonal_energies(model).tobytes() == reference_energies(model).tobytes()
+
+
+@st.composite
+def _wide_ising_models(draw):
+    """Models of up to 4 qubits more than a row of diagonal_energies holds,
+    with at least one pair term on two qubits above the row, one on a qubit
+    above and one inside, and one on two qubits inside."""
+    q = draw(st.integers(_ROW_QUBITS + 2, _ROW_QUBITS + 4))
+    top = q - _ROW_QUBITS
+    linear = tuple(draw(st.lists(_COEFFICIENTS, min_size=q, max_size=q)))
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+    for inside in range(3):
+        kind = [p for p in pairs if sum(i >= top for i in p) == inside]
+        if not set(kind) & set(chosen):
+            chosen.append(draw(st.sampled_from(kind)))
+    # Drawn in shuffled order: the energies add the terms in dict order.
+    pairwise = {pair: draw(_COEFFICIENTS) for pair in draw(st.permutations(chosen))}
+    return IsingModel(q, draw(_COEFFICIENTS), linear, pairwise, Fraction(1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_wide_ising_models())
+def test_energies_past_one_row_equal_the_per_term_sum_bit_for_bit(model):
     assert diagonal_energies(model).tobytes() == reference_energies(model).tobytes()
