@@ -20,8 +20,8 @@ import numpy as np
 from .errors import InstanceMismatchError
 from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
-from .simulator import Circuit, Counts, run
-from .vqa import Instance, OptimizerConfig, build_circuit, optimize
+from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
+from .vqa import ALGORITHMS, Instance, OptimizerConfig, build_circuit, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -76,7 +76,7 @@ def score(counts: Counts, report: OracleReport) -> Metrics:
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: AssignmentProblem
-    algorithm: str  # "a1".."a4" or "qaoa"
+    algorithm: str  # one of vqa.ALGORITHMS
     optimizer: OptimizerConfig
     reps: int = 1
     mode: str = "exact"
@@ -88,6 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
 
     @property
     def algorithm_label(self) -> str:
@@ -133,7 +135,10 @@ def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[s
 
 
 def run_experiment(
-    config: ExperimentConfig, max_qubits: int = 24, *, _instance: Instance | None = None
+    config: ExperimentConfig,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+    *,
+    _instance: Instance | None = None,
 ) -> ExperimentReport:
     """Execute R seeded runs, score each at the configured shot count.
 
@@ -143,14 +148,14 @@ def run_experiment(
     """
     instance = Instance(config.problem, max_qubits) if _instance is None else _instance
     problem, layout = instance.problem, instance.layout
-    report = enumerate_solutions(problem, layout, max_qubits=max_qubits)
+    report = enumerate_solutions(problem, layout, max_qubits=instance.max_qubits)
     circuit = build_circuit(config.algorithm, instance, config.reps)
     run_seeds = np.random.default_rng(config.seed).integers(2**31, size=config.runs)
     records: list[RunRecord] = []
     for raw_seed in run_seeds:
         seed = int(raw_seed)
         optimizer = replace(config.optimizer, seed=seed)
-        result = optimize(instance, circuit, optimizer, config.mode, config.shots, max_qubits)
+        result = optimize(instance, circuit, optimizer, config.mode, config.shots)
         metrics = score(result.counts, report)
         records.append(
             RunRecord(seed, metrics, result.parameters, result.iterations, result.wall_time)
@@ -218,17 +223,17 @@ class SweepPoint:
     report: ExperimentReport
 
 
-def _time_statevector(instance: Instance, circuit: Circuit, max_qubits: int) -> float:
+def _time_statevector(instance: Instance, circuit: Circuit) -> float:
     """Best-of-3 wall time of one circuit execution plus one expectation."""
     theta = np.full(len(circuit.parameters), 1.0)
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
-        state = run(circuit, theta, max_qubits=max_qubits)
-        # probabilities() squares all 2^Q amplitudes, unlike the support-side
-        # probability_vector that optimize uses: sim_seconds must time the
-        # dense statevector simulator, whose growth with Q the sweep reports.
-        float(state.probabilities() @ instance.energies)
+        state = run(circuit, theta, max_qubits=instance.max_qubits)
+        # Squares all 2^Q amplitudes, unlike probabilities() on a support
+        # state, which optimize uses: sim_seconds must time the dense
+        # statevector simulator, whose growth with Q the sweep reports.
+        float((np.abs(state.amplitudes) ** 2) @ instance.energies)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -243,7 +248,7 @@ def scaling_sweep(
     shots: int = 4096,
     runs: int = 1,
     seed: int = 0,
-    max_qubits: int = 24,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> list[SweepPoint]:
     """One experiment per process count over the synthetic family."""
     optimizer = optimizer or OptimizerConfig(max_iterations=20, restarts=1)
@@ -261,9 +266,9 @@ def scaling_sweep(
             label=f"{variant.name.lower()}-p{processes}",
         )
         instance = Instance(problem, max_qubits)
-        report = run_experiment(config, max_qubits=max_qubits, _instance=instance)
+        report = run_experiment(config, _instance=instance)
         circuit = build_circuit(algorithm, instance)
-        sim_seconds = _time_statevector(instance, circuit, max_qubits)
+        sim_seconds = _time_statevector(instance, circuit)
         points.append(SweepPoint(processes, report.qubit_count, sim_seconds, report))
     return points
 

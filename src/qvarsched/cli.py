@@ -22,7 +22,7 @@ from .errors import ParseError, QubitCountExceededError, QvarschedError
 from .files import parse_experiment, parse_problem
 from .oracle import enumerate_solutions
 from .problem import ProblemVariant, build_layout
-from .vqa import OptimizerConfig
+from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, OptimizerConfig
 
 
 def _read(path: str) -> str:
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="exact optima and feasibility counts")
     oracle_p.add_argument("problem")
     oracle_p.add_argument("--out")
-    oracle_p.add_argument("--max-qubits", type=int, default=24)
+    oracle_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     oracle_p.set_defaults(func=cmd_oracle)
 
     solve_p = sub.add_parser("solve", help="run an experiment spec file")
@@ -178,12 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--runs", type=_at_least(1))
     solve_p.add_argument("--shots", type=_at_least(1))
     solve_p.add_argument("--mode", choices=("exact", "sampled"))
-    solve_p.add_argument("--max-qubits", type=int, default=24)
+    solve_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     solve_p.set_defaults(func=cmd_solve)
 
     sweep_p = sub.add_parser("sweep", help="scaling sweep over the synthetic family")
     sweep_p.add_argument("--variant", default="ECHL", choices=("ECFL", "EOFL", "ECHL", "EOHL"))
-    sweep_p.add_argument("--algorithm", default="a4")
+    sweep_p.add_argument("--algorithm", default="a4", type=str.lower, choices=ALGORITHMS)
     sweep_p.add_argument("--pmin", type=_at_least(1), default=3)
     sweep_p.add_argument("--pmax", type=_at_least(1), default=7)
     sweep_p.add_argument("--max-iterations", type=_at_least(1), default=20)
@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--runs", type=_at_least(1), default=1)
     sweep_p.add_argument("--shots", type=_at_least(1), default=4096)
     sweep_p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    sweep_p.add_argument("--max-qubits", type=int, default=24)
+    sweep_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)
     return parser

@@ -17,7 +17,7 @@ Experiment file::
 
     qvarsched-v1 experiment
     problem eohl.problem          # path, relative to the spec file
-    algorithm a4                  # a1|a2|a3|a4|qaoa
+    algorithm a4                  # one of vqa.ALGORITHMS
     reps 3                        # qaoa only
     optimizer cobyla              # cobyla|nelder-mead
     max_iterations 1000
@@ -41,7 +41,7 @@ from .problem import (
     ProcessSpec,
     as_fraction,
 )
-from .vqa import OptimizerConfig
+from .vqa import ALGORITHMS, OptimizerConfig
 
 PROBLEM_HEADER = ("qvarsched-v1", "problem")
 EXPERIMENT_HEADER = ("qvarsched-v1", "experiment")
@@ -153,7 +153,7 @@ def parse_experiment(text: str, base_dir: Path) -> ExperimentSpec:
     try:
         problem_path = base_dir / take("problem")
         algorithm = take("algorithm").lower()
-        if algorithm not in ("a1", "a2", "a3", "a4", "qaoa"):
+        if algorithm not in ALGORITHMS:
             raise ParseError(f"unknown algorithm {algorithm!r}")
         reps = int(take("reps", "1"))
         optimizer = OptimizerConfig(

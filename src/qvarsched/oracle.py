@@ -24,7 +24,7 @@ from .problem import (
     assignment_bits,
     gain,
 )
-from .simulator import Circuit, Gate, Param, _bind
+from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, Param, _bind
 
 DENSE_MAX_QUBITS = 6
 
@@ -44,7 +44,7 @@ def enumerate_solutions(
     problem: AssignmentProblem,
     layout: VariableLayout,
     *,
-    max_qubits: int = 24,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> OracleReport:
     """Exact optima and feasibility counts from a walk over target tuples.
 

@@ -43,15 +43,15 @@ apply_gate gate by gate to a complex128 |0...0>. The norm is checked after
 every run.
 
 run() hands a support program's labels, sorted, to the state as
-StateVector.support; every amplitude outside it is +0. probability_vector
-then squares only the support and scatters it into zeros, which is
-state.probabilities() bit for bit. sample_indices draws its multinomial over
-the support in ascending order instead of over all 2^Q indices, with one
-trailing category of probability 0 for index 2^Q - 1 when the support lacks
-it. The draws are the same: numpy's Generator.multinomial draws a binomial
-for every category but the last, and for p = 0 that binomial uses no random
-numbers, returns 0 and leaves the remaining probability as it was; the draws
-left after the loop go to the last category, which the trailing zero keeps at
+StateVector.support; every amplitude outside it is +0. probabilities() then
+squares only the support and scatters it into zeros, which is |a|^2 of every
+amplitude bit for bit. sample_indices draws its multinomial over the support
+in ascending order instead of over all 2^Q indices, with one trailing
+category of probability 0 for index 2^Q - 1 when the support lacks it. The
+draws are the same: numpy's Generator.multinomial draws a binomial for every
+category but the last, and for p = 0 that binomial uses no random numbers,
+returns 0 and leaves the remaining probability as it was; the draws left
+after the loop go to the last category, which the trailing zero keeps at
 index 2^Q - 1.
 
 diagonal_energies views the 2^Q energies as rows of 2^k contiguous entries
@@ -133,8 +133,13 @@ class StateVector:
     support: np.ndarray | None = None
 
     def probabilities(self) -> np.ndarray:
-        """|a|^2 of all 2^Q amplitudes, whatever the support."""
-        return np.abs(self.amplitudes) ** 2
+        """|a|^2 of every amplitude; with a support, only the support is
+        squared and scattered into zeros (see the module docstring)."""
+        if self.support is None:
+            return np.abs(self.amplitudes) ** 2
+        probs = np.zeros(len(self.amplitudes))
+        probs[self.support] = np.abs(self.amplitudes[self.support]) ** 2
+        return probs
 
 
 def bits_to_index(bits: str) -> int:
@@ -485,16 +490,6 @@ class Counts:
     shots: int
 
 
-def probability_vector(state: StateVector) -> np.ndarray:
-    """state.probabilities() bit for bit; a state with a support squares
-    only the support and scatters it into zeros."""
-    if state.support is None:
-        return state.probabilities()
-    probs = np.zeros(len(state.amplitudes))
-    probs[state.support] = np.abs(state.amplitudes[state.support]) ** 2
-    return probs
-
-
 def sample_indices(state: StateVector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Multinomial measurement sample as (ascending basis indices, hits per index).
 
@@ -504,7 +499,7 @@ def sample_indices(state: StateVector, shots: int, seed: int) -> tuple[np.ndarra
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = probability_vector(state)
+    probs = state.probabilities()
     total = probs.sum()
     categories = state.support
     if categories is None:

@@ -19,7 +19,7 @@ from math import isfinite, pi
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from .circuits import build_ansatz, build_qaoa
+from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
 from .encoder import encode
 from .errors import NonFiniteObjectiveError, QubitCountExceededError
 from .problem import AssignmentProblem, build_layout
@@ -29,7 +29,6 @@ from .simulator import (
     Counts,
     StateVector,
     diagonal_energies,
-    probability_vector,
     run,
     sample,
     sample_indices,
@@ -37,6 +36,7 @@ from .simulator import (
 
 _SEED_RANGE = 2**31
 _COBYLA_RHOBEG = 1.0
+ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names build_circuit takes
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class Instance:
     every basis state and the circuits built for it (see build_circuit),
     shared by every run and restart on it.
 
-    The qubit cap is checked before any 2^Q work.
+    max_qubits caps every run on it and is checked before any 2^Q work.
     """
 
     def __init__(self, problem: AssignmentProblem, max_qubits: int = DEFAULT_MAX_QUBITS):
@@ -153,6 +153,7 @@ class Instance:
                 f"{layout.qubit_count} qubits exceeds the maximum of {max_qubits}"
             )
         self.problem = problem
+        self.max_qubits = max_qubits
         self.layout = layout
         self.model = encode(problem, layout)
         self.energies = diagonal_energies(self.model)
@@ -188,14 +189,13 @@ def optimize(
     config: OptimizerConfig,
     mode: str = "exact",
     shots: int = 4096,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize the instance's energy over the circuit's parameters, then
     measure the best point with the given number of shots."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     started = time.perf_counter()
-    energies = instance.energies
+    energies, max_qubits = instance.energies, instance.max_qubits
     dim = len(circuit.parameters)
     master = np.random.default_rng(config.seed)
     final_seed = int(master.integers(_SEED_RANGE))
@@ -209,7 +209,7 @@ def optimize(
 
             def objective(theta: np.ndarray) -> float:
                 state = run(circuit, theta, max_qubits=max_qubits)
-                return float(probability_vector(state) @ energies)
+                return float(state.probabilities() @ energies)
 
         else:
 
@@ -245,7 +245,7 @@ def run_vqe(
     """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
     instance = Instance(problem, max_qubits)
     circuit = build_ansatz(ansatz, problem, instance.layout)
-    return optimize(instance, circuit, config, mode, shots, max_qubits)
+    return optimize(instance, circuit, config, mode, shots)
 
 
 def run_qaoa(
@@ -258,4 +258,4 @@ def run_qaoa(
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""
     instance = Instance(problem, max_qubits)
-    return optimize(instance, build_qaoa(instance.model, reps), config, mode, shots, max_qubits)
+    return optimize(instance, build_qaoa(instance.model, reps), config, mode, shots)

@@ -171,6 +171,13 @@ def test_instance_is_built_once_per_experiment_and_sweep_point(monkeypatch):
     assert len(encoded) == 2 and len(energies) == 2
 
 
+def test_unknown_algorithm_raises_before_any_energies(monkeypatch):
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    with pytest.raises(ValueError, match="a5"):
+        run_experiment(_tiny_config(reference_problem("EOHL"), algorithm="a5"))
+    assert energies == []
+
+
 def test_sweep_compiles_each_point_circuit_once(monkeypatch):
     compiled = spy_calls(monkeypatch, simulator, "_compile")
     points = scaling_sweep([3, 4], optimizer=OptimizerConfig(max_iterations=10, restarts=2))

