@@ -17,9 +17,9 @@ from statistics import mean, stdev
 
 import numpy as np
 
-from .errors import InstanceMismatchError
+from .errors import InstanceMismatchError, check_qubit_count
 from .oracle import OracleReport, enumerate_solutions
-from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
+from .problem import ECHL, AssignmentProblem, ProblemVariant, build_layout, make_problem
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
 from .vqa import ALGORITHMS, Instance, OptimizerConfig, build_circuit, optimize
 
@@ -252,9 +252,12 @@ def scaling_sweep(
 ) -> list[SweepPoint]:
     """One experiment per process count over the synthetic family."""
     optimizer = optimizer or OptimizerConfig(max_iterations=20, restarts=1)
+    problems = [(processes, scaling_instance(processes, variant)) for processes in process_counts]
+    # Every point's register is checked before the first point runs.
+    for _, problem in problems:
+        check_qubit_count(build_layout(problem).qubit_count, max_qubits)
     points: list[SweepPoint] = []
-    for processes in process_counts:
-        problem = scaling_instance(processes, variant)
+    for processes, problem in problems:
         config = ExperimentConfig(
             problem=problem,
             algorithm=algorithm,

@@ -17,6 +17,12 @@ class QubitCountExceededError(QvarschedError):
     """Requested register is larger than the configured maximum."""
 
 
+def check_qubit_count(qubit_count: int, max_qubits: int) -> None:
+    """Raise QubitCountExceededError when qubit_count is above max_qubits."""
+    if qubit_count > max_qubits:
+        raise QubitCountExceededError(f"{qubit_count} qubits exceeds the maximum of {max_qubits}")
+
+
 class DimensionMismatchError(QvarschedError):
     """State and operator act on registers of different sizes."""
 

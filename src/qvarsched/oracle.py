@@ -15,7 +15,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .errors import QubitCountExceededError
+from .errors import QubitCountExceededError, check_qubit_count
 from .problem import (
     CLOUD,
     Assignment,
@@ -57,8 +57,7 @@ def enumerate_solutions(
     Fractions.
     """
     q = layout.qubit_count
-    if q > max_qubits:
-        raise QubitCountExceededError(f"{q} qubits exceeds the maximum of {max_qubits}")
+    check_qubit_count(q, max_qubits)
     options = list(range(problem.num_nodes))
     if problem.variant.cloud_allowed:
         options.append(CLOUD)

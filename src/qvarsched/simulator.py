@@ -31,16 +31,35 @@ and a sum of zeros is a zero. As |+-0|^2 = +0, every probability equals the
 gate-by-gate loop's bit for bit, whatever the size of the support.
 
 Any other circuit (QAOA) becomes a dense program that updates all 2^Q
-complex128 amplitudes:
+complex128 amplitudes, viewed as rows of 2^k contiguous amplitudes
+(k = _STATE_ROW_QUBITS, or Q if smaller): the first Q - k qubits pick the
+row and the last k the column.
   - a circuit that opens with an h on every qubit starts from the uniform
     state instead, whose amplitude is the chain of products by 1/sqrt(2)
     that those h gates compute;
-  - each rz and rzz that leaves out some qubit is one multiply by a
-    broadcast table of its phases;
-  - every other gate goes through apply_gate.
-Either way every probability |a|^2 equals, bit for bit, the one from applying
-apply_gate gate by gate to a complex128 |0...0>. The norm is checked after
-every run.
+  - each rz and rzz is one multiply, state first, of the rows by a table of
+    the phases apply_gate uses, gathered at an index compiled from the
+    gate's qubits, which broadcasts over the (2,)*(Q-k) + (2^k,) view;
+  - each rx is a butterfly on the (outer, 2, inner) view that pairs the
+    amplitudes a0, a1 the gate mixes: m01 times the state with a0 and a1
+    swapped into a spare buffer, m00 times the state in place, then the sum
+    of the two. As rx has m10 = m01 and m11 = m00, that is the m00*a0 +
+    m01*a1 and m10*a0 + m11*a1 of _apply_matrix, the second sum with its
+    terms in the other order, which IEEE addition does not round
+    differently;
+  - an rx on a column qubit runs on the transposed (columns, rows) layout,
+    in which its pairs lie 2^(Q-k) or more amplitudes apart instead of less
+    than 2^k; the program copies the state into that layout before a run of
+    such gates and back after it, into the spare buffer;
+  - every other gate goes through apply_gate on the natural layout, and so
+    does an rx, rz or rzz on every qubit (Q <= 2), where apply_gate
+    multiplies single elements, which numpy rounds differently from an
+    array multiply.
+Each amplitude thus receives the same float operations, in the same order, as
+from applying apply_gate gate by gate to a complex128 |0...0>, and equals its
+amplitude bit for bit. Either way every probability |a|^2 equals, bit for
+bit, the one from that gate-by-gate loop. The norm is checked after every
+run, on the support for a support program.
 
 run() hands a support program's labels, sorted, to the state as
 StateVector.support; every amplitude outside it is +0. probabilities() then
@@ -74,11 +93,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import IsingModel
-from .errors import (
-    DimensionMismatchError,
-    QubitCountExceededError,
-    UnboundParameterError,
-)
+from .errors import DimensionMismatchError, UnboundParameterError, check_qubit_count
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOLERANCE = 1e-9
@@ -88,6 +103,8 @@ _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
 # diagonal_energies adds rows of 2^_ROW_QUBITS entries (32 KiB of float64).
 _ROW_QUBITS = 12
+# A dense program works on rows of 2^_STATE_ROW_QUBITS amplitudes (2 KiB of complex128).
+_STATE_ROW_QUBITS = 7
 
 
 @dataclass(frozen=True)
@@ -288,17 +305,6 @@ def _apply_csub(nd: np.ndarray, control: int, register: Sequence[int], constant:
         view[select((r - shift) % size)] = source[select(r)]
 
 
-def _apply_phase(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: float):
-    """rz or rzz as one multiply by a table of the phases apply_gate uses."""
-    low, high = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-    table = np.array([low, high] if gate.name == "rz" else [[low, high], [high, low]])
-    shape = [1] * qubit_count
-    for q in gate.qubits:
-        shape[q] = 2
-    nd = amplitudes.reshape((2,) * qubit_count)
-    nd *= table.reshape(shape)
-
-
 def _bits(qubits: Sequence[int], qubit_count: int) -> int:
     """The basis-index bits that stand for qubits."""
     return sum(1 << (qubit_count - 1 - q) for q in qubits)
@@ -355,14 +361,20 @@ class _SupportProgram:
 
 @dataclass(frozen=True, eq=False)
 class _DenseProgram:
-    """A circuit run on all 2^Q complex128 amplitudes.
+    """A circuit run on all 2^Q complex128 amplitudes (see the module docstring).
 
     uniform marks a circuit whose leading h on every qubit is folded into
-    the uniform state; gates are what remains after that prefix.
+    the uniform state. ops are (kernel, gate, data) for the gates after that
+    prefix:
+      - ("phase", rz or rzz, index): the index into the gate's phase table;
+      - ("rx", rx, shape): the (outer, 2, inner) shape of the butterfly on
+        the current layout;
+      - ("transpose", None, shape): the shape of the layout to copy out of;
+      - ("gate", gate, None): a call to apply_gate.
     """
 
     uniform: bool
-    gates: tuple[Gate, ...]
+    ops: tuple[tuple[str, Gate | None, object], ...]
     support = None
 
     def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
@@ -376,15 +388,85 @@ class _DenseProgram:
         else:
             amplitudes = np.zeros(1 << qubit_count, dtype=np.complex128)
             amplitudes[0] = 1.0
-        for gate in self.gates:
+        # The other layout's buffer, and a butterfly's swapped products.
+        spare = np.empty_like(amplitudes)
+        width = min(qubit_count, _STATE_ROW_QUBITS)
+        grid = (2,) * (qubit_count - width) + (1 << width,)
+        for kernel, gate, data in self.ops:
+            if kernel == "transpose":
+                np.copyto(spare.reshape(data[::-1]), amplitudes.reshape(data).T)
+                amplitudes, spare = spare, amplitudes
+                continue
             angle = _resolve_angle(gate, binding) if gate.angle is not None else None
-            # On every qubit apply_gate multiplies single elements, which numpy
-            # rounds differently from an array multiply, so it keeps that case.
-            if gate.name in ("rz", "rzz") and len(gate.qubits) < qubit_count:
-                _apply_phase(amplitudes, gate, qubit_count, angle)
+            if kernel == "phase":
+                # The phases apply_gate multiplies by, state first.
+                low, high = np.exp(-0.5j * angle), np.exp(0.5j * angle)
+                table = np.array((low, high) if gate.name == "rz" else (low, high, high, low))
+                rows = amplitudes.reshape(grid)
+                np.multiply(rows, table[data], out=rows)
+            elif kernel == "rx":
+                # spare gets m01 * a1 at a0 and m10 * a0 at a1, the state
+                # m00 * a0 and m11 * a1 in place.
+                matrix = _rotation_matrix("rx", angle)
+                swapped = amplitudes.reshape(data)[:, ::-1]
+                np.multiply(matrix[0, 1], swapped, out=spare.reshape(data))
+                np.multiply(matrix[0, 0], amplitudes, out=amplitudes)
+                np.add(amplitudes, spare, out=amplitudes)
             else:
                 apply_gate(amplitudes, gate, qubit_count, angle)
         return amplitudes
+
+
+def _phase_index(qubits: Sequence[int], qubit_count: int, top: int) -> np.ndarray:
+    """Each amplitude's entry, sum of bit_q * 2^k with the last of qubits
+    as k = 0, broadcast over the (2,)*top + (columns,) view of the state."""
+    column = np.arange(1 << (qubit_count - top))
+    index = np.zeros((1,) * top + (len(column),), dtype=np.intp)
+    for q in qubits:
+        if q < top:
+            bit = np.arange(2).reshape((1,) * q + (2,) + (1,) * (top - q))
+        else:
+            bit = (column >> (qubit_count - 1 - q)) & 1
+        index = 2 * index + bit
+    return index
+
+
+def _compile_dense(circuit: Circuit) -> _DenseProgram:
+    n, gates = circuit.qubit_count, circuit.gates
+    prefix = {(g.name, g.qubits) for g in gates[:n]}
+    uniform = n > 0 and prefix == {("h", (q,)) for q in range(n)}
+    if uniform:
+        gates = gates[n:]
+    width = min(n, _STATE_ROW_QUBITS)
+    top = n - width  # qubits 0..top-1 pick the row, the others the column
+    shapes = ((1 << top, 1 << width), (1 << width, 1 << top))  # natural, transposed
+    ops: list = []
+    transposed = False
+    for gate in gates:
+        # On every qubit apply_gate multiplies single elements, which numpy
+        # rounds differently from an array multiply, so it keeps that case.
+        if len(gate.qubits) == n or gate.name not in ("rx", "rz", "rzz"):
+            kernel = "gate"
+        else:
+            kernel = "rx" if gate.name == "rx" else "phase"
+        # An rx on a column qubit runs on the transposed layout, all else on
+        # the natural one.
+        wanted = kernel == "rx" and top > 0 and gate.qubits[0] >= top
+        if wanted != transposed:
+            ops.append(("transpose", None, shapes[transposed]))
+            transposed = wanted
+        if kernel == "phase":
+            ops.append((kernel, gate, _phase_index(gate.qubits, n, top)))
+        elif kernel == "rx":
+            # The qubit's bit in the index of the layout: a column bit sits
+            # above the row bits once transposed.
+            bit = n - 1 - gate.qubits[0] + (top if transposed else 0)
+            ops.append((kernel, gate, (1 << (n - 1 - bit), 2, 1 << bit)))
+        else:
+            ops.append((kernel, gate, None))
+    if transposed:
+        ops.append(("transpose", None, shapes[True]))
+    return _DenseProgram(uniform, tuple(ops))
 
 
 def _compile_support(circuit: Circuit) -> _SupportProgram:
@@ -416,23 +498,21 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
-    n, gates = circuit.qubit_count, circuit.gates
-    if all(g.name in _REAL_GATES for g in gates):
+    if all(g.name in _REAL_GATES for g in circuit.gates):
         return _compile_support(circuit)
-    if n and {(g.name, g.qubits) for g in gates[:n]} == {("h", (q,)) for q in range(n)}:
-        return _DenseProgram(True, gates[n:])
-    return _DenseProgram(False, gates)
+    return _compile_dense(circuit)
 
 
 def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Execute a circuit on |0...0> and return the final state."""
     n = circuit.qubit_count
-    if n > max_qubits:
-        raise QubitCountExceededError(f"{n} qubits exceeds the maximum of {max_qubits}")
+    check_qubit_count(n, max_qubits)
     binding = _bind(circuit, params)
     program = circuit._program
     amplitudes = program.execute(n, binding)
-    norm = float(np.vdot(amplitudes, amplitudes).real)
+    # Outside a support program's support every amplitude is +0.
+    held = amplitudes if program.support is None else amplitudes[program.support]
+    norm = float(np.vdot(held, held).real)
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
     return StateVector(n, amplitudes, program.support)

@@ -21,7 +21,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
 from .encoder import encode
-from .errors import NonFiniteObjectiveError, QubitCountExceededError
+from .errors import NonFiniteObjectiveError, check_qubit_count
 from .problem import AssignmentProblem, build_layout
 from .simulator import (
     DEFAULT_MAX_QUBITS,
@@ -148,10 +148,7 @@ class Instance:
 
     def __init__(self, problem: AssignmentProblem, max_qubits: int = DEFAULT_MAX_QUBITS):
         layout = build_layout(problem)
-        if layout.qubit_count > max_qubits:
-            raise QubitCountExceededError(
-                f"{layout.qubit_count} qubits exceeds the maximum of {max_qubits}"
-            )
+        check_qubit_count(layout.qubit_count, max_qubits)
         self.problem = problem
         self.max_qubits = max_qubits
         self.layout = layout
@@ -244,8 +241,7 @@ def run_vqe(
 ) -> VqaResult:
     """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
     instance = Instance(problem, max_qubits)
-    circuit = build_ansatz(ansatz, problem, instance.layout)
-    return optimize(instance, circuit, config, mode, shots)
+    return optimize(instance, build_circuit(ansatz, instance), config, mode, shots)
 
 
 def run_qaoa(
@@ -258,4 +254,4 @@ def run_qaoa(
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""
     instance = Instance(problem, max_qubits)
-    return optimize(instance, build_qaoa(instance.model, reps), config, mode, shots)
+    return optimize(instance, build_circuit("qaoa", instance, reps), config, mode, shots)

@@ -348,6 +348,17 @@ def test_cmd_sweep_rejects_an_unknown_algorithm_before_any_energies(monkeypatch,
     assert energies == []
 
 
+def test_cmd_sweep_checks_every_point_against_the_cap_before_running(tmp_path, monkeypatch, capsys):
+    # P=3 and P=4 fit in 14 qubits, P=5 needs 17.
+    optimizations = spy_calls(monkeypatch, bench, "optimize")
+    options = ["--pmin", "3", "--pmax", "5", "--max-qubits", "14", "--max-iterations", "3"]
+    code = main(["sweep", *options, "--restarts", "1", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 3
+    assert "17 qubits exceeds the maximum of 14" in capsys.readouterr().err
+    assert optimizations == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("command", ["oracle", "solve", "sweep"])
 def test_cmd_non_positive_max_qubits_exits_2_before_running(

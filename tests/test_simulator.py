@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qvarsched import build_layout, encode, expectation_diagonal, run, sample
+from qvarsched import build_layout, encode, expectation_diagonal, run, sample, simulator
 from qvarsched.bench import scaling_instance
 from qvarsched.circuits import ANSATZ_BUILDERS
 from qvarsched.encoder import IsingModel
@@ -38,7 +38,13 @@ from qvarsched.simulator import (
 )
 from qvarsched.vqa import Instance, build_circuit
 
-from helpers import reference_energies, reference_problem, reference_run, reference_sample
+from helpers import (
+    reference_energies,
+    reference_problem,
+    reference_run,
+    reference_sample,
+    spy_calls,
+)
 
 
 def _random_state(rng, n):
@@ -384,6 +390,39 @@ def test_a_complex_gate_sends_the_circuit_to_the_dense_program(kind):
     assert isinstance(circuit._program, _DenseProgram)
 
 
+@st.composite
+def _dense_circuits(draw):
+    """A circuit with a complex gate on 1-14 qubits, so on both sides of the
+    dense program's row split: an optional h on every qubit, then runs of
+    rx/rz/rzz gates, some a whole rx layer, each maybe followed by an h, cx
+    or ry gate, which the program runs on the natural layout."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_kinds = ("rx", "rz", "rzz") if n > 1 else ("rx", "rz")
+    other_kinds = ("h", "cx", "ry") if n > 1 else ("h", "ry")
+    gates = [Gate("h", (q,)) for q in range(n)] if draw(st.booleans()) else []
+    for size in draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)):
+        if size == 0:
+            gates += [Gate("rx", (q,), float(rng.uniform(0, 2 * pi))) for q in range(n)]
+        else:
+            gates += [_random_gate(rng, n, complex_kinds) for _ in range(size)]
+        if draw(st.booleans()):
+            gates.append(_random_gate(rng, n, other_kinds))
+    return Circuit(n, tuple(gates), ())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_dense_circuits())
+def test_dense_program_equals_the_gate_by_gate_loop_bit_for_bit(circuit):
+    assert isinstance(circuit._program, _DenseProgram)
+    state = run(circuit)
+    reference = reference_run(circuit)
+    assert state.amplitudes.tobytes() == reference.tobytes()
+    assert state.probabilities().tobytes() == (np.abs(reference) ** 2).tobytes()
+    if circuit.qubit_count <= 8:
+        assert np.max(np.abs(state.amplitudes - dense_state(circuit, max_qubits=8))) < 1e-12
+
+
 _PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
@@ -403,6 +442,52 @@ def test_ansatz_circuits_take_the_support_path_bit_for_bit(problem, kind):
     values = np.random.default_rng(7).uniform(0, pi, len(circuit.parameters))
     expected = np.abs(reference_run(circuit, values)) ** 2
     assert run(circuit, values).probabilities().tobytes() == expected.tobytes()
+
+
+def _qaoa_cases():
+    for path in sorted(_PROBLEMS.glob("*.problem")):
+        problem = parse_problem(path.read_text())
+        for reps in (1, 2, 3):
+            yield pytest.param(problem, reps, id=f"{path.stem}-qaoa{reps}")
+    yield pytest.param(scaling_instance(4), 2, id="scaling-p4-qaoa2")
+
+
+@pytest.mark.parametrize("problem, reps", _qaoa_cases())
+def test_qaoa_circuits_equal_the_gate_by_gate_loop_bit_for_bit(problem, reps):
+    instance = Instance(problem)
+    circuit = build_circuit("qaoa", instance, reps)
+    values = np.random.default_rng(reps).uniform(0, 2 * pi, len(circuit.parameters))
+    state = run(circuit, values)
+    reference = reference_run(circuit, values)
+    assert state.amplitudes.tobytes() == reference.tobytes()
+    expected = np.abs(reference) ** 2
+    assert state.probabilities().tobytes() == expected.tobytes()
+    objective = state.probabilities() @ instance.energies
+    assert objective.tobytes() == (expected @ instance.energies).tobytes()
+
+
+def test_qaoa_phase_and_rx_gates_bypass_apply_gate(monkeypatch):
+    circuit = build_circuit("qaoa", Instance(reference_problem("ECFL")), 2)
+    assert {g.name for g in circuit.gates} == {"h", "rz", "rzz", "rx"}
+    calls = spy_calls(monkeypatch, simulator, "apply_gate")
+    run(circuit, [0.3, 1.1, 2.0, 0.7])
+    assert calls == []
+
+
+def test_the_dense_program_needs_two_state_buffers():
+    circuit = build_circuit("qaoa", Instance(scaling_instance(5)), 1)
+    assert circuit.qubit_count == 17
+    values = [0.4, 1.3]
+    run(circuit, values)  # compiles
+    tracemalloc.start()
+    try:
+        run(circuit, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state_bytes = 16 << 17
+    # Beyond the two buffers: numpy's ufunc buffers and the small phase tables.
+    assert 2 * state_bytes <= peak < 2.25 * state_bytes
 
 
 @pytest.mark.parametrize("problem, kind", _ansatz_cases())
