@@ -1,7 +1,7 @@
 """Performance indices and experiment orchestration.
 
 P_best / P_feas are the shot fractions landing on optimal / feasible
-bitstrings; C_best / C_feas divide them by the random-guess probability
+basis states; C_best / C_feas divide them by the random-guess probability
 N_x / 2^Q, so a uniform sampler scores C = 1. Experiments run R independent
 seeded repetitions of one algorithm on one instance and aggregate with mean
 and sample standard deviation. Timing columns are wall-clock and are the
@@ -54,20 +54,13 @@ class Metrics:
 
 def score(counts: Counts, report: OracleReport) -> Metrics:
     """Score a measured distribution against the oracle ground truth."""
-    q = report.total.bit_length() - 1
-    best_hits = 0
-    feasible_hits = 0
-    for bits, count in counts.counts.items():
-        if len(bits) != q:
-            raise InstanceMismatchError(
-                f"counts contain {len(bits)}-bit strings, instance has {q} qubits"
-            )
-        if bits in report.feasible_bitstrings:
-            feasible_hits += count
-            if bits in report.optimal_bitstrings:
-                best_hits += count
-    p_best = best_hits / counts.shots
-    p_feas = feasible_hits / counts.shots
+    if counts.qubit_count != report.qubit_count:
+        raise InstanceMismatchError(
+            f"counts have {counts.qubit_count} qubits, instance has {report.qubit_count}"
+        )
+    hits = dict(zip(counts.indices.tolist(), counts.counts.tolist()))
+    p_best = sum(hits.get(index, 0) for index in report.optimal) / counts.shots
+    p_feas = sum(hits.get(index, 0) for index in report.feasible) / counts.shots
     c_best = p_best * report.total / report.best_count if report.best_count else 0.0
     c_feas = p_feas * report.total / report.feasible_count if report.feasible_count else 0.0
     return Metrics(p_best, p_feas, c_best, c_feas)
@@ -90,6 +83,14 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
+        if self.mode not in ("exact", "sampled"):
+            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def algorithm_label(self) -> str:

@@ -22,6 +22,7 @@ from .errors import ParseError, QubitCountExceededError, QvarschedError
 from .files import parse_experiment, parse_problem
 from .oracle import enumerate_solutions
 from .problem import ProblemVariant, build_layout
+from .simulator import index_to_bits
 from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, OptimizerConfig
 
 
@@ -61,8 +62,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ]
     if report.optimal_gain is not None:
         lines.append(f"optimal_gain {format_fraction(report.optimal_gain)}")
-        for bits in sorted(report.optimal_bitstrings):
-            lines.append(f"optimum {bits}")
+        for index in sorted(report.optimal):
+            lines.append(f"optimum {index_to_bits(index, layout.qubit_count)}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

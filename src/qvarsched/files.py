@@ -64,12 +64,16 @@ def _check_header(lines: list[tuple[int, str]], expected: tuple[str, str]):
         raise ParseError(f"expected header {' '.join(expected)!r}, got {line!r}", number)
 
 
-def _fields(line: str, number: int) -> dict[str, str]:
+def _fields(line: str, number: int, keys: tuple[str, ...]) -> dict[str, str]:
     out = {}
     for token in line.split():
         if "=" not in token:
             raise ParseError(f"expected key=value, got {token!r}", number)
         key, value = token.split("=", 1)
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r}, expected one of {', '.join(keys)}", number)
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", number)
         out[key] = value
     return out
 
@@ -84,13 +88,15 @@ def parse_problem(text: str) -> AssignmentProblem:
         keyword, _, rest = line.partition(" ")
         try:
             if keyword == "variant":
+                if variant is not None:
+                    raise ParseError("duplicate 'variant' line", number)
                 variant = ProblemVariant.from_name(rest.strip())
             elif keyword == "process":
-                fields = _fields(rest, number)
+                fields = _fields(rest, number, ("weight", "values"))
                 values = tuple(as_fraction(v) for v in fields["values"].split(","))
                 processes.append(ProcessSpec(int(fields["weight"]), values))
             elif keyword == "node":
-                fields = _fields(rest, number)
+                fields = _fields(rest, number, ("capacity", "threshold"))
                 nodes.append(
                     NodeSpec(int(fields["capacity"]), int(fields.get("threshold", "0")))
                 )

@@ -1,10 +1,10 @@
 """Classical ground truth: exact enumeration and dense-matrix circuits.
 
 enumerate_solutions walks the (N + c)^P target tuples, derives each slack
-register and sums exact Fraction gains; it never visits the 2^Q bitstrings,
-and per-string check_feasible over all of them is its independent
-counterpart. dense_state rebuilds every gate as an explicit 2^n x 2^n
-matrix, sharing no kernel code with the fast simulator.
+register and sums exact Fraction gains into a report of basis indices; it
+never visits the 2^Q basis states, and per-string check_feasible over all of
+them is its independent counterpart. dense_state rebuilds every gate as an
+explicit 2^n x 2^n matrix, sharing no kernel code with the fast simulator.
 """
 from __future__ import annotations
 
@@ -31,13 +31,28 @@ DENSE_MAX_QUBITS = 6
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Exact ground truth; optimal and feasible hold basis indices."""
+
     optimal_gain: Fraction | None
-    optimal_bitstrings: frozenset[str]
-    best_count: int
-    feasible_count: int
-    total: int
-    infeasible_instance: bool
-    feasible_bitstrings: frozenset[str]
+    optimal: frozenset[int]
+    feasible: frozenset[int]
+    qubit_count: int
+
+    @property
+    def best_count(self) -> int:
+        return len(self.optimal)
+
+    @property
+    def feasible_count(self) -> int:
+        return len(self.feasible)
+
+    @property
+    def total(self) -> int:
+        return 1 << self.qubit_count
+
+    @property
+    def infeasible_instance(self) -> bool:
+        return not self.feasible
 
 
 def enumerate_solutions(
@@ -53,7 +68,7 @@ def enumerate_solutions(
     3^8 = 6,561 under the default 24-qubit cap, against 2^Q strings for a
     full scan. A tuple is feasible exactly when every residual capacity fits
     its slack register, in which case the register value is unique, so each
-    feasible tuple gives exactly one feasible bitstring. Gains are exact
+    feasible tuple gives exactly one feasible basis index. Gains are exact
     Fractions.
     """
     q = layout.qubit_count
@@ -62,9 +77,9 @@ def enumerate_solutions(
     if problem.variant.cloud_allowed:
         options.append(CLOUD)
     register_sizes = [1 << len(layout.slack_qubits(j)) for j in range(problem.num_nodes)]
-    feasible_bits: list[str] = []
+    feasible: list[int] = []
     best: Fraction | None = None
-    best_bits: list[str] = []
+    optimal: list[int] = []
     for targets in product(options, repeat=problem.num_processes):
         loads = [0] * problem.num_nodes
         for i, target in enumerate(targets):
@@ -74,23 +89,15 @@ def enumerate_solutions(
         if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
             continue
         assignment = Assignment(tuple(targets), tuple(loads), tuple(residuals))
-        bits = assignment_bits(layout, assignment)
-        feasible_bits.append(bits)
+        index = int(assignment_bits(layout, assignment), 2)
+        feasible.append(index)
         value = gain(problem, assignment)
         if best is None or value > best:
             best = value
-            best_bits = []
+            optimal = []
         if value == best:
-            best_bits.append(bits)
-    return OracleReport(
-        optimal_gain=best,
-        optimal_bitstrings=frozenset(best_bits),
-        best_count=len(best_bits),
-        feasible_count=len(feasible_bits),
-        total=1 << q,
-        infeasible_instance=not feasible_bits,
-        feasible_bitstrings=frozenset(feasible_bits),
-    )
+            optimal.append(index)
+    return OracleReport(best, frozenset(optimal), frozenset(feasible), q)
 
 
 def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np.ndarray:

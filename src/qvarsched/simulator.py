@@ -64,14 +64,15 @@ run, on the support for a support program.
 run() hands a support program's labels, sorted, to the state as
 StateVector.support; every amplitude outside it is +0. probabilities() then
 squares only the support and scatters it into zeros, which is |a|^2 of every
-amplitude bit for bit. sample_indices draws its multinomial over the support
-in ascending order instead of over all 2^Q indices, with one trailing
-category of probability 0 for index 2^Q - 1 when the support lacks it. The
-draws are the same: numpy's Generator.multinomial draws a binomial for every
-category but the last, and for p = 0 that binomial uses no random numbers,
-returns 0 and leaves the remaining probability as it was; the draws left
-after the loop go to the last category, which the trailing zero keeps at
-index 2^Q - 1.
+amplitude bit for bit. sample, which returns the basis indices hit and the
+hits on each (the package's one form of a sample), draws its multinomial
+over the support in ascending order instead of over all 2^Q indices, with
+one trailing category of probability 0 for index 2^Q - 1 when the support
+lacks it. The draws are the same: numpy's Generator.multinomial draws a
+binomial for every category but the last, and for p = 0 that binomial uses
+no random numbers, returns 0 and leaves the remaining probability as it was;
+the draws left after the loop go to the last category, which the trailing
+zero keeps at index 2^Q - 1.
 
 diagonal_energies views the 2^Q energies as rows of 2^k contiguous entries
 (k = _ROW_QUBITS, or Q if smaller): the first Q - k qubits pick the row and
@@ -564,18 +565,24 @@ def expectation_diagonal(state: StateVector, model: IsingModel) -> float:
     return float(state.probabilities() @ diagonal_energies(model))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Counts:
-    counts: dict[str, int]
-    shots: int
+    """A measurement sample: the ascending basis indices hit and the hits on each."""
+
+    qubit_count: int
+    indices: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
 
 
-def sample_indices(state: StateVector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial measurement sample as (ascending basis indices, hits per index).
+def sample(state: StateVector, shots: int, seed: int) -> Counts:
+    """Multinomial measurement sample; deterministic for a given seed.
 
-    Only indices hit at least once are returned; deterministic for a given
-    seed. A state with a support draws over the support (see the module
-    docstring) and gets the draws of a state without one.
+    A state with a support draws over the support (see the module docstring)
+    and gets the draws of a state without one.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -591,14 +598,7 @@ def sample_indices(state: StateVector, shots: int, seed: int) -> tuple[np.ndarra
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     hit = np.nonzero(draws)[0]
     indices = hit if categories is None else categories[hit]
-    return indices, draws[hit]
-
-
-def sample(state: StateVector, shots: int, seed: int) -> Counts:
-    """Multinomial measurement sample as bitstring counts; deterministic for a given seed."""
-    indices, hits = sample_indices(state, shots, seed)
-    n = state.qubit_count
-    return Counts({index_to_bits(int(i), n): int(h) for i, h in zip(indices, hits)}, shots)
+    return Counts(state.qubit_count, indices, draws[hit])
 
 
 def circuit_to_text(circuit: Circuit) -> str:

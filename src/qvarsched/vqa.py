@@ -31,7 +31,6 @@ from .simulator import (
     diagonal_energies,
     run,
     sample,
-    sample_indices,
 )
 
 _SEED_RANGE = 2**31
@@ -174,10 +173,10 @@ def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
 
 
 def _sampled_energy(state: StateVector, shots: int, seed: int, energies: np.ndarray) -> float:
-    indices, hits = sample_indices(state, shots, seed)
+    counts = sample(state, shots, seed)
     # Summed strictly left to right in ascending index order, so the value is
-    # bit-identical to summing the user-facing Counts in its key order.
-    return float(np.add.accumulate(hits * energies[indices])[-1]) / shots
+    # bit-identical to a plain sum over the sample's (index, count) pairs.
+    return float(np.add.accumulate(counts.counts * energies[counts.indices])[-1]) / shots
 
 
 def optimize(

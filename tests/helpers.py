@@ -8,8 +8,8 @@ counterpart of enumerate_solutions: check_feasible and gain on all 2^Q
 strings. reference_run and reference_energies are the slow counterparts of
 simulator.run and simulator.diagonal_energies: the gate-by-gate complex128
 loop and the per-term energy sum, whose results the fast paths must equal
-bit for bit. reference_sample is the dense counterpart of
-simulator.sample_indices: a multinomial over every one of the 2^Q indices.
+bit for bit. reference_sample is the dense counterpart of simulator.sample:
+a multinomial over every one of the 2^Q indices.
 """
 from __future__ import annotations
 
@@ -102,24 +102,16 @@ def brute_force_oracle(problem: AssignmentProblem, layout: VariableLayout) -> Or
     for index in range(1 << q):
         bits = format(index, f"0{q}b")
         if check_feasible(problem, layout, bits).feasible:
-            gains[bits] = gain(problem, decode(layout, bits))
+            gains[index] = gain(problem, decode(layout, bits))
     best = max(gains.values(), default=None)
-    optimal = frozenset(bits for bits, value in gains.items() if value == best)
-    return OracleReport(
-        optimal_gain=best,
-        optimal_bitstrings=optimal,
-        best_count=len(optimal),
-        feasible_count=len(gains),
-        total=1 << q,
-        infeasible_instance=not gains,
-        feasible_bitstrings=frozenset(gains),
-    )
+    optimal = frozenset(index for index, value in gains.items() if value == best)
+    return OracleReport(best, optimal, frozenset(gains), q)
 
 
 def feasible_mask(report: OracleReport) -> np.ndarray:
-    """Feasibility of every basis index, read from the oracle's feasible strings."""
+    """Feasibility of every basis index, read from the oracle's feasible indices."""
     mask = np.zeros(report.total, dtype=bool)
-    mask[[int(bits, 2) for bits in report.feasible_bitstrings]] = True
+    mask[list(report.feasible)] = True
     return mask
 
 

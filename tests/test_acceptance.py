@@ -207,7 +207,7 @@ def test_criterion_07_penalty_separation():
             assert energies[~mask].min() >= 1
         if not report.infeasible_instance:
             argmin = set(np.nonzero(energies == energies.min())[0].tolist())
-            assert argmin == {int(bits, 2) for bits in report.optimal_bitstrings}
+            assert argmin == report.optimal
     _report(7, "penalty separation and argmin = oracle optima on 25 random instances")
 
 

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvarsched import (
     OptimizerConfig,
     build_layout,
+    check_feasible,
+    decode,
+    gain,
     qubit_count,
     run_experiment,
     scaling_instance,
@@ -14,15 +19,16 @@ from qvarsched import (
 from qvarsched.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
+    Metrics,
     report_csv,
     scaling_sweep,
     sweep_csv,
 )
 from qvarsched.errors import InstanceMismatchError
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, Counts, Gate, run, sample
+from qvarsched.simulator import Circuit, Counts, Gate, bits_to_index, index_to_bits, run, sample
 
-from helpers import reference_problem, spy_calls
+from helpers import brute_force_oracle, random_problem, reference_problem, spy_calls
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +37,14 @@ def report():
     return enumerate_solutions(problem, build_layout(problem))
 
 
+def _counts(qubit_count, hits):
+    """A Counts of {basis index: hits}."""
+    indices = sorted(hits)
+    return Counts(qubit_count, np.array(indices), np.array([hits[i] for i in indices]))
+
+
 def test_score_all_shots_on_one_optimum(report):
-    counts = Counts({"10100101": 4096}, 4096)
+    counts = _counts(8, {bits_to_index("10100101"): 4096})
     metrics = score(counts, report)
     assert metrics.p_best == 1.0 and metrics.p_feas == 1.0
     assert metrics.c_best == 256 / 2 == 128.0
@@ -40,7 +52,7 @@ def test_score_all_shots_on_one_optimum(report):
 
 
 def test_score_uniform_counts(report):
-    counts = Counts({format(i, "08b"): 16 for i in range(256)}, 4096)
+    counts = Counts(8, np.arange(256), np.full(256, 16))
     metrics = score(counts, report)
     assert metrics.p_feas == 4 / 256
     assert metrics.c_feas == 1.0
@@ -48,19 +60,50 @@ def test_score_uniform_counts(report):
 
 
 def test_score_infeasible_only_counts(report):
-    counts = Counts({"11111111": 4096}, 4096)
+    counts = _counts(8, {bits_to_index("11111111"): 4096})
     metrics = score(counts, report)
     assert metrics == type(metrics)(0.0, 0.0, 0.0, 0.0)
 
 
 def test_score_is_pure(report):
-    counts = Counts({"10100101": 100, "11100000": 28}, 128)
+    counts = _counts(8, {bits_to_index("10100101"): 100, bits_to_index("11100000"): 28})
     assert score(counts, report) == score(counts, report)
 
 
 def test_score_instance_mismatch(report):
     with pytest.raises(InstanceMismatchError):
-        score(Counts({"101": 1}, 1), report)
+        score(_counts(3, {bits_to_index("101"): 1}), report)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_score_equals_a_per_hit_count_over_check_feasible_and_gain(problem_seed, data):
+    problem = random_problem(np.random.default_rng(problem_seed), max_qubits=10)
+    layout = build_layout(problem)
+    q = layout.qubit_count
+    oracle = brute_force_oracle(problem, layout)
+    # Optimal and feasible indices are rare among all 2^Q, so draw them too.
+    index = st.integers(0, (1 << q) - 1)
+    for chosen in (oracle.feasible, oracle.optimal):
+        if chosen:
+            index = index | st.sampled_from(sorted(chosen))
+    hits = data.draw(st.dictionaries(index, st.integers(1, 1000), min_size=1, max_size=40))
+    best_hits = feasible_hits = 0
+    for index, count in hits.items():
+        bits = index_to_bits(index, q)
+        if check_feasible(problem, layout, bits).feasible:
+            feasible_hits += count
+            if gain(problem, decode(layout, bits)) == oracle.optimal_gain:
+                best_hits += count
+    shots = sum(hits.values())
+    p_best, p_feas = best_hits / shots, feasible_hits / shots
+    expected = Metrics(
+        p_best,
+        p_feas,
+        p_best * 2**q / oracle.best_count if oracle.best_count else 0.0,
+        p_feas * 2**q / oracle.feasible_count if oracle.feasible_count else 0.0,
+    )
+    assert score(_counts(q, hits), enumerate_solutions(problem, layout)) == expected
 
 
 def test_c_feas_of_uniform_sampler_is_one(report):
@@ -176,6 +219,23 @@ def test_unknown_algorithm_raises_before_any_energies(monkeypatch):
     with pytest.raises(ValueError, match="a5"):
         run_experiment(_tiny_config(reference_problem("EOHL"), algorithm="a5"))
     assert energies == []
+
+
+@pytest.mark.parametrize(
+    "setting, match",
+    [
+        ({"shots": 0}, "shots"),
+        ({"mode": "approx"}, "mode"),
+        ({"seed": -1}, "seed"),
+        ({"reps": 0}, "reps"),
+    ],
+)
+def test_bad_settings_raise_before_any_energies(monkeypatch, setting, match):
+    energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
+    minimized = spy_calls(monkeypatch, vqa, "minimize")
+    with pytest.raises(ValueError, match=match):
+        run_experiment(_tiny_config(reference_problem("EOHL"), algorithm="qaoa", **setting))
+    assert energies == [] and minimized == []
 
 
 def test_sweep_compiles_each_point_circuit_once(monkeypatch):

@@ -18,7 +18,7 @@ from qvarsched import (
 from qvarsched.circuits import CircuitMetrics, a1_basis_angles
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, bits_to_index
+from qvarsched.simulator import Circuit, bits_to_index, index_to_bits
 
 from helpers import random_problem, reference_problem
 
@@ -203,10 +203,10 @@ def test_reachability_of_reference_optima():
     model = encode(problem, layout)
     report = enumerate_solutions(problem, layout)
     circuit = build_ansatz("a1", problem, layout)
-    for bits in report.optimal_bitstrings:
-        angles = a1_basis_angles(layout, bits)
+    for index in report.optimal:
+        angles = a1_basis_angles(layout, index_to_bits(index, layout.qubit_count))
         state = run(circuit, angles)
-        assert abs(state.amplitudes[bits_to_index(bits)]) ** 2 >= 0.99
+        assert abs(state.amplitudes[index]) ** 2 >= 0.99
         assert abs(expectation_diagonal(state, model) + 6.0) < 1e-9
 
 

@@ -80,6 +80,27 @@ def test_parse_problem_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("node capacity=3 treshold=2", "unknown key 'treshold'"),
+        ("process weight=1 value=2,1", "unknown key 'value'"),
+        ("node capacity=2 threshold=1 threshold=0", "duplicate key 'threshold'"),
+        ("variant EOFL", "duplicate 'variant' line"),
+    ],
+)
+def test_parse_problem_rejects_unknown_and_repeated_keys(line, match):
+    with pytest.raises(ParseError, match=match):
+        parse_problem(EOHL_FILE + line + "\n")
+
+
+def test_cmd_oracle_rejects_a_misspelled_key_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "typo.problem"
+    path.write_text(EOHL_FILE.replace("threshold=2", "treshold=2"))
+    assert main(["oracle", str(path)]) == 2
+    assert "treshold" in capsys.readouterr().err
+
+
 def test_parse_experiment(tmp_path):
     text = (
         "qvarsched-v1 experiment\n"

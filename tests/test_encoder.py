@@ -114,8 +114,7 @@ def test_penalty_separation_randomized():
         if report.infeasible_instance:
             assert not mask.any()
         else:
-            expected = {int(bits, 2) for bits in report.optimal_bitstrings}
-            assert argmin == expected
+            assert argmin == report.optimal
 
 
 def test_to_terms_reference():

@@ -17,7 +17,7 @@ from qvarsched import (
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import QubitCountExceededError
 from qvarsched.oracle import dense_state, enumerate_solutions
-from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies
+from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies, index_to_bits
 
 from helpers import (
     REFERENCE_COUNTS,
@@ -44,7 +44,8 @@ def test_reference_optima_strings():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     report = enumerate_solutions(problem, layout)
-    assert report.optimal_bitstrings == frozenset({"10100101", "01101010"})
+    optima = {index_to_bits(index, layout.qubit_count) for index in report.optimal}
+    assert optima == {"10100101", "01101010"}
 
 
 def test_infeasible_instance():
@@ -65,17 +66,15 @@ def test_enumeration_matches_brute_force_oracle():
         assert enumerate_solutions(problem, layout) == brute_force_oracle(problem, layout)
 
 
-def test_feasible_bitstrings_match_check_feasible():
+def test_feasible_indices_match_check_feasible():
     rng = np.random.default_rng(53)
     for _ in range(8):
         problem = random_problem(rng, max_qubits=9)
         layout = build_layout(problem)
         report = enumerate_solutions(problem, layout)
-        expected = brute_force_oracle(problem, layout).feasible_bitstrings
-        assert report.feasible_bitstrings == expected
-        assert np.flatnonzero(feasible_mask(report)).tolist() == sorted(
-            int(bits, 2) for bits in expected
-        )
+        expected = brute_force_oracle(problem, layout).feasible
+        assert report.feasible == expected
+        assert np.flatnonzero(feasible_mask(report)).tolist() == sorted(expected)
 
 
 # Gains with denominators near 2^31: a common denominator of two or three of
@@ -121,8 +120,7 @@ def test_optimum_matches_energy_argmin():
         if report.infeasible_instance:
             continue
         energies = diagonal_energies(encode(problem, layout))
-        optima = {int(bits, 2) for bits in report.optimal_bitstrings}
-        assert set(np.nonzero(energies == energies.min())[0].tolist()) == optima
+        assert set(np.nonzero(energies == energies.min())[0].tolist()) == report.optimal
         assert abs(energies.min() + float(report.optimal_gain)) < 1e-9
 
 

@@ -31,7 +31,6 @@ from qvarsched.simulator import (
     circuit_to_text,
     diagonal_energies,
     index_to_bits,
-    sample_indices,
     _DenseProgram,
     _relabel,
     _SupportProgram,
@@ -189,7 +188,9 @@ def test_sample_basis_state():
     amps = np.zeros(4, dtype=complex)
     amps[2] = 1.0
     counts = sample(StateVector(2, amps), 100, seed=0)
-    assert counts.counts == {"10": 100}
+    assert counts.qubit_count == 2
+    assert counts.indices.tolist() == [bits_to_index("10")]
+    assert counts.counts.tolist() == [100]
     assert counts.shots == 100
 
 
@@ -197,16 +198,22 @@ def test_sample_uniform_within_5_sigma():
     circuit = Circuit(2, (Gate("h", (0,)), Gate("h", (1,))), ())
     counts = sample(run(circuit), 4096, seed=12)
     sigma = (4096 * 0.25 * 0.75) ** 0.5
-    assert sum(counts.counts.values()) == 4096
-    for bits in ("00", "01", "10", "11"):
-        assert abs(counts.counts[bits] - 1024) < 5 * sigma
+    assert counts.shots == 4096
+    assert counts.indices.tolist() == [0, 1, 2, 3]
+    for hits in counts.counts.tolist():
+        assert abs(hits - 1024) < 5 * sigma
 
 
 def test_sample_deterministic():
     circuit = Circuit(3, tuple(Gate("h", (q,)) for q in range(3)), ())
     state = run(circuit)
-    assert sample(state, 512, seed=5) == sample(state, 512, seed=5)
-    assert sample(state, 512, seed=5) != sample(state, 512, seed=6)
+
+    def drawn(seed):
+        counts = sample(state, 512, seed)
+        return counts.indices.tobytes(), counts.counts.tobytes()
+
+    assert drawn(5) == drawn(5)
+    assert drawn(5) != drawn(6)
 
 
 def test_unbound_and_excess_parameters():
@@ -522,11 +529,11 @@ def test_support_sampling_equals_the_dense_multinomial_bit_for_bit(drawn, last_h
     assert (state.support[-1] == last) == last_held
     shots = data.draw(st.integers(1, 10**5))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    indices, hits = sample_indices(state, shots, seed)
+    counts = sample(state, shots, seed)
     expected_indices, expected_hits = reference_sample(state.amplitudes, shots, seed)
-    assert indices.dtype == expected_indices.dtype
-    assert indices.tobytes() == expected_indices.tobytes()
-    assert hits.tobytes() == expected_hits.tobytes()
+    assert counts.indices.dtype == expected_indices.dtype
+    assert counts.indices.tobytes() == expected_indices.tobytes()
+    assert counts.counts.tobytes() == expected_hits.tobytes()
 
 
 def test_support_sampling_keeps_the_leftover_draws_at_the_last_index():
@@ -540,9 +547,9 @@ def test_support_sampling_keeps_the_leftover_draws_at_the_last_index():
     state = StateVector(3, amplitudes, np.arange(4))
     expected_indices, expected_hits = reference_sample(amplitudes, 10**15, 0)
     assert expected_indices[-1] == 7 and expected_hits[-1] > 0
-    indices, hits = sample_indices(state, 10**15, 0)
-    assert indices.tobytes() == expected_indices.tobytes()
-    assert hits.tobytes() == expected_hits.tobytes()
+    counts = sample(state, 10**15, 0)
+    assert counts.indices.tobytes() == expected_indices.tobytes()
+    assert counts.counts.tobytes() == expected_hits.tobytes()
 
 
 def test_compiling_the_support_program_does_no_full_basis_work():
