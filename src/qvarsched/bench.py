@@ -21,7 +21,7 @@ from .errors import InstanceMismatchError, check_qubit_count
 from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, build_layout, make_problem
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
-from .vqa import ALGORITHMS, Instance, OptimizerConfig, build_circuit, optimize
+from .vqa import ALGORITHMS, MODES, Instance, OptimizerConfig, build_circuit, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.reps < 1:
@@ -239,12 +239,16 @@ def _time_statevector(instance: Instance, circuit: Circuit) -> float:
     return best
 
 
+# The sweep's default budget: one short restart per point.
+SWEEP_OPTIMIZER = OptimizerConfig(max_iterations=20, restarts=1)
+
+
 def scaling_sweep(
     process_counts,
     *,
     variant: ProblemVariant = ECHL,
     algorithm: str = "a4",
-    optimizer: OptimizerConfig | None = None,
+    optimizer: OptimizerConfig = SWEEP_OPTIMIZER,
     mode: str = "exact",
     shots: int = 4096,
     runs: int = 1,
@@ -252,7 +256,6 @@ def scaling_sweep(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> list[SweepPoint]:
     """One experiment per process count over the synthetic family."""
-    optimizer = optimizer or OptimizerConfig(max_iterations=20, restarts=1)
     problems = [(processes, scaling_instance(processes, variant)) for processes in process_counts]
     # Every point's register is checked before the first point runs.
     for _, problem in problems:

@@ -19,18 +19,16 @@ from pathlib import Path
 from . import bench
 from .encoder import encode, format_fraction, model_to_text
 from .errors import ParseError, QubitCountExceededError, QvarschedError
-from .files import parse_experiment, parse_problem
+from .files import parse_experiment, parse_problem, read_text
 from .oracle import enumerate_solutions
-from .problem import ProblemVariant, build_layout
+from .problem import VARIANTS, build_layout
 from .simulator import index_to_bits
-from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, OptimizerConfig
+from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags that were given; argparse leaves the others None."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _write_output(text: str, out: str | None):
@@ -41,7 +39,7 @@ def _write_output(text: str, out: str | None):
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    problem = parse_problem(_read(args.problem))
+    problem = parse_problem(read_text(args.problem))
     layout = build_layout(problem)
     model = encode(problem, layout)
     _write_output(model_to_text(model), args.out)
@@ -49,7 +47,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    problem = parse_problem(_read(args.problem))
+    problem = parse_problem(read_text(args.problem))
     layout = build_layout(problem)
     report = enumerate_solutions(problem, layout, max_qubits=args.max_qubits)
     lines = [
@@ -96,26 +94,14 @@ def _summary_text(report: bench.ExperimentReport, spec_mode: str, shots: int) ->
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    spec = parse_experiment(_read(args.spec), spec_path.parent)
-    problem = parse_problem(_read(str(spec.problem_path)))
-    optimizer = spec.optimizer
-    config = bench.ExperimentConfig(
-        problem=problem,
-        algorithm=spec.algorithm,
-        optimizer=optimizer,
-        reps=spec.reps,
-        mode=spec.mode if args.mode is None else args.mode,
-        shots=spec.shots if args.shots is None else args.shots,
-        runs=spec.runs if args.runs is None else args.runs,
-        seed=spec.seed if args.seed is None else args.seed,
-        label=spec.problem_path.stem,
-    )
+    config = parse_experiment(read_text(args.spec), Path(args.spec).parent)
+    config = replace(config, **_given(args, "mode", "shots", "runs", "seed"))
     report = bench.run_experiment(config, max_qubits=args.max_qubits)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
-    summary_path = out.with_suffix(".txt")
+    # Appended, not swapped in: --out exp-0.5 must not write exp-0.csv.
+    csv_path = out.with_name(out.name + ".csv")
+    summary_path = out.with_name(out.name + ".txt")
     csv_path.write_text(bench.report_csv(report))
     summary_path.write_text(_summary_text(report, config.mode, config.shots))
     print(f"wrote {csv_path} and {summary_path}")
@@ -123,20 +109,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    variant = ProblemVariant.from_name(args.variant)
-    optimizer = OptimizerConfig(
-        max_iterations=args.max_iterations, restarts=args.restarts
-    )
+    given = _given(args, "algorithm", "mode", "shots", "runs", "seed")
+    if args.variant is not None:
+        given["variant"] = VARIANTS[args.variant]
+    budget = _given(args, "max_iterations", "restarts")
     points = bench.scaling_sweep(
         range(args.pmin, args.pmax + 1),
-        variant=variant,
-        algorithm=args.algorithm,
-        optimizer=optimizer,
-        mode=args.mode,
-        shots=args.shots,
-        runs=args.runs,
-        seed=args.seed,
+        optimizer=replace(bench.SWEEP_OPTIMIZER, **budget),
         max_qubits=args.max_qubits,
+        **given,
     )
     _write_output(bench.sweep_csv(points), args.out)
     return 0
@@ -178,21 +159,22 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--seed", type=_at_least(0))
     solve_p.add_argument("--runs", type=_at_least(1))
     solve_p.add_argument("--shots", type=_at_least(1))
-    solve_p.add_argument("--mode", choices=("exact", "sampled"))
+    solve_p.add_argument("--mode", type=str.lower, choices=MODES)
     solve_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     solve_p.set_defaults(func=cmd_solve)
 
     sweep_p = sub.add_parser("sweep", help="scaling sweep over the synthetic family")
-    sweep_p.add_argument("--variant", default="ECHL", choices=("ECFL", "EOFL", "ECHL", "EOHL"))
-    sweep_p.add_argument("--algorithm", default="a4", type=str.lower, choices=ALGORITHMS)
+    # Flags left out take scaling_sweep's and SWEEP_OPTIMIZER's defaults.
+    sweep_p.add_argument("--variant", type=str.upper, choices=VARIANTS)
+    sweep_p.add_argument("--algorithm", type=str.lower, choices=ALGORITHMS)
     sweep_p.add_argument("--pmin", type=_at_least(1), default=3)
     sweep_p.add_argument("--pmax", type=_at_least(1), default=7)
-    sweep_p.add_argument("--max-iterations", type=_at_least(1), default=20)
-    sweep_p.add_argument("--restarts", type=_at_least(1), default=1)
-    sweep_p.add_argument("--seed", type=_at_least(0), default=0)
-    sweep_p.add_argument("--runs", type=_at_least(1), default=1)
-    sweep_p.add_argument("--shots", type=_at_least(1), default=4096)
-    sweep_p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    sweep_p.add_argument("--max-iterations", type=_at_least(1))
+    sweep_p.add_argument("--restarts", type=_at_least(1))
+    sweep_p.add_argument("--seed", type=_at_least(0))
+    sweep_p.add_argument("--runs", type=_at_least(1))
+    sweep_p.add_argument("--shots", type=_at_least(1))
+    sweep_p.add_argument("--mode", type=str.lower, choices=MODES)
     sweep_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)

@@ -16,23 +16,26 @@ Problem file::
 Experiment file::
 
     qvarsched-v1 experiment
-    problem eohl.problem          # path, relative to the spec file
-    algorithm a4                  # one of vqa.ALGORITHMS
+    problem eohl.problem          # path, relative to the spec file; required
+    algorithm a4                  # one of vqa.ALGORITHMS; required
     reps 3                        # qaoa only
     optimizer cobyla              # cobyla|nelder-mead
     max_iterations 1000
     tolerance 1e-4
     restarts 10
-    mode exact                    # exact|sampled
+    mode exact                    # one of vqa.MODES
     shots 4096
     runs 10
     seed 7
+
+Only problem and algorithm are required; a keyword left out takes the
+default of the bench.ExperimentConfig or vqa.OptimizerConfig field it sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
+from .bench import ExperimentConfig
 from .errors import ParseError
 from .problem import (
     AssignmentProblem,
@@ -41,7 +44,7 @@ from .problem import (
     ProcessSpec,
     as_fraction,
 )
-from .vqa import ALGORITHMS, OptimizerConfig
+from .vqa import OptimizerConfig
 
 PROBLEM_HEADER = ("qvarsched-v1", "problem")
 EXPERIMENT_HEADER = ("qvarsched-v1", "experiment")
@@ -124,19 +127,44 @@ def format_problem(problem: AssignmentProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    problem_path: Path
-    algorithm: str
-    reps: int
-    optimizer: OptimizerConfig
-    mode: str
-    shots: int
-    runs: int
-    seed: int
+# How each experiment keyword's text is read and the field it sets.
+# ExperimentConfig and OptimizerConfig own every default and valid range.
+_CONFIG_KEYWORDS = {
+    "algorithm": ("algorithm", str.lower),
+    "reps": ("reps", int),
+    "mode": ("mode", str.lower),
+    "shots": ("shots", int),
+    "runs": ("runs", int),
+    "seed": ("seed", int),
+}
+_OPTIMIZER_KEYWORDS = {
+    "optimizer": ("method", str.lower),
+    "max_iterations": ("max_iterations", int),
+    "tolerance": ("tolerance", float),
+    "restarts": ("restarts", int),
+}
 
 
-def parse_experiment(text: str, base_dir: Path) -> ExperimentSpec:
+def read_text(path: str | Path) -> str:
+    """A file's text; a file that cannot be read is a ParseError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _read_fields(settings: dict[str, str], keywords: dict) -> dict:
+    """The fields the spec sets, read from the keywords it gives."""
+    return {
+        field: read(settings[keyword])
+        for keyword, (field, read) in keywords.items()
+        if keyword in settings
+    }
+
+
+def parse_experiment(text: str, base_dir: Path) -> ExperimentConfig:
+    """The experiment a spec describes. Its problem file, relative to
+    base_dir, is read and parsed here, and its stem labels the experiment."""
     lines = _content_lines(text)
     _check_header(lines, EXPERIMENT_HEADER)
     settings: dict[str, str] = {}
@@ -148,51 +176,20 @@ def parse_experiment(text: str, base_dir: Path) -> ExperimentSpec:
         if keyword in settings:
             raise ParseError(f"duplicate keyword {keyword!r}", number)
         settings[keyword] = rest
-
-    def take(key: str, default: str | None = None) -> str:
-        if key in settings:
-            return settings.pop(key)
-        if default is None:
-            raise ParseError(f"missing required keyword {key!r}")
-        return default
-
+    unknown = settings.keys() - {"problem", *_CONFIG_KEYWORDS, *_OPTIMIZER_KEYWORDS}
+    if unknown:
+        raise ParseError(f"unknown keywords: {', '.join(sorted(unknown))}")
+    for keyword in ("problem", "algorithm"):
+        if keyword not in settings:
+            raise ParseError(f"missing required keyword {keyword!r}")
+    problem_path = base_dir / settings["problem"]
+    problem = parse_problem(read_text(problem_path))
     try:
-        problem_path = base_dir / take("problem")
-        algorithm = take("algorithm").lower()
-        if algorithm not in ALGORITHMS:
-            raise ParseError(f"unknown algorithm {algorithm!r}")
-        reps = int(take("reps", "1"))
-        optimizer = OptimizerConfig(
-            method=take("optimizer", "cobyla").lower(),
-            max_iterations=int(take("max_iterations", "1000")),
-            tolerance=float(take("tolerance", "1e-4")),
-            restarts=int(take("restarts", "10")),
+        return ExperimentConfig(
+            problem=problem,
+            optimizer=OptimizerConfig(**_read_fields(settings, _OPTIMIZER_KEYWORDS)),
+            label=problem_path.stem,
+            **_read_fields(settings, _CONFIG_KEYWORDS),
         )
-        mode = take("mode", "exact").lower()
-        if mode not in ("exact", "sampled"):
-            raise ParseError(f"mode must be exact or sampled, got {mode!r}")
-        spec = ExperimentSpec(
-            problem_path=problem_path,
-            algorithm=algorithm,
-            reps=reps,
-            optimizer=optimizer,
-            mode=mode,
-            shots=int(take("shots", "4096")),
-            runs=int(take("runs", "1")),
-            seed=int(take("seed", "0")),
-        )
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ParseError(str(exc))
-    if settings:
-        raise ParseError(f"unknown keywords: {', '.join(sorted(settings))}")
-    if spec.runs < 1:
-        raise ParseError("runs must be >= 1")
-    if spec.shots < 1:
-        raise ParseError("shots must be >= 1")
-    if spec.seed < 0:
-        raise ParseError("seed must be >= 0")
-    if spec.reps < 1:
-        raise ParseError("reps must be >= 1")
-    return spec

@@ -6,8 +6,8 @@ fallback. COBYLA needs at least dim + 2 evaluations, so a smaller
 max_iterations is raised to that with a warning, and the budget actually used
 is recorded on the result. Initial points are drawn uniformly from [0, pi)
 per seed and every source of randomness — restart initial points,
-sampled-mode measurement seeds, the final 4096-shot measurement — derives
-from the config seed, so exact-mode runs are bit-reproducible.
+sampled-mode measurement seeds, the final measurement of the configured shot
+count — derives from the config seed, so exact-mode runs are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .simulator import (
 _SEED_RANGE = 2**31
 _COBYLA_RHOBEG = 1.0
 ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names build_circuit takes
+MODES = ("exact", "sampled")  # the objectives optimize evaluates
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,8 @@ def optimize(
 ) -> VqaResult:
     """Minimize the instance's energy over the circuit's parameters, then
     measure the best point with the given number of shots."""
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     started = time.perf_counter()
     energies, max_qubits = instance.energies, instance.max_qubits
     dim = len(circuit.parameters)

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Criteria 8-10 exercise full hybrid runs and need a couple of minutes.
+lines. Criteria 8-10 exercise full hybrid runs; the suite takes 43-49 s on a
+2-core host, 32-36 s of that in criterion 9.
 """
 import time
 from math import cos, pi, sin

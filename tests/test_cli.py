@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from qvarsched.cli import main
 from qvarsched.encoder import model_from_text, encode
 from qvarsched.errors import ParseError
 from qvarsched.files import format_problem, parse_experiment, parse_problem
-from qvarsched.problem import build_layout
-from qvarsched.simulator import Circuit
+from qvarsched.problem import EOFL, build_layout
+from qvarsched.simulator import DEFAULT_MAX_QUBITS, Circuit
 
 from helpers import reference_problem, spy_calls
 
@@ -101,6 +102,12 @@ def test_cmd_oracle_rejects_a_misspelled_key_with_exit_2(tmp_path, capsys):
     assert "treshold" in capsys.readouterr().err
 
 
+def _problem_dir(tmp_path):
+    """tmp_path holding eohl.problem, for specs that name it."""
+    (tmp_path / "eohl.problem").write_text(EOHL_FILE)
+    return tmp_path
+
+
 def test_parse_experiment(tmp_path):
     text = (
         "qvarsched-v1 experiment\n"
@@ -112,26 +119,100 @@ def test_parse_experiment(tmp_path):
         "max_iterations 40\n"
         "restarts 2\n"
     )
-    spec = parse_experiment(text, tmp_path)
-    assert spec.algorithm == "qaoa" and spec.reps == 3
-    assert spec.problem_path == tmp_path / "eohl.problem"
-    assert spec.optimizer.max_iterations == 40
+    config = parse_experiment(text, _problem_dir(tmp_path))
+    assert config.algorithm == "qaoa" and config.reps == 3
+    assert config.problem == reference_problem("EOHL") and config.label == "eohl"
+    assert config.optimizer.max_iterations == 40
     with pytest.raises(ParseError, match="algorithm"):
-        parse_experiment("qvarsched-v1 experiment\nproblem x\n", tmp_path)
+        parse_experiment("qvarsched-v1 experiment\nproblem eohl.problem\n", tmp_path)
     with pytest.raises(ParseError, match="unknown keywords"):
         parse_experiment(
-            "qvarsched-v1 experiment\nproblem x\nalgorithm a1\nbogus 1\n", tmp_path
+            "qvarsched-v1 experiment\nproblem eohl.problem\nalgorithm a1\nbogus 1\n", tmp_path
         )
+
+
+def test_parse_experiment_missing_problem_file_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        parse_experiment("qvarsched-v1 experiment\nproblem x\nalgorithm a1\n", tmp_path)
 
 
 @pytest.mark.parametrize("algorithm", vqa.ALGORITHMS)
 def test_every_algorithm_name_parses_and_builds_a_circuit(tmp_path, algorithm):
-    spec = parse_experiment(
-        f"qvarsched-v1 experiment\nproblem x\nalgorithm {algorithm}\n", tmp_path
+    config = parse_experiment(
+        f"qvarsched-v1 experiment\nproblem eohl.problem\nalgorithm {algorithm}\n",
+        _problem_dir(tmp_path),
     )
-    assert spec.algorithm == algorithm
+    assert config.algorithm == algorithm
     circuit = vqa.build_circuit(algorithm, vqa.Instance(reference_problem("EOHL")))
     assert isinstance(circuit, Circuit)
+
+
+# Valid values per spec keyword. The keywords set ExperimentConfig's field of
+# the same name, or OptimizerConfig's ("optimizer" sets its method).
+_CONFIG_VALUES = {
+    "reps": st.integers(1, 8),
+    "mode": st.sampled_from(vqa.MODES),
+    "shots": st.integers(1, 10**6),
+    "runs": st.integers(1, 100),
+    "seed": st.integers(0, 2**40),
+}
+_OPTIMIZER_VALUES = {
+    "optimizer": st.sampled_from(("cobyla", "nelder-mead")),
+    "max_iterations": st.integers(1, 10**5),
+    "tolerance": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    "restarts": st.integers(1, 50),
+}
+
+
+@st.composite
+def _specs(draw):
+    """A spec text and the settings it gives: problem and algorithm, then a
+    random subset of the other keywords in random order, names in random
+    case, floats written with repr, among comments and blank lines."""
+
+    def subset(values):
+        keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+        return {key: draw(values[key]) for key in keys}
+
+    config = {"algorithm": draw(st.sampled_from(vqa.ALGORITHMS)), **subset(_CONFIG_VALUES)}
+    optimizer = subset(_OPTIMIZER_VALUES)
+    values = {"problem": "eohl.problem", **config, **optimizer}
+    lines = ["qvarsched-v1 experiment"]
+    for keyword in draw(st.permutations(sorted(values))):
+        value = values[keyword]
+        if isinstance(value, float):
+            text = repr(value)
+        elif isinstance(value, str) and keyword != "problem":
+            flips = draw(st.lists(st.booleans(), min_size=len(value), max_size=len(value)))
+            text = "".join(c.upper() if flip else c for c, flip in zip(value, flips))
+        else:
+            text = str(value)
+        lines += draw(st.lists(st.sampled_from(("", "# note", "   # indented note"))))
+        spacing = draw(st.sampled_from((" ", "   ")))
+        comment = draw(st.sampled_from(("", "  # trailing")))
+        lines.append(f"{keyword}{spacing}{text}{comment}")
+    return "\n".join(lines) + "\n", config, optimizer
+
+
+@pytest.fixture(scope="module")
+def eohl_dir(tmp_path_factory):
+    return _problem_dir(tmp_path_factory.mktemp("specs"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_specs())
+def test_parse_experiment_matches_the_config_built_from_the_same_values(eohl_dir, spec):
+    text, config, optimizer = spec
+    if "optimizer" in optimizer:
+        optimizer["method"] = optimizer.pop("optimizer")
+    # Keywords the spec leaves out take the dataclasses' own defaults here.
+    expected = bench.ExperimentConfig(
+        problem=reference_problem("EOHL"),
+        optimizer=vqa.OptimizerConfig(**optimizer),
+        label="eohl",
+        **config,
+    )
+    assert parse_experiment(text, eohl_dir) == expected
 
 
 def test_cmd_encode(tmp_path, capsys):
@@ -204,9 +285,7 @@ def test_cmd_oracle_gain_is_exact_past_int64(tmp_path, capsys):
 
 
 def _solve_files(tmp_path, runs=2, algorithm="a4", extra=""):
-    problem_path = tmp_path / "eohl.problem"
-    problem_path.write_text(EOHL_FILE)
-    spec_path = tmp_path / "exp.spec"
+    spec_path = _problem_dir(tmp_path) / "exp.spec"
     spec_path.write_text(
         "qvarsched-v1 experiment\n"
         "problem eohl.problem\n"
@@ -262,11 +341,28 @@ def test_cmd_solve_seed_override_changes_runs(tmp_path):
     assert rows[1][2] != rows_b[1][2]  # different run seeds
 
 
+def test_cmd_solve_appends_suffixes_to_a_dotted_out(tmp_path, capsys):
+    spec_path = _solve_files(tmp_path, runs=1)
+    for out in ("exp-0.5", "exp-0.7"):
+        assert main(["solve", str(spec_path), "--out", str(tmp_path / out)]) == 0
+        assert f"{out}.csv and " in capsys.readouterr().out
+    names = {path.name for path in tmp_path.iterdir()}
+    assert {"exp-0.5.csv", "exp-0.5.txt", "exp-0.7.csv", "exp-0.7.txt"} <= names
+
+
+def test_cmd_solve_folds_the_case_of_mode(tmp_path, monkeypatch):
+    spec_path = _solve_files(tmp_path, runs=1)
+    experiments = spy_calls(monkeypatch, bench, "run_experiment")
+    assert main(["solve", str(spec_path), "--out", str(tmp_path / "r"), "--mode", "SAMPLED"]) == 0
+    assert [config.mode for config, in experiments] == ["sampled"]
+
+
 @pytest.mark.parametrize("line", ["runs 0", "shots 0", "seed -1"])
 def test_parse_experiment_rejects_out_of_range_settings(tmp_path, line):
     with pytest.raises(ParseError, match=line.split()[0]):
         parse_experiment(
-            f"qvarsched-v1 experiment\nproblem x\nalgorithm a1\n{line}\n", tmp_path
+            f"qvarsched-v1 experiment\nproblem eohl.problem\nalgorithm a1\n{line}\n",
+            _problem_dir(tmp_path),
         )
 
 
@@ -367,6 +463,44 @@ def test_cmd_sweep_rejects_an_unknown_algorithm_before_any_energies(monkeypatch,
     assert exc.value.code == 2
     assert "--algorithm" in capsys.readouterr().err
     assert energies == []
+
+
+def _sweep_keywords(monkeypatch, *options) -> dict:
+    """The keywords cmd_sweep passes scaling_sweep for the given options."""
+    seen = []
+    monkeypatch.setattr(bench, "scaling_sweep", lambda counts, **keywords: seen.append(keywords) or [])
+    assert main(["sweep", *options]) == 0
+    return seen[0]
+
+
+def test_cmd_sweep_passes_on_only_the_flags_given(monkeypatch, capsys):
+    budget = {"optimizer": bench.SWEEP_OPTIMIZER, "max_qubits": DEFAULT_MAX_QUBITS}
+    assert _sweep_keywords(monkeypatch) == budget
+    assert _sweep_keywords(monkeypatch, "--restarts", "3", "--seed", "4", "--algorithm", "a1") == {
+        **budget,
+        "optimizer": replace(bench.SWEEP_OPTIMIZER, restarts=3),
+        "seed": 4,
+        "algorithm": "a1",
+    }
+
+
+@pytest.mark.parametrize(
+    "option, keyword, value",
+    [(("--variant", "eofl"), "variant", EOFL), (("--mode", "SAMPLED"), "mode", "sampled")],
+    ids=["variant", "mode"],
+)
+def test_cmd_sweep_folds_the_case_of_names(monkeypatch, capsys, option, keyword, value):
+    assert _sweep_keywords(monkeypatch, *option)[keyword] == value
+
+
+@pytest.mark.parametrize("option", [("--variant", "ECXL"), ("--mode", "approx")], ids=" ".join)
+def test_cmd_sweep_rejects_unknown_names_before_running(monkeypatch, capsys, option):
+    sweeps = spy_calls(monkeypatch, bench, "scaling_sweep")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *option])
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+    assert sweeps == []
 
 
 def test_cmd_sweep_checks_every_point_against_the_cap_before_running(tmp_path, monkeypatch, capsys):
