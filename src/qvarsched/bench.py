@@ -22,6 +22,7 @@ from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, build_layout, make_problem
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
 from .vqa import ALGORITHMS, MODES, Instance, OptimizerConfig, build_circuit, optimize
+from .vqa import DEFAULT_MODE, DEFAULT_SHOTS
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -72,8 +73,8 @@ class ExperimentConfig:
     algorithm: str  # one of vqa.ALGORITHMS
     optimizer: OptimizerConfig
     reps: int = 1
-    mode: str = "exact"
-    shots: int = 4096
+    mode: str = DEFAULT_MODE
+    shots: int = DEFAULT_SHOTS
     runs: int = 1
     seed: int = 0
     label: str = ""
@@ -139,15 +140,17 @@ def run_experiment(
     config: ExperimentConfig,
     max_qubits: int = DEFAULT_MAX_QUBITS,
     *,
-    _instance: Instance | None = None,
+    instance: Instance | None = None,
 ) -> ExperimentReport:
     """Execute R seeded runs, score each at the configured shot count.
 
-    _instance is internal: scaling_sweep passes the Instance of config.problem
-    it already built, so that its timing probe shares it and the circuit
-    build_circuit keeps on it.
+    instance, when given, is an Instance built from config.problem itself,
+    whose circuits and energy views the runs share (its own cap applies).
     """
-    instance = Instance(config.problem, max_qubits) if _instance is None else _instance
+    if instance is None:
+        instance = Instance(config.problem, max_qubits)
+    elif instance.problem is not config.problem:
+        raise InstanceMismatchError("instance was built from another problem than the config's")
     problem, layout = instance.problem, instance.layout
     report = enumerate_solutions(problem, layout, max_qubits=instance.max_qubits)
     circuit = build_circuit(config.algorithm, instance, config.reps)
@@ -227,14 +230,15 @@ class SweepPoint:
 def _time_statevector(instance: Instance, circuit: Circuit) -> float:
     """Best-of-3 wall time of one circuit execution plus one expectation."""
     theta = np.full(len(circuit.parameters), 1.0)
+    energies = instance.energy_view(circuit)
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
         state = run(circuit, theta, max_qubits=instance.max_qubits)
-        # Squares all 2^Q amplitudes, unlike probabilities() on a support
-        # state, which optimize uses: sim_seconds must time the dense
+        # Squares and sums all 2^Q amplitudes, unlike probabilities() on a
+        # support state, which optimize uses: sim_seconds must time the dense
         # statevector simulator, whose growth with Q the sweep reports.
-        float((np.abs(state.amplitudes) ** 2) @ instance.energies)
+        float((np.abs(state.amplitudes) ** 2) @ energies)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -249,32 +253,23 @@ def scaling_sweep(
     variant: ProblemVariant = ECHL,
     algorithm: str = "a4",
     optimizer: OptimizerConfig = SWEEP_OPTIMIZER,
-    mode: str = "exact",
-    shots: int = 4096,
-    runs: int = 1,
-    seed: int = 0,
     max_qubits: int = DEFAULT_MAX_QUBITS,
+    **settings,
 ) -> list[SweepPoint]:
-    """One experiment per process count over the synthetic family."""
+    """One experiment per process count over the synthetic family; settings
+    are ExperimentConfig fields (mode, shots, runs, seed, reps), left out
+    ones at its defaults."""
     problems = [(processes, scaling_instance(processes, variant)) for processes in process_counts]
     # Every point's register is checked before the first point runs.
     for _, problem in problems:
         check_qubit_count(build_layout(problem).qubit_count, max_qubits)
     points: list[SweepPoint] = []
     for processes, problem in problems:
-        config = ExperimentConfig(
-            problem=problem,
-            algorithm=algorithm,
-            optimizer=optimizer,
-            mode=mode,
-            shots=shots,
-            runs=runs,
-            seed=seed,
-            label=f"{variant.name.lower()}-p{processes}",
-        )
+        label = f"{variant.name.lower()}-p{processes}"
+        config = ExperimentConfig(problem, algorithm, optimizer, label=label, **settings)
         instance = Instance(problem, max_qubits)
-        report = run_experiment(config, _instance=instance)
-        circuit = build_circuit(algorithm, instance)
+        report = run_experiment(config, instance=instance)
+        circuit = build_circuit(algorithm, instance, config.reps)
         sim_seconds = _time_statevector(instance, circuit)
         points.append(SweepPoint(processes, report.qubit_count, sim_seconds, report))
     return points

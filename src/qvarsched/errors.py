@@ -32,7 +32,8 @@ class NonFiniteObjectiveError(QvarschedError):
 
 
 class InstanceMismatchError(QvarschedError):
-    """Measurement counts and oracle report belong to different instances."""
+    """Two things that must belong to one instance do not: measurement counts
+    and an oracle report, or an Instance and an experiment's problem."""
 
 
 class ParseError(QvarschedError):

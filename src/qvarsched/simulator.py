@@ -81,7 +81,8 @@ the row it adds, with +=, one row holding the term's +-coeff values over its
 qubits inside the row to the rows with that pattern. Each energy receives
 the same float adds, in the same order, as from one broadcast table per term
 over the (2,)*Q view; coeff times +-1.0 is exact, sign of zero included, in
-any order of the factors.
+any order of the factors. energies_at makes the same adds, term by term, at
+given basis indices only, so it equals the table there bit for bit.
 """
 from __future__ import annotations
 
@@ -139,6 +140,12 @@ class Circuit:
     @cached_property
     def _program(self) -> _DenseProgram | _SupportProgram:
         return _compile(self)
+
+    @property
+    def support(self) -> np.ndarray | None:
+        """Ascending basis indices outside which every state it runs to is +0;
+        None for a dense program."""
+        return self._program.support
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,6 +563,27 @@ def diagonal_energies(model: IsingModel) -> np.ndarray:
     return energies
 
 
+def energies_at(model: IsingModel, indices) -> np.ndarray:
+    """diagonal_energies(model)[indices], bit for bit, without the 2^Q table.
+
+    Each term adds its +-coeff values in the order diagonal_energies adds
+    them, one elementwise += per term, and coeff times +-1.0 is exact.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    q = model.qubit_count
+    energies = np.full(len(indices), float(model.constant))
+
+    def spin(i: int) -> np.ndarray:
+        return 1.0 - 2.0 * ((indices >> (q - 1 - i)) & 1)
+
+    for i, coeff in enumerate(model.linear):
+        if coeff:
+            energies += float(coeff) * spin(i)
+    for (i, j), coeff in model.pairwise.items():
+        energies += float(coeff) * spin(i) * spin(j)
+    return energies
+
+
 def expectation_diagonal(state: StateVector, model: IsingModel) -> float:
     """<psi| H |psi> for a diagonal Hamiltonian, exactly from amplitudes."""
     if state.qubit_count != model.qubit_count:
@@ -563,6 +591,13 @@ def expectation_diagonal(state: StateVector, model: IsingModel) -> float:
             f"state has {state.qubit_count} qubits, model has {model.qubit_count}"
         )
     return float(state.probabilities() @ diagonal_energies(model))
+
+
+def sampled_indices(support: np.ndarray, qubit_count: int) -> np.ndarray:
+    """The categories sample draws over for a support: the support, with
+    2^Q - 1 appended when it lacks that index."""
+    last = (1 << qubit_count) - 1
+    return support if support[-1] == last else np.append(support, last)
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,8 +627,7 @@ def sample(state: StateVector, shots: int, seed: int) -> Counts:
     if categories is None:
         probs = probs / total
     else:
-        if categories[-1] != len(probs) - 1:
-            categories = np.append(categories, len(probs) - 1)
+        categories = sampled_indices(categories, state.qubit_count)
         probs = probs[categories] / total
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     hit = np.nonzero(draws)[0]

@@ -8,12 +8,23 @@ is recorded on the result. Initial points are drawn uniformly from [0, pi)
 per seed and every source of randomness — restart initial points,
 sampled-mode measurement seeds, the final measurement of the configured shot
 count — derives from the config seed, so exact-mode runs are bit-reproducible.
+
+The objective reads each circuit's energy view (Instance.energy_view): all
+2^Q energies for a dense program (QAOA); for a support program (a1-a4),
+zeros except at the basis states sample draws over, which hold the true
+energies. So the sampled objective reads a true energy at every hit. The
+exact one keeps its bytes too: probabilities() is +0 outside the support, so
+every product its ddot adds there is an exact +-0, whatever energy it meets.
+Adding an exact zero leaves a nonzero lane sum unchanged, and a lane sum
+that starts at +0 never becomes -0, so probabilities() @ view equals
+probabilities() @ energies bit for bit, whatever the BLAS kernel.
 """
 from __future__ import annotations
 
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from math import isfinite, pi
 
 import numpy as np
@@ -27,16 +38,19 @@ from .simulator import (
     DEFAULT_MAX_QUBITS,
     Circuit,
     Counts,
-    StateVector,
     diagonal_energies,
+    energies_at,
     run,
     sample,
+    sampled_indices,
 )
 
 _SEED_RANGE = 2**31
 _COBYLA_RHOBEG = 1.0
 ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names build_circuit takes
-MODES = ("exact", "sampled")  # the objectives optimize evaluates
+DEFAULT_MODE = "exact"
+MODES = (DEFAULT_MODE, "sampled")  # the objectives optimize evaluates
+DEFAULT_SHOTS = 4096  # of the final measurement, and of each sampled evaluation
 
 
 @dataclass(frozen=True)
@@ -139,9 +153,9 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
 
 
 class Instance:
-    """One problem built once: its qubit layout, Ising model, the energy of
-    every basis state and the circuits built for it (see build_circuit),
-    shared by every run and restart on it.
+    """One problem built once: its qubit layout, Ising model, the circuits
+    built for it (see build_circuit) and their energy views, shared by every
+    run and restart on it.
 
     max_qubits caps every run on it and is checked before any 2^Q work.
     """
@@ -153,8 +167,28 @@ class Instance:
         self.max_qubits = max_qubits
         self.layout = layout
         self.model = encode(problem, layout)
-        self.energies = diagonal_energies(self.model)
         self.circuits: dict[tuple[str, int], Circuit] = {}
+        self.views: dict[Circuit, np.ndarray] = {}
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """The energy of every basis state, built on first use."""
+        return diagonal_energies(self.model)
+
+    def energy_view(self, circuit: Circuit) -> np.ndarray:
+        """The energies the objective reads for circuit, built once per circuit:
+        all of them for a dense program; for a support program, 2^Q zeros
+        holding the energies at the basis states sample draws over."""
+        view = self.views.get(circuit)
+        if view is None:
+            if circuit.support is None:
+                view = self.energies
+            else:
+                indices = sampled_indices(circuit.support, self.layout.qubit_count)
+                view = np.zeros(1 << self.layout.qubit_count)
+                view[indices] = energies_at(self.model, indices)
+            self.views[circuit] = view
+        return view
 
 
 def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
@@ -173,26 +207,39 @@ def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
     return instance.circuits[key]
 
 
-def _sampled_energy(state: StateVector, shots: int, seed: int, energies: np.ndarray) -> float:
-    counts = sample(state, shots, seed)
-    # Summed strictly left to right in ascending index order, so the value is
-    # bit-identical to a plain sum over the sample's (index, count) pairs.
-    return float(np.add.accumulate(counts.counts * energies[counts.indices])[-1]) / shots
+class Objective:
+    """The energy optimize minimizes, one per (instance, circuit, mode, shots):
+    called with (theta, rng), it reads the circuit's energy view, and sampled
+    mode seeds each measurement from rng."""
+
+    def __init__(self, instance: Instance, circuit: Circuit, mode: str, shots: int):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        self.circuit, self.mode, self.shots = circuit, mode, shots
+        self.max_qubits, self.energies = instance.max_qubits, instance.energy_view(circuit)
+
+    def __call__(self, theta: np.ndarray, rng: np.random.Generator) -> float:
+        state = run(self.circuit, theta, max_qubits=self.max_qubits)
+        if self.mode != "sampled":
+            return float(state.probabilities() @ self.energies)
+        counts = sample(state, self.shots, int(rng.integers(_SEED_RANGE)))
+        # Summed strictly left to right in ascending index order, so the value is
+        # bit-identical to a plain sum over the sample's (index, count) pairs.
+        total = np.add.accumulate(counts.counts * self.energies[counts.indices])[-1]
+        return float(total) / self.shots
 
 
 def optimize(
     instance: Instance,
     circuit: Circuit,
     config: OptimizerConfig,
-    mode: str = "exact",
-    shots: int = 4096,
+    mode: str = DEFAULT_MODE,
+    shots: int = DEFAULT_SHOTS,
 ) -> VqaResult:
     """Minimize the instance's energy over the circuit's parameters, then
     measure the best point with the given number of shots."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    objective = Objective(instance, circuit, mode, shots)
     started = time.perf_counter()
-    energies, max_qubits = instance.energies, instance.max_qubits
     dim = len(circuit.parameters)
     master = np.random.default_rng(config.seed)
     final_seed = int(master.integers(_SEED_RANGE))
@@ -200,25 +247,12 @@ def optimize(
 
     best: MinimizeResult | None = None
     for restart_seed in restart_seeds:
-        rng = np.random.default_rng(restart_seed)
-
-        if mode == "exact":
-
-            def objective(theta: np.ndarray) -> float:
-                state = run(circuit, theta, max_qubits=max_qubits)
-                return float(state.probabilities() @ energies)
-
-        else:
-
-            def objective(theta: np.ndarray) -> float:
-                state = run(circuit, theta, max_qubits=max_qubits)
-                return _sampled_energy(state, shots, int(rng.integers(_SEED_RANGE)), energies)
-
-        result = minimize(objective, dim, replace(config, seed=restart_seed))
+        seeded = partial(objective, rng=np.random.default_rng(restart_seed))
+        result = minimize(seeded, dim, replace(config, seed=restart_seed))
         if best is None or result.value < best.value:
             best = result
 
-    final_state = run(circuit, best.parameters, max_qubits=max_qubits)
+    final_state = run(circuit, best.parameters, max_qubits=instance.max_qubits)
     counts = sample(final_state, shots, final_seed)
     return VqaResult(
         parameters=best.parameters,
@@ -235,8 +269,8 @@ def run_vqe(
     problem: AssignmentProblem,
     ansatz: str,
     config: OptimizerConfig,
-    mode: str = "exact",
-    shots: int = 4096,
+    mode: str = DEFAULT_MODE,
+    shots: int = DEFAULT_SHOTS,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
@@ -248,8 +282,8 @@ def run_qaoa(
     problem: AssignmentProblem,
     reps: int,
     config: OptimizerConfig,
-    mode: str = "exact",
-    shots: int = 4096,
+    mode: str = DEFAULT_MODE,
+    shots: int = DEFAULT_SHOTS,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from qvarsched import (
     OptimizerConfig,
+    bench,
     build_layout,
     check_feasible,
     decode,
@@ -208,10 +211,43 @@ def test_instance_is_built_once_per_experiment_and_sweep_point(monkeypatch):
         optimizer=OptimizerConfig(max_iterations=10, restarts=2),
         runs=3,
     )
-    run_experiment(config)
-    assert len(encoded) == 1 and len(energies) == 1
+    # a1-a4 read energies only where their program reaches: no 2^Q table,
+    # in the runs, restarts or the sweep's timing probe.
+    for kind in ("a1", "a2", "a3", "a4"):
+        run_experiment(replace(config, algorithm=kind))
+    assert len(encoded) == 4 and energies == []
     scaling_sweep([3], optimizer=OptimizerConfig(max_iterations=5, restarts=1))
-    assert len(encoded) == 2 and len(energies) == 2
+    assert len(encoded) == 5 and energies == []
+    run_experiment(replace(config, algorithm="qaoa"))
+    assert len(encoded) == 6 and len(energies) == 1
+
+
+def test_run_experiment_rejects_an_instance_of_another_problem(monkeypatch):
+    oracles = spy_calls(monkeypatch, bench, "enumerate_solutions")
+    minimized = spy_calls(monkeypatch, vqa, "minimize")
+    instance = vqa.Instance(reference_problem("EOHL"))
+    with pytest.raises(InstanceMismatchError, match="another problem"):
+        run_experiment(_tiny_config(reference_problem("EOHL")), instance=instance)
+    assert oracles == [] and minimized == []
+    report = run_experiment(_tiny_config(instance.problem, runs=1), instance=instance)
+    assert report.qubit_count == 8
+
+
+def test_scaling_sweep_passes_on_experiment_settings():
+    points = scaling_sweep(
+        [3],
+        algorithm="qaoa",
+        optimizer=OptimizerConfig(restarts=1, max_iterations=6),
+        reps=2,
+        mode="sampled",
+        shots=64,
+        runs=2,
+    )
+    report = points[0].report
+    assert report.algorithm == "qaoa-2" and len(report.runs) == 2
+    assert all(len(run.parameters) == 4 for run in report.runs)
+    with pytest.raises(ValueError, match="mode"):
+        scaling_sweep([3], mode="approx")
 
 
 def test_unknown_algorithm_raises_before_any_energies(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qvarsched import build_layout, encode, expectation_diagonal, run, sample, simulator
+from qvarsched import build_layout, encode, expectation_diagonal, run, sample, simulator, vqa
 from qvarsched.bench import scaling_instance
 from qvarsched.circuits import ANSATZ_BUILDERS
 from qvarsched.encoder import IsingModel
@@ -30,6 +30,7 @@ from qvarsched.simulator import (
     bits_to_index,
     circuit_to_text,
     diagonal_energies,
+    energies_at,
     index_to_bits,
     _DenseProgram,
     _relabel,
@@ -507,6 +508,11 @@ def test_the_objective_squares_the_support_to_the_dense_probabilities_bit_for_bi
     dense = np.abs(state.amplitudes) ** 2
     probs = state.probabilities()
     assert probs.tobytes() == dense.tobytes()
+    # The exact objective reads the circuit's energy view, never the full table.
+    exact = vqa.Objective(instance, circuit, "exact", 1)(values, None)
+    assert "energies" not in vars(instance)
+    full = probs @ diagonal_energies(instance.model)
+    assert np.float64(exact).tobytes() == full.tobytes()
     assert (probs @ instance.energies).tobytes() == (dense @ instance.energies).tobytes()
 
 
@@ -536,20 +542,43 @@ def test_support_sampling_equals_the_dense_multinomial_bit_for_bit(drawn, last_h
     assert counts.counts.tobytes() == expected_hits.tobytes()
 
 
+# With a tiny last probability and 10^15 shots, the multinomial has draws
+# left after its last nonzero category, and hands them to index 2^Q - 1,
+# whose probability is 0.
+_LEFTOVER_AMPLITUDES = (
+    0.24373561805389007, 0.6243061961662504, 0.7421824047498687, 1.3198061729297087e-07
+)
+
+
 def test_support_sampling_keeps_the_leftover_draws_at_the_last_index():
-    # With a tiny last probability and 10^15 shots, the multinomial has draws
-    # left after its last nonzero category, and hands them to index 2^Q - 1,
-    # whose probability is 0.
     amplitudes = np.zeros(8)
-    amplitudes[:4] = (
-        0.24373561805389007, 0.6243061961662504, 0.7421824047498687, 1.3198061729297087e-07
-    )
+    amplitudes[:4] = _LEFTOVER_AMPLITUDES
     state = StateVector(3, amplitudes, np.arange(4))
     expected_indices, expected_hits = reference_sample(amplitudes, 10**15, 0)
     assert expected_indices[-1] == 7 and expected_hits[-1] > 0
     counts = sample(state, 10**15, 0)
     assert counts.indices.tobytes() == expected_indices.tobytes()
     assert counts.counts.tobytes() == expected_hits.tobytes()
+
+
+def test_the_sampled_objective_reads_the_true_energy_of_the_leftover_draws(monkeypatch):
+    # The leftover case on the 8-qubit EOHL instance: a circuit whose support
+    # is the first 4 indices, so its energy view holds energies at 0..3 and 255.
+    instance = Instance(reference_problem("EOHL"))
+    circuit = Circuit(8, (Gate("h", (6,)), Gate("h", (7,))), ())
+    assert circuit.support.tolist() == [0, 1, 2, 3]
+    amplitudes = np.zeros(256)
+    amplitudes[:4] = _LEFTOVER_AMPLITUDES
+    state = StateVector(8, amplitudes, np.arange(4))
+    monkeypatch.setattr(vqa, "run", lambda *args, **kwargs: state)
+    # The measurement seed that rng 56 draws leaves 2 draws over.
+    shots, seed = 10**15, int(np.random.default_rng(56).integers(2**31))
+    value = vqa.Objective(instance, circuit, "sampled", shots)((), np.random.default_rng(56))
+    indices, hits = reference_sample(amplitudes, shots, seed)
+    energies = diagonal_energies(instance.model)
+    assert indices[-1] == 255 and hits[-1] > 0 and energies[255] != 0
+    plain = sum(int(h) * energies[i] for i, h in zip(indices.tolist(), hits.tolist())) / shots
+    assert value == plain
 
 
 def test_compiling_the_support_program_does_no_full_basis_work():
@@ -613,3 +642,15 @@ def _wide_ising_models(draw):
 @given(_wide_ising_models())
 def test_energies_past_one_row_equal_the_per_term_sum_bit_for_bit(model):
     assert diagonal_energies(model).tobytes() == reference_energies(model).tobytes()
+
+
+@pytest.mark.parametrize("models", [_ising_models(), _wide_ising_models()], ids=["narrow", "wide"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_energies_at_equal_the_table_at_the_same_indices_bit_for_bit(models, data):
+    model = data.draw(models)
+    last = (1 << model.qubit_count) - 1
+    drawn = data.draw(st.lists(st.integers(0, last), max_size=40))
+    # Unsorted, with repeats, and always both ends of the basis.
+    indices = np.array(data.draw(st.permutations([0, last, *drawn, *drawn[:5]])), dtype=np.int64)
+    assert energies_at(model, indices).tobytes() == diagonal_energies(model)[indices].tobytes()

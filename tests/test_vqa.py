@@ -248,12 +248,16 @@ def test_sampled_energy_matches_a_plain_sum_bit_for_bit():
         "EOFL", [1, 1, 1], [("7/3", "1/7"), ("3/11", "5/9"), ("1/7", "7/3")], (2, 2)
     )
     instance = vqa.Instance(problem)
-    circuit = build_ansatz("a1", problem, instance.layout)
+    circuit = vqa.build_circuit("a1", instance)
+    # The objective reads the circuit's energy view; the plain sum reads the full table.
+    objective = vqa.Objective(instance, circuit, "sampled", 4096)
+    energies = diagonal_energies(instance.model)
     rng = np.random.default_rng(5)
     for seed in range(300):
-        state = run(circuit, rng.uniform(0, np.pi, len(circuit.parameters)))
-        indexed = vqa._sampled_energy(state, 4096, seed, instance.energies)
-        assert indexed == _reparsed_energy(sample(state, 4096, seed), instance.energies)
+        theta = rng.uniform(0, np.pi, len(circuit.parameters))
+        indexed = objective(theta, np.random.default_rng(seed))
+        drawn = int(np.random.default_rng(seed).integers(2**31))
+        assert indexed == _reparsed_energy(sample(run(circuit, theta), 4096, drawn), energies)
 
 
 def test_qubit_cap_is_checked_before_any_encoding(monkeypatch):
