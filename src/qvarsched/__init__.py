@@ -28,7 +28,6 @@ from .simulator import (
     Gate,
     Param,
     StateVector,
-    expectation_diagonal,
     run,
     sample,
 )

@@ -3,8 +3,9 @@
 P_best / P_feas are the shot fractions landing on optimal / feasible
 basis states; C_best / C_feas divide them by the random-guess probability
 N_x / 2^Q, so a uniform sampler scores C = 1. Experiments run R independent
-seeded repetitions of one algorithm on one instance and aggregate with mean
-and sample standard deviation. Timing columns are wall-clock and are the
+seeded repetitions of one algorithm on one Instance, which carries the
+problem's layout, Ising model and qubit cap, and aggregate with mean and
+sample standard deviation. Timing columns are wall-clock and are the
 only non-reproducible output fields.
 """
 from __future__ import annotations
@@ -17,11 +18,11 @@ from statistics import mean, stdev
 
 import numpy as np
 
-from .errors import InstanceMismatchError, check_qubit_count
+from .errors import InstanceMismatchError
 from .oracle import OracleReport, enumerate_solutions
-from .problem import ECHL, AssignmentProblem, ProblemVariant, build_layout, make_problem
+from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
-from .vqa import ALGORITHMS, MODES, Instance, OptimizerConfig, build_circuit, optimize
+from .vqa import ALGORITHMS, MODES, SEED_RANGE, Instance, OptimizerConfig, build_circuit, optimize
 from .vqa import DEFAULT_MODE, DEFAULT_SHOTS
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
@@ -136,25 +137,20 @@ def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[s
     return means, stds
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    *,
-    instance: Instance | None = None,
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, instance: Instance | None = None) -> ExperimentReport:
     """Execute R seeded runs, score each at the configured shot count.
 
     instance, when given, is an Instance built from config.problem itself,
-    whose circuits and energy views the runs share (its own cap applies).
+    whose circuits and energy views the runs share and whose cap applies;
+    otherwise one is built with the default cap.
     """
     if instance is None:
-        instance = Instance(config.problem, max_qubits)
+        instance = Instance(config.problem)
     elif instance.problem is not config.problem:
         raise InstanceMismatchError("instance was built from another problem than the config's")
-    problem, layout = instance.problem, instance.layout
-    report = enumerate_solutions(problem, layout, max_qubits=instance.max_qubits)
+    report = enumerate_solutions(instance.layout, max_qubits=instance.max_qubits)
     circuit = build_circuit(config.algorithm, instance, config.reps)
-    run_seeds = np.random.default_rng(config.seed).integers(2**31, size=config.runs)
+    run_seeds = np.random.default_rng(config.seed).integers(SEED_RANGE, size=config.runs)
     records: list[RunRecord] = []
     for raw_seed in run_seeds:
         seed = int(raw_seed)
@@ -166,9 +162,9 @@ def run_experiment(
         )
     means, stds = _aggregate(tuple(records))
     return ExperimentReport(
-        label=config.label or problem.variant.name.lower(),
+        label=config.label or config.problem.variant.name.lower(),
         algorithm=config.algorithm_label,
-        qubit_count=layout.qubit_count,
+        qubit_count=instance.layout.qubit_count,
         oracle=report,
         runs=tuple(records),
         mean=means,
@@ -259,15 +255,15 @@ def scaling_sweep(
     """One experiment per process count over the synthetic family; settings
     are ExperimentConfig fields (mode, shots, runs, seed, reps), left out
     ones at its defaults."""
-    problems = [(processes, scaling_instance(processes, variant)) for processes in process_counts]
-    # Every point's register is checked before the first point runs.
-    for _, problem in problems:
-        check_qubit_count(build_layout(problem).qubit_count, max_qubits)
+    # Every Instance checks its cap before the first point runs; each is
+    # dropped once its point is done, so at most one holds its energies.
+    pending = [Instance(scaling_instance(p, variant), max_qubits) for p in process_counts]
     points: list[SweepPoint] = []
-    for processes, problem in problems:
+    while pending:
+        instance = pending.pop(0)
+        processes = instance.problem.num_processes
         label = f"{variant.name.lower()}-p{processes}"
-        config = ExperimentConfig(problem, algorithm, optimizer, label=label, **settings)
-        instance = Instance(problem, max_qubits)
+        config = ExperimentConfig(instance.problem, algorithm, optimizer, label=label, **settings)
         report = run_experiment(config, instance=instance)
         circuit = build_circuit(algorithm, instance, config.reps)
         sim_seconds = _time_statevector(instance, circuit)

@@ -31,7 +31,7 @@ from math import pi
 from typing import Iterator
 
 from .encoder import IsingModel
-from .problem import AssignmentProblem, VariableLayout, parse_bits
+from .problem import VariableLayout, parse_bits
 from .simulator import Circuit, Gate, Param
 
 
@@ -86,7 +86,7 @@ def _ring_pairs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:
     return pairs[0::2] + pairs[1::2]
 
 
-def build_a1(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
+def build_a1(layout: VariableLayout) -> Circuit:
     """One-hot blocks plus an independent RY on every slack qubit."""
     b = _Builder(layout.qubit_count)
     _assignment_blocks(b, layout)
@@ -95,7 +95,7 @@ def build_a1(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
     return b.done()
 
 
-def build_a2(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
+def build_a2(layout: VariableLayout) -> Circuit:
     """One-hot blocks plus a two-local layer entangling all slack qubits."""
     b = _Builder(layout.qubit_count)
     _assignment_blocks(b, layout)
@@ -108,12 +108,12 @@ def build_a2(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
     return b.done()
 
 
-def build_a3(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
+def build_a3(layout: VariableLayout) -> Circuit:
     """As a2, but entanglement stays inside each node's slack register."""
     b = _Builder(layout.qubit_count)
     _assignment_blocks(b, layout)
     for _ in range(2):
-        for j in range(problem.num_nodes):
+        for j in range(layout.problem.num_nodes):
             register = layout.slack_qubits(j)
             for q in register:
                 b.gates.append(Gate("ry", (q,), b.fresh_param()))
@@ -122,7 +122,7 @@ def build_a3(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
     return b.done()
 
 
-def build_a4(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
+def build_a4(layout: VariableLayout) -> Circuit:
     """One-hot blocks; slack registers computed from the assignment qubits.
 
     Each register starts at the node capacity (mod register size) and one
@@ -130,6 +130,7 @@ def build_a4(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
     qubit is set, so every supported basis state carries
     slack = (capacity - load) mod 2^m. Cloud qubits touch no register.
     """
+    problem = layout.problem
     b = _Builder(layout.qubit_count)
     _assignment_blocks(b, layout)
     for j, node in enumerate(problem.nodes):
@@ -151,12 +152,12 @@ def build_a4(problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
 ANSATZ_BUILDERS = {"a1": build_a1, "a2": build_a2, "a3": build_a3, "a4": build_a4}
 
 
-def build_ansatz(kind: str, problem: AssignmentProblem, layout: VariableLayout) -> Circuit:
+def build_ansatz(kind: str, layout: VariableLayout) -> Circuit:
     try:
         builder = ANSATZ_BUILDERS[kind.lower()]
     except KeyError:
         raise ValueError(f"unknown ansatz {kind!r}, expected one of {sorted(ANSATZ_BUILDERS)}")
-    return builder(problem, layout)
+    return builder(layout)
 
 
 def build_qaoa(model: IsingModel, reps: int) -> Circuit:

@@ -23,7 +23,7 @@ from .files import parse_experiment, parse_problem, read_text
 from .oracle import enumerate_solutions
 from .problem import VARIANTS, build_layout
 from .simulator import index_to_bits
-from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES
+from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES, Instance
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -40,8 +40,7 @@ def _write_output(text: str, out: str | None):
 
 def cmd_encode(args: argparse.Namespace) -> int:
     problem = parse_problem(read_text(args.problem))
-    layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(build_layout(problem))
     _write_output(model_to_text(model), args.out)
     return 0
 
@@ -49,7 +48,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     problem = parse_problem(read_text(args.problem))
     layout = build_layout(problem)
-    report = enumerate_solutions(problem, layout, max_qubits=args.max_qubits)
+    report = enumerate_solutions(layout, max_qubits=args.max_qubits)
     lines = [
         f"variant {problem.variant.name}",
         f"qubits {layout.qubit_count}",
@@ -96,7 +95,7 @@ def _summary_text(report: bench.ExperimentReport, spec_mode: str, shots: int) ->
 def cmd_solve(args: argparse.Namespace) -> int:
     config = parse_experiment(read_text(args.spec), Path(args.spec).parent)
     config = replace(config, **_given(args, "mode", "shots", "runs", "seed"))
-    report = bench.run_experiment(config, max_qubits=args.max_qubits)
+    report = bench.run_experiment(config, instance=Instance(config.problem, args.max_qubits))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # Appended, not swapped in: --out exp-0.5 must not write exp-0.csv.

@@ -67,8 +67,9 @@ class _Polynomial:
                 self.pairwise[key] = self.pairwise.get(key, Fraction(0)) + scale * 2 * a1 * a2
 
 
-def encode(problem: AssignmentProblem, layout: VariableLayout) -> IsingModel:
-    """Expand the penalized objective into an IsingModel."""
+def encode(layout: VariableLayout) -> IsingModel:
+    """Expand the penalized objective of layout.problem into an IsingModel."""
+    problem = layout.problem
     a = penalty_weight(problem)
     half = Fraction(1, 2)
     poly = _Polynomial(layout.qubit_count)

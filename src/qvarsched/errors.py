@@ -23,10 +23,6 @@ def check_qubit_count(qubit_count: int, max_qubits: int) -> None:
         raise QubitCountExceededError(f"{qubit_count} qubits exceeds the maximum of {max_qubits}")
 
 
-class DimensionMismatchError(QvarschedError):
-    """State and operator act on registers of different sizes."""
-
-
 class NonFiniteObjectiveError(QvarschedError):
     """Objective function returned NaN or infinity."""
 

@@ -1,9 +1,10 @@
 """Classical ground truth: exact enumeration and dense-matrix circuits.
 
-enumerate_solutions walks the (N + c)^P target tuples, derives each slack
-register and sums exact Fraction gains into a report of basis indices; it
-never visits the 2^Q basis states, and per-string check_feasible over all of
-them is its independent counterpart. dense_state rebuilds every gate as an
+enumerate_solutions takes a VariableLayout alone and reads its problem. It
+walks the (N + c)^P target tuples, derives each slack register and sums exact
+Fraction gains into a report of basis indices; it never visits the 2^Q basis
+states, and per-string check_feasible(layout, bits) over all of them is its
+independent counterpart. dense_state rebuilds every gate as an
 explicit 2^n x 2^n matrix, sharing no kernel code with the fast simulator.
 """
 from __future__ import annotations
@@ -16,14 +17,7 @@ from math import cos, sin
 import numpy as np
 
 from .errors import QubitCountExceededError, check_qubit_count
-from .problem import (
-    CLOUD,
-    Assignment,
-    AssignmentProblem,
-    VariableLayout,
-    assignment_bits,
-    gain,
-)
+from .problem import CLOUD, Assignment, VariableLayout, assignment_bits, gain
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, Param, _bind
 
 DENSE_MAX_QUBITS = 6
@@ -56,12 +50,10 @@ class OracleReport:
 
 
 def enumerate_solutions(
-    problem: AssignmentProblem,
-    layout: VariableLayout,
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    layout: VariableLayout, *, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> OracleReport:
-    """Exact optima and feasibility counts from a walk over target tuples.
+    """Exact optima and feasibility counts of layout.problem from a walk over
+    target tuples.
 
     Each process goes to one of the N nodes or, where allowed, the Cloud, so
     the walk visits (N + c)^P tuples (c = 1 with a Cloud, else 0): at most
@@ -71,7 +63,7 @@ def enumerate_solutions(
     feasible tuple gives exactly one feasible basis index. Gains are exact
     Fractions.
     """
-    q = layout.qubit_count
+    problem, q = layout.problem, layout.qubit_count
     check_qubit_count(q, max_qubits)
     options = list(range(problem.num_nodes))
     if problem.variant.cloud_allowed:

@@ -137,10 +137,7 @@ def slack_bit_count(node: NodeSpec, variant: ProblemVariant) -> int:
 
 def qubit_count(problem: AssignmentProblem) -> int:
     """Total binary variables: assignment bits, cloud bits, slack bits."""
-    p, n = problem.num_processes, problem.num_nodes
-    per_process = n + (1 if problem.variant.cloud_allowed else 0)
-    slack = sum(slack_bit_count(node, problem.variant) for node in problem.nodes)
-    return p * per_process + slack
+    return build_layout(problem).qubit_count
 
 
 @dataclass(frozen=True)
@@ -317,10 +314,9 @@ class FeasibilityReport:
     violations: tuple[Violation, ...]
 
 
-def check_feasible(
-    problem: AssignmentProblem, layout: VariableLayout, bits: str
-) -> FeasibilityReport:
+def check_feasible(layout: VariableLayout, bits: str) -> FeasibilityReport:
     """Check every per-process one-hot equality and per-node load equality."""
+    problem = layout.problem
     values = parse_bits(bits, layout.qubit_count)
     violations: list[Violation] = []
     for i in range(problem.num_processes):

@@ -95,7 +95,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import IsingModel
-from .errors import DimensionMismatchError, UnboundParameterError, check_qubit_count
+from .errors import UnboundParameterError, check_qubit_count
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOLERANCE = 1e-9
@@ -582,15 +582,6 @@ def energies_at(model: IsingModel, indices) -> np.ndarray:
     for (i, j), coeff in model.pairwise.items():
         energies += float(coeff) * spin(i) * spin(j)
     return energies
-
-
-def expectation_diagonal(state: StateVector, model: IsingModel) -> float:
-    """<psi| H |psi> for a diagonal Hamiltonian, exactly from amplitudes."""
-    if state.qubit_count != model.qubit_count:
-        raise DimensionMismatchError(
-            f"state has {state.qubit_count} qubits, model has {model.qubit_count}"
-        )
-    return float(state.probabilities() @ diagonal_energies(model))
 
 
 def sampled_indices(support: np.ndarray, qubit_count: int) -> np.ndarray:

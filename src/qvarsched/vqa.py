@@ -45,7 +45,7 @@ from .simulator import (
     sampled_indices,
 )
 
-_SEED_RANGE = 2**31
+SEED_RANGE = 2**31  # every seed drawn from a master seed is below this
 _COBYLA_RHOBEG = 1.0
 ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names build_circuit takes
 DEFAULT_MODE = "exact"
@@ -166,7 +166,7 @@ class Instance:
         self.problem = problem
         self.max_qubits = max_qubits
         self.layout = layout
-        self.model = encode(problem, layout)
+        self.model = encode(layout)
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.views: dict[Circuit, np.ndarray] = {}
 
@@ -202,7 +202,7 @@ def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
         if algorithm == "qaoa":
             circuit = build_qaoa(instance.model, reps)
         else:
-            circuit = build_ansatz(algorithm, instance.problem, instance.layout)
+            circuit = build_ansatz(algorithm, instance.layout)
         instance.circuits[key] = circuit
     return instance.circuits[key]
 
@@ -222,7 +222,7 @@ class Objective:
         state = run(self.circuit, theta, max_qubits=self.max_qubits)
         if self.mode != "sampled":
             return float(state.probabilities() @ self.energies)
-        counts = sample(state, self.shots, int(rng.integers(_SEED_RANGE)))
+        counts = sample(state, self.shots, int(rng.integers(SEED_RANGE)))
         # Summed strictly left to right in ascending index order, so the value is
         # bit-identical to a plain sum over the sample's (index, count) pairs.
         total = np.add.accumulate(counts.counts * self.energies[counts.indices])[-1]
@@ -242,8 +242,8 @@ def optimize(
     started = time.perf_counter()
     dim = len(circuit.parameters)
     master = np.random.default_rng(config.seed)
-    final_seed = int(master.integers(_SEED_RANGE))
-    restart_seeds = [int(s) for s in master.integers(_SEED_RANGE, size=config.restarts)]
+    final_seed = int(master.integers(SEED_RANGE))
+    restart_seeds = [int(s) for s in master.integers(SEED_RANGE, size=config.restarts)]
 
     best: MinimizeResult | None = None
     for restart_seed in restart_seeds:

@@ -73,8 +73,9 @@ REFERENCE_COUNTS = {
 }
 
 
-def direct_objective(problem: AssignmentProblem, layout: VariableLayout, bits: str) -> Fraction:
+def direct_objective(layout: VariableLayout, bits: str) -> Fraction:
     """Penalized objective evaluated directly on the binary variables."""
+    problem = layout.problem
     values = parse_bits(bits, layout.qubit_count)
     a = penalty_weight(problem)
     total = Fraction(0)
@@ -95,13 +96,13 @@ def direct_objective(problem: AssignmentProblem, layout: VariableLayout, bits: s
     return total
 
 
-def brute_force_oracle(problem: AssignmentProblem, layout: VariableLayout) -> OracleReport:
+def brute_force_oracle(layout: VariableLayout) -> OracleReport:
     """The oracle's report from check_feasible and gain on every one of the 2^Q strings."""
-    q = layout.qubit_count
+    problem, q = layout.problem, layout.qubit_count
     gains = {}
     for index in range(1 << q):
         bits = format(index, f"0{q}b")
-        if check_feasible(problem, layout, bits).feasible:
+        if check_feasible(layout, bits).feasible:
             gains[index] = gain(problem, decode(layout, bits))
     best = max(gains.values(), default=None)
     optimal = frozenset(index for index, value in gains.items() if value == best)
@@ -115,9 +116,9 @@ def feasible_mask(report: OracleReport) -> np.ndarray:
     return mask
 
 
-def direct_objective_vector(problem: AssignmentProblem, layout: VariableLayout) -> np.ndarray:
+def direct_objective_vector(layout: VariableLayout) -> np.ndarray:
     """direct_objective for every bitstring, vectorised (exact in float64)."""
-    q = layout.qubit_count
+    problem, q = layout.problem, layout.qubit_count
     index = np.arange(1 << q, dtype=np.int64)
 
     def bit(qubit: int) -> np.ndarray:

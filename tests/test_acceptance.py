@@ -48,7 +48,7 @@ def test_criterion_01_golden_hamiltonian():
     started = time.perf_counter()
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     assert model.constant == GOLDEN_CONSTANT
     assert model.linear == GOLDEN_LINEAR
     assert model.pairwise == GOLDEN_PAIRS
@@ -62,7 +62,7 @@ def test_criterion_02_table_2_reproduction():
     for variant, (q, best, feasible, total) in REFERENCE_COUNTS.items():
         problem = reference_problem(variant)
         layout = build_layout(problem)
-        report = enumerate_solutions(problem, layout)
+        report = enumerate_solutions(layout)
         assert layout.qubit_count == q, variant
         assert report.best_count == best, variant
         assert report.feasible_count == feasible, variant
@@ -78,9 +78,9 @@ def test_criterion_03_circuit_accounting():
     layout = build_layout(problem)
     expected = {"a1": (10, 12, 4), "a2": (14, 20, 4), "a3": (14, 16, 4)}
     for kind, values in expected.items():
-        assert metrics(build_ansatz(kind, problem, layout)) == CircuitMetrics(*values), kind
+        assert metrics(build_ansatz(kind, layout)) == CircuitMetrics(*values), kind
     # a4 parameter count follows the N - 1 + c substitution: P(N - 1 + c) = 6.
-    assert metrics(build_ansatz("a4", problem, layout)).parameter_count == 6
+    assert metrics(build_ansatz("a4", layout)).parameter_count == 6
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     _report(3, f"ansatz parameter/gate/depth accounting in {elapsed:.3f}s")
@@ -115,7 +115,7 @@ def test_criterion_05_structural_support():
         layout = build_layout(problem)
         assert layout.qubit_count <= 14
         for kind in ("a1", "a2", "a3", "a4"):
-            circuit = build_ansatz(kind, problem, layout)
+            circuit = build_ansatz(kind, layout)
             for _ in range(20):
                 theta = rng.uniform(0, 2 * pi, len(circuit.parameters))
                 state = run(circuit, theta)
@@ -198,9 +198,9 @@ def test_criterion_07_penalty_separation():
     for _ in range(25):
         problem = random_problem(rng, max_qubits=14)
         layout = build_layout(problem)
-        model = encode(problem, layout)
+        model = encode(layout)
         energies = diagonal_energies(model)
-        report = enumerate_solutions(problem, layout)
+        report = enumerate_solutions(layout)
         mask = feasible_mask(report)
         if mask.any():
             assert energies[mask].max() <= 0
@@ -216,7 +216,7 @@ def test_criterion_08_vqe_quality():
     started = time.perf_counter()
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    oracle_report = enumerate_solutions(problem, layout)
+    oracle_report = enumerate_solutions(layout)
     config = OptimizerConfig(seed=3, restarts=10, max_iterations=400)
     a4 = run_vqe(problem, "a4", config)
     a4_metrics = score(a4.counts, oracle_report)
@@ -239,7 +239,7 @@ def test_criterion_09_qaoa_vs_vqe_ordering():
     started = time.perf_counter()
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    oracle_report = enumerate_solutions(problem, layout)
+    oracle_report = enumerate_solutions(layout)
 
     def median_p_best(algorithm, reps=None):
         values = []

@@ -37,7 +37,7 @@ from helpers import brute_force_oracle, random_problem, reference_problem, spy_c
 @pytest.fixture(scope="module")
 def report():
     problem = reference_problem("EOHL")
-    return enumerate_solutions(problem, build_layout(problem))
+    return enumerate_solutions(build_layout(problem))
 
 
 def _counts(qubit_count, hits):
@@ -84,7 +84,7 @@ def test_score_equals_a_per_hit_count_over_check_feasible_and_gain(problem_seed,
     problem = random_problem(np.random.default_rng(problem_seed), max_qubits=10)
     layout = build_layout(problem)
     q = layout.qubit_count
-    oracle = brute_force_oracle(problem, layout)
+    oracle = brute_force_oracle(layout)
     # Optimal and feasible indices are rare among all 2^Q, so draw them too.
     index = st.integers(0, (1 << q) - 1)
     for chosen in (oracle.feasible, oracle.optimal):
@@ -94,7 +94,7 @@ def test_score_equals_a_per_hit_count_over_check_feasible_and_gain(problem_seed,
     best_hits = feasible_hits = 0
     for index, count in hits.items():
         bits = index_to_bits(index, q)
-        if check_feasible(problem, layout, bits).feasible:
+        if check_feasible(layout, bits).feasible:
             feasible_hits += count
             if gain(problem, decode(layout, bits)) == oracle.optimal_gain:
                 best_hits += count
@@ -106,7 +106,7 @@ def test_score_equals_a_per_hit_count_over_check_feasible_and_gain(problem_seed,
         p_best * 2**q / oracle.best_count if oracle.best_count else 0.0,
         p_feas * 2**q / oracle.feasible_count if oracle.feasible_count else 0.0,
     )
-    assert score(_counts(q, hits), enumerate_solutions(problem, layout)) == expected
+    assert score(_counts(q, hits), enumerate_solutions(layout)) == expected
 
 
 def test_c_feas_of_uniform_sampler_is_one(report):

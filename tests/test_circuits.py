@@ -10,7 +10,6 @@ from qvarsched import (
     check_feasible,
     decode,
     encode,
-    expectation_diagonal,
     make_problem,
     metrics,
     run,
@@ -18,7 +17,7 @@ from qvarsched import (
 from qvarsched.circuits import CircuitMetrics, a1_basis_angles
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, bits_to_index, index_to_bits
+from qvarsched.simulator import Circuit, bits_to_index, diagonal_energies, index_to_bits
 
 from helpers import random_problem, reference_problem
 
@@ -33,20 +32,20 @@ REFERENCE_METRICS = {
 def test_reference_metrics(kind, expected):
     problem = reference_problem("ECFL")
     layout = build_layout(problem)
-    result = metrics(build_ansatz(kind, problem, layout))
+    result = metrics(build_ansatz(kind, layout))
     assert (result.parameter_count, result.two_qubit_gates, result.two_qubit_depth) == expected
 
 
 def test_a4_parameter_count_reference():
     problem = reference_problem("ECFL")
     layout = build_layout(problem)
-    assert metrics(build_ansatz("a4", problem, layout)).parameter_count == 6
+    assert metrics(build_ansatz("a4", layout)).parameter_count == 6
 
 
 def test_a1_zero_angles_prepare_first_options():
     problem = reference_problem("ECFL")
     layout = build_layout(problem)
-    circuit = build_ansatz("a1", problem, layout)
+    circuit = build_ansatz("a1", layout)
     state = run(circuit, np.zeros(len(circuit.parameters)))
     expected = bits_to_index("100" + "100" + "100" + "0000")
     assert abs(state.amplitudes[expected] - 1.0) < 1e-12
@@ -61,7 +60,7 @@ def _support(state, tol=1e-12):
 def test_one_hot_support(variant, kind):
     problem = reference_problem(variant)
     layout = build_layout(problem)
-    circuit = build_ansatz(kind, problem, layout)
+    circuit = build_ansatz(kind, layout)
     rng = np.random.default_rng(hash((variant, kind)) % 2**32)
     for _ in range(5):
         theta = rng.uniform(0, 2 * pi, len(circuit.parameters))
@@ -75,7 +74,7 @@ def test_a4_slack_consistency():
     for variant in ("EOHL", "EOFL", "ECHL", "ECFL"):
         problem = reference_problem(variant)
         layout = build_layout(problem)
-        circuit = build_ansatz("a4", problem, layout)
+        circuit = build_ansatz("a4", layout)
         rng = np.random.default_rng(17)
         theta = rng.uniform(0, 2 * pi, len(circuit.parameters))
         state = run(circuit, theta)
@@ -91,7 +90,7 @@ def test_a4_slack_consistency():
 def test_a4_all_cloud_reads_capacity():
     problem = reference_problem("ECFL")
     layout = build_layout(problem)
-    circuit = build_ansatz("a4", problem, layout)
+    circuit = build_ansatz("a4", layout)
     theta = np.full(len(circuit.parameters), pi)  # every block picks the cloud
     state = run(circuit, theta)
     support = _support(state)
@@ -107,7 +106,7 @@ def test_a4_all_cloud_reads_capacity():
 def test_a2_degenerates_without_entanglers():
     problem = make_problem("EOHL", [1], [(1,)], (2,), (1,))  # one slack qubit total
     layout = build_layout(problem)
-    circuit = build_ansatz("a2", problem, layout)
+    circuit = build_ansatz("a2", layout)
     names = [g.name for g in circuit.gates]
     assert names.count("cx") == 0
     assert names.count("ry") == 2
@@ -117,7 +116,7 @@ def test_a3_skips_single_bit_registers():
     problem = make_problem("ECHL", [1, 1], [(1, 1), (1, 1)], (4, 2), (0, 1))
     layout = build_layout(problem)
     assert len(layout.slack_qubits(0)) == 3 and len(layout.slack_qubits(1)) == 1
-    circuit = build_ansatz("a3", problem, layout)
+    circuit = build_ansatz("a3", layout)
     register1 = set(layout.slack_qubits(1))
     slack_cx = [
         g for g in circuit.gates if g.name == "cx" and set(g.qubits) & register1
@@ -131,7 +130,7 @@ def test_a3_entanglers_subset_of_a2():
     slack = {q for j in range(2) for q in layout.slack_qubits(j)}
 
     def slack_pairs(kind):
-        circuit = build_ansatz(kind, problem, layout)
+        circuit = build_ansatz(kind, layout)
         return {
             g.qubits for g in circuit.gates if g.name == "cx" and set(g.qubits) <= slack
         }
@@ -154,7 +153,7 @@ def test_parameter_count_formulas_randomized():
             "a4": p * (n - 1 + c),
         }
         for kind, theta in expected.items():
-            circuit = build_ansatz(kind, problem, layout)
+            circuit = build_ansatz(kind, layout)
             assert len(circuit.parameters) == theta
             assert metrics(circuit).parameter_count == theta
 
@@ -183,7 +182,7 @@ def test_qaoa_example_structure():
 def test_qaoa_parameter_count_scales_with_reps():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     for reps in (1, 3, 5):
         assert len(build_qaoa(model, reps).parameters) == 2 * reps
 
@@ -191,7 +190,7 @@ def test_qaoa_parameter_count_scales_with_reps():
 def test_qaoa_zero_angles_give_uniform_state():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     circuit = build_qaoa(model, 2)
     state = run(circuit, np.zeros(4))
     assert np.allclose(np.abs(state.amplitudes) ** 2, 1 / 256, atol=1e-12)
@@ -200,14 +199,14 @@ def test_qaoa_zero_angles_give_uniform_state():
 def test_reachability_of_reference_optima():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
-    report = enumerate_solutions(problem, layout)
-    circuit = build_ansatz("a1", problem, layout)
+    model = encode(layout)
+    report = enumerate_solutions(layout)
+    circuit = build_ansatz("a1", layout)
     for index in report.optimal:
         angles = a1_basis_angles(layout, index_to_bits(index, layout.qubit_count))
         state = run(circuit, angles)
         assert abs(state.amplitudes[index]) ** 2 >= 0.99
-        assert abs(expectation_diagonal(state, model) + 6.0) < 1e-9
+        assert abs(float(state.probabilities() @ diagonal_energies(model)) + 6.0) < 1e-9
 
 
 def test_a1_basis_angles_rejects_inconsistent_strings():
@@ -227,7 +226,7 @@ def test_a4_accounting_grows_polynomially():
     for processes in range(2, 9):
         problem = scaling_instance(processes)
         layout = build_layout(problem)
-        m = metrics(build_ansatz("a4", problem, layout))
+        m = metrics(build_ansatz("a4", layout))
         rows.append((processes, m.two_qubit_gates, m.two_qubit_depth))
     gates = [r[1] for r in rows]
     depths = [r[2] for r in rows]
@@ -242,7 +241,7 @@ def test_a4_accounting_grows_polynomially():
     for capacity in (3, 7, 15):
         problem = make_problem("ECFL", [1, 1], [(1, 1), (1, 1)], (capacity, capacity))
         layout = build_layout(problem)
-        by_register.append(metrics(build_ansatz("a4", problem, layout)).two_qubit_gates)
+        by_register.append(metrics(build_ansatz("a4", layout)).two_qubit_gates)
     assert by_register[0] < by_register[1] < by_register[2]
 
 
@@ -250,4 +249,4 @@ def test_unknown_ansatz_kind():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     with pytest.raises(ValueError):
-        build_ansatz("a9", problem, layout)
+        build_ansatz("a9", layout)

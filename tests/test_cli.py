@@ -222,7 +222,7 @@ def test_cmd_encode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "constant 55.5" in out
     problem = reference_problem("EOHL")
-    assert model_from_text(out) == encode(problem, build_layout(problem))
+    assert model_from_text(out) == encode(build_layout(problem))
 
 
 def test_cmd_encode_parse_error(tmp_path, capsys):

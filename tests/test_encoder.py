@@ -37,7 +37,7 @@ def test_penalty_weight_reference():
 def test_golden_hamiltonian_exact():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     assert model.qubit_count == 8
     assert model.penalty == 11
     assert model.constant == GOLDEN_CONSTANT
@@ -48,11 +48,11 @@ def test_golden_hamiltonian_exact():
 def test_energy_reference_strings():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     assert energy(model, "10100101") == -6
     infeasible = energy(model, "11100000")
     assert infeasible >= 1
-    assert infeasible == direct_objective(problem, layout, "11100000")
+    assert infeasible == direct_objective(layout, "11100000")
     with pytest.raises(MalformedBitstringError):
         energy(model, "101")
 
@@ -60,19 +60,19 @@ def test_energy_reference_strings():
 def test_energy_matches_direct_objective_exhaustive_eohl():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     for i in range(256):
         bits = format(i, "08b")
-        assert energy(model, bits) == direct_objective(problem, layout, bits)
+        assert energy(model, bits) == direct_objective(layout, bits)
 
 
 @pytest.mark.parametrize("variant", ["EOHL", "EOFL", "ECHL", "ECFL"])
 def test_energy_vector_matches_direct_objective_all_strings(variant):
     problem = reference_problem(variant)
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     computed = diagonal_energies(model)
-    expected = direct_objective_vector(problem, layout)
+    expected = direct_objective_vector(layout)
     # Every coefficient is dyadic, so float64 comparison is exact.
     assert np.array_equal(computed, expected)
 
@@ -81,10 +81,10 @@ def test_single_process_toy_expansion():
     # One process, one node, capacity 1: feasible strings have x + b = 1.
     problem = make_problem("EOFL", [1], [(1,)], (1,))
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     for i in range(4):
         bits = format(i, "02b")
-        assert energy(model, bits) == direct_objective(problem, layout, bits)
+        assert energy(model, bits) == direct_objective(layout, bits)
     assert energy(model, "10") == -1  # assigned, slack 0: feasible, gain 1
     assert energy(model, "01") == 2  # one-hot violated: exactly the penalty A
     assert energy(model, "00") >= 1 and energy(model, "11") >= 1
@@ -93,7 +93,7 @@ def test_single_process_toy_expansion():
 def test_zero_gain_instance_feasible_energy_is_zero():
     problem = make_problem("EOFL", [1], [(0,)], (1,))
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     assert energy(model, "10") == 0
 
 
@@ -102,9 +102,9 @@ def test_penalty_separation_randomized():
     for _ in range(25):
         problem = random_problem(rng)
         layout = build_layout(problem)
-        model = encode(problem, layout)
+        model = encode(layout)
         energies = diagonal_energies(model)
-        report = enumerate_solutions(problem, layout)
+        report = enumerate_solutions(layout)
         mask = feasible_mask(report)
         if mask.any():
             assert energies[mask].max() <= 0
@@ -120,7 +120,7 @@ def test_penalty_separation_randomized():
 def test_to_terms_reference():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     terms = to_terms(model)
     assert terms[0] == ((), GOLDEN_CONSTANT)
     singles = [t for t in terms if len(t[0]) == 1]
@@ -152,7 +152,7 @@ def test_example_hamiltonian_round_trips():
 def test_model_text_round_trip_reference():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     text = model_to_text(model)
     assert "constant 55.5" in text
     assert model_from_text(text) == model
@@ -172,8 +172,8 @@ def test_randomized_encode_matches_direct_objective():
     for _ in range(15):
         problem = random_problem(rng, max_qubits=10)
         layout = build_layout(problem)
-        model = encode(problem, layout)
+        model = encode(layout)
         for _ in range(25):
             index = int(rng.integers(1 << layout.qubit_count))
             bits = format(index, f"0{layout.qubit_count}b")
-            assert energy(model, bits) == direct_objective(problem, layout, bits)
+            assert energy(model, bits) == direct_objective(layout, bits)

@@ -32,7 +32,7 @@ from helpers import (
 def test_reference_counts(variant):
     problem = reference_problem(variant)
     layout = build_layout(problem)
-    report = enumerate_solutions(problem, layout)
+    report = enumerate_solutions(layout)
     q, best, feasible, total = REFERENCE_COUNTS[variant]
     assert layout.qubit_count == q
     assert (report.best_count, report.feasible_count, report.total) == (best, feasible, total)
@@ -43,7 +43,7 @@ def test_reference_counts(variant):
 def test_reference_optima_strings():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    report = enumerate_solutions(problem, layout)
+    report = enumerate_solutions(layout)
     optima = {index_to_bits(index, layout.qubit_count) for index in report.optimal}
     assert optima == {"10100101", "01101010"}
 
@@ -51,11 +51,11 @@ def test_reference_optima_strings():
 def test_infeasible_instance():
     problem = make_problem("EOHL", [2], [(1,)], (1,), (0,))
     layout = build_layout(problem)
-    report = enumerate_solutions(problem, layout)
+    report = enumerate_solutions(layout)
     assert report.infeasible_instance
     assert report.feasible_count == 0 and report.best_count == 0
     assert report.optimal_gain is None
-    assert brute_force_oracle(problem, layout) == report
+    assert brute_force_oracle(layout) == report
 
 
 def test_enumeration_matches_brute_force_oracle():
@@ -63,7 +63,7 @@ def test_enumeration_matches_brute_force_oracle():
     for _ in range(30):
         problem = random_problem(rng, max_qubits=10)
         layout = build_layout(problem)
-        assert enumerate_solutions(problem, layout) == brute_force_oracle(problem, layout)
+        assert enumerate_solutions(layout) == brute_force_oracle(layout)
 
 
 def test_feasible_indices_match_check_feasible():
@@ -71,8 +71,8 @@ def test_feasible_indices_match_check_feasible():
     for _ in range(8):
         problem = random_problem(rng, max_qubits=9)
         layout = build_layout(problem)
-        report = enumerate_solutions(problem, layout)
-        expected = brute_force_oracle(problem, layout).feasible
+        report = enumerate_solutions(layout)
+        expected = brute_force_oracle(layout).feasible
         assert report.feasible == expected
         assert np.flatnonzero(feasible_mask(report)).tolist() == sorted(expected)
 
@@ -108,7 +108,7 @@ def wide_gain_problems(draw):
 @given(wide_gain_problems())
 def test_enumeration_is_exact_on_wide_denominators(problem):
     layout = build_layout(problem)
-    assert enumerate_solutions(problem, layout) == brute_force_oracle(problem, layout)
+    assert enumerate_solutions(layout) == brute_force_oracle(layout)
 
 
 def test_optimum_matches_energy_argmin():
@@ -116,10 +116,10 @@ def test_optimum_matches_energy_argmin():
     for _ in range(10):
         problem = random_problem(rng)
         layout = build_layout(problem)
-        report = enumerate_solutions(problem, layout)
+        report = enumerate_solutions(layout)
         if report.infeasible_instance:
             continue
-        energies = diagonal_energies(encode(problem, layout))
+        energies = diagonal_energies(encode(layout))
         assert set(np.nonzero(energies == energies.min())[0].tolist()) == report.optimal
         assert abs(energies.min() + float(report.optimal_gain)) < 1e-9
 
@@ -128,7 +128,7 @@ def test_qubit_cap():
     problem = reference_problem("ECFL")
     layout = build_layout(problem)
     with pytest.raises(QubitCountExceededError):
-        enumerate_solutions(problem, layout, max_qubits=10)
+        enumerate_solutions(layout, max_qubits=10)
 
 
 def test_dense_single_gates_match_simulator():

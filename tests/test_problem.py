@@ -142,8 +142,8 @@ def test_decode_encode_identity_randomized():
 def test_check_feasible_reference():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    assert check_feasible(problem, layout, "10100101").feasible
-    report = check_feasible(problem, layout, "11100000")
+    assert check_feasible(layout, "10100101").feasible
+    report = check_feasible(layout, "11100000")
     assert not report.feasible
     assert any(v.kind == "process" and v.index == 0 for v in report.violations)
 
@@ -152,7 +152,7 @@ def test_check_feasible_counts_eohl():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     feasible = [
-        i for i in range(256) if check_feasible(problem, layout, format(i, "08b")).feasible
+        i for i in range(256) if check_feasible(layout, format(i, "08b")).feasible
     ]
     assert len(feasible) == 4
 
@@ -161,7 +161,7 @@ def test_check_feasible_violation_identifies_node():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     # One-hot holds everywhere but node loads are wrong.
-    report = check_feasible(problem, layout, "01010100")
+    report = check_feasible(layout, "01010100")
     assert not report.feasible
     assert {v.kind for v in report.violations} == {"node"}
 
@@ -189,7 +189,7 @@ def test_feasibility_equals_load_interval_for_pow2_registers():
                 node.threshold <= load <= node.capacity
                 for node, load in zip(problem.nodes, loads)
             )
-            assert check_feasible(problem, layout, bits).feasible == in_interval
+            assert check_feasible(layout, bits).feasible == in_interval
 
 
 def test_gain_reference_values():

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qvarsched import build_layout, encode, expectation_diagonal, run, sample, simulator, vqa
+from qvarsched import build_layout, encode, run, sample, simulator, vqa
 from qvarsched.bench import scaling_instance
 from qvarsched.circuits import ANSATZ_BUILDERS
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import (
-    DimensionMismatchError,
     QubitCountExceededError,
     UnboundParameterError,
 )
@@ -150,39 +149,32 @@ def test_csub_full_permutation_table():
 def test_expectation_basis_state_equals_energy():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     amps = np.zeros(256, dtype=complex)
     amps[bits_to_index("10100101")] = 1.0
-    assert expectation_diagonal(StateVector(8, amps), model) == -6.0
+    assert float(StateVector(8, amps).probabilities() @ diagonal_energies(model)) == -6.0
 
 
 def test_expectation_uniform_state_is_constant():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     circuit = Circuit(8, tuple(Gate("h", (q,)) for q in range(8)), ())
     state = run(circuit)
-    assert abs(expectation_diagonal(state, model) - 55.5) < 1e-9
+    assert abs(float(state.probabilities() @ diagonal_energies(model)) - 55.5) < 1e-9
 
 
 def test_expectation_matches_explicit_sum_random_state():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(problem, layout)
+    model = encode(layout)
     rng = np.random.default_rng(8)
     state = StateVector(8, _random_state(rng, 8))
     energies = diagonal_energies(model)
     explicit = sum(
         abs(state.amplitudes[i]) ** 2 * energies[i] for i in range(256)
     )
-    assert abs(expectation_diagonal(state, model) - explicit) < 1e-9
-
-
-def test_expectation_dimension_mismatch():
-    model = IsingModel(2, Fraction(0), (Fraction(1), Fraction(1)), {}, Fraction(1))
-    state = StateVector(3, np.ones(8, dtype=complex) / np.sqrt(8))
-    with pytest.raises(DimensionMismatchError):
-        expectation_diagonal(state, model)
+    assert abs(float(state.probabilities() @ energies) - explicit) < 1e-9
 
 
 def test_sample_basis_state():
@@ -445,7 +437,7 @@ def _ansatz_cases():
 
 @pytest.mark.parametrize("problem, kind", _ansatz_cases())
 def test_ansatz_circuits_take_the_support_path_bit_for_bit(problem, kind):
-    circuit = ANSATZ_BUILDERS[kind](problem, build_layout(problem))
+    circuit = ANSATZ_BUILDERS[kind](build_layout(problem))
     assert isinstance(circuit._program, _SupportProgram)
     values = np.random.default_rng(7).uniform(0, pi, len(circuit.parameters))
     expected = np.abs(reference_run(circuit, values)) ** 2
@@ -583,7 +575,7 @@ def test_the_sampled_objective_reads_the_true_energy_of_the_leftover_draws(monke
 
 def test_compiling_the_support_program_does_no_full_basis_work():
     problem = scaling_instance(7)
-    circuit = ANSATZ_BUILDERS["a4"](problem, build_layout(problem))
+    circuit = ANSATZ_BUILDERS["a4"](build_layout(problem))
     assert circuit.qubit_count == 23
     tracemalloc.start()
     try:
