@@ -21,8 +21,9 @@ counting only, into controlled ripple decrements — one decrement of the top
 m - t register bits per set bit t of the subtrahend, each a chain of
 multi-controlled X gates. An MCX with c controls is charged 1 gate / depth 1
 for c = 1 and 2c^2 - 2c + 2 gates / depth 2c for c >= 2 (quadratic size,
-linear depth). Depth is greedy as-soon-as-possible layering of two-qubit
-work; single-qubit gates are ignored.
+linear depth); cx, cry and rzz are charged as an MCX with one control.
+Depth is greedy as-soon-as-possible layering of two-qubit work;
+single-qubit gates are ignored.
 """
 from __future__ import annotations
 
@@ -213,9 +214,7 @@ def _mcx_cost(controls: int) -> tuple[int, int]:
 def _accounting_units(circuit: Circuit) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(qubits, gate cost, depth cost) per two-qubit unit, csub expanded."""
     for gate in circuit.gates:
-        if gate.name in ("cx", "cry", "rzz"):
-            yield gate.qubits, 1, 1
-        elif gate.name == "mcx":
+        if gate.name in ("cx", "cry", "rzz", "mcx"):
             cost, duration = _mcx_cost(len(gate.qubits) - 1)
             yield gate.qubits, cost, duration
         elif gate.name == "csub":

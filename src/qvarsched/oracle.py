@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import QubitCountExceededError, check_qubit_count
 from .problem import CLOUD, Assignment, VariableLayout, assignment_bits, gain
-from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, Param, _bind
+from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, _bind, _resolve_angle
 
 DENSE_MAX_QUBITS = 6
 
@@ -92,8 +92,27 @@ def enumerate_solutions(
     return OracleReport(best, frozenset(optimal), frozenset(feasible), q)
 
 
+def _target_matrix(name: str, angle: float | None) -> np.ndarray:
+    """The 2x2 matrix a controlled flip or mixer applies to its target."""
+    if name in ("x", "cx", "mcx"):
+        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    if name == "h":
+        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    c, s = cos(angle / 2), sin(angle / 2)
+    if name == "rx":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    return np.array([[c, -s], [s, c]])
+
+
 def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np.ndarray:
-    """Explicit 2^n x 2^n matrix for one gate, built by basis-state mapping."""
+    """Explicit 2^n x 2^n matrix for one gate, built by basis-state mapping.
+
+    The gates fall into three families plus csub: parity phases (rz, rzz)
+    are diagonal, exp(-0.5j * angle) at even parity of the gate's qubits and
+    exp(0.5j * angle) at odd; controlled flips (x, cx, mcx) and controlled
+    2x2 mixers (h, rx, ry, cry) apply _target_matrix to the last qubit where
+    every other one is 1 and leave the rest of the basis in place.
+    """
     n = qubit_count
     dim = 1 << n
     if gate.angle is not None and angle is None:
@@ -107,51 +126,10 @@ def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np
 
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     name = gate.name
-    if name in ("x", "h", "rx", "ry", "rz"):
-        q = gate.qubits[0]
-        if name == "x":
-            local = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        elif name == "h":
-            local = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-        elif name == "rx":
-            c, s = cos(angle / 2), sin(angle / 2)
-            local = np.array([[c, -1j * s], [-1j * s, c]])
-        elif name == "ry":
-            c, s = cos(angle / 2), sin(angle / 2)
-            local = np.array([[c, -s], [s, c]])
-        else:
-            local = np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+    if name in ("rz", "rzz"):
         for col in range(dim):
-            b = bit(col, q)
-            matrix[col if b == 0 else flipped(col, q), col] += local[0, b]
-            matrix[col if b == 1 else flipped(col, q), col] += local[1, b]
-    elif name == "cx":
-        control, target = gate.qubits
-        for col in range(dim):
-            row = flipped(col, target) if bit(col, control) else col
-            matrix[row, col] = 1.0
-    elif name == "mcx":
-        *controls, target = gate.qubits
-        for col in range(dim):
-            row = flipped(col, target) if all(bit(col, c) for c in controls) else col
-            matrix[row, col] = 1.0
-    elif name == "cry":
-        control, target = gate.qubits
-        c, s = cos(angle / 2), sin(angle / 2)
-        for col in range(dim):
-            if not bit(col, control):
-                matrix[col, col] = 1.0
-            elif bit(col, target) == 0:
-                matrix[col, col] += c
-                matrix[flipped(col, target), col] += s
-            else:
-                matrix[col, col] += c
-                matrix[flipped(col, target), col] += -s
-    elif name == "rzz":
-        qa, qb = gate.qubits
-        for col in range(dim):
-            phase = -0.5j if bit(col, qa) == bit(col, qb) else 0.5j
-            matrix[col, col] = np.exp(phase * angle)
+            odd = sum(bit(col, q) for q in gate.qubits) % 2
+            matrix[col, col] = np.exp((0.5j if odd else -0.5j) * angle)
     elif name == "csub":
         control, *register = gate.qubits
         size = 1 << len(register)
@@ -167,6 +145,16 @@ def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np
                 if bit(row, q) != (target_value >> k) & 1:
                     row = flipped(row, q)
             matrix[row, col] = 1.0
+    elif name in ("x", "cx", "mcx", "h", "rx", "ry", "cry"):
+        *controls, target = gate.qubits
+        local = _target_matrix(name, angle)
+        for col in range(dim):
+            if not all(bit(col, c) for c in controls):
+                matrix[col, col] = 1.0
+                continue
+            b = bit(col, target)
+            matrix[col if b == 0 else flipped(col, target), col] += local[0, b]
+            matrix[col if b == 1 else flipped(col, target), col] += local[1, b]
     else:
         raise ValueError(f"unknown gate {name!r}")
     return matrix
@@ -183,10 +171,5 @@ def dense_state(
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:
-        angle = None
-        if isinstance(gate.angle, Param):
-            angle = gate.angle.scale * binding[gate.angle.name]
-        elif gate.angle is not None:
-            angle = float(gate.angle)
-        state = gate_unitary(gate, n, angle) @ state
+        state = gate_unitary(gate, n, _resolve_angle(gate, binding)) @ state
     return state

@@ -125,34 +125,19 @@ class AssignmentProblem:
         return len(self.nodes)
 
 
-def slack_bit_count(node: NodeSpec, variant: ProblemVariant) -> int:
+def slack_bit_count(node: NodeSpec) -> int:
     """Number of slack bits for a node's capacity equality.
 
     The residual capacity ranges over [0, B^] with B^ = capacity - threshold
-    (threshold is 0 for free-load variants), so ceil(log2(B^ + 1)) bits.
+    (AssignmentProblem holds threshold at 0 for free-load variants), so
+    ceil(log2(B^ + 1)) bits.
     """
-    usable = node.usable_capacity if variant.high_load else node.capacity
-    return usable.bit_length()
+    return node.usable_capacity.bit_length()
 
 
 def qubit_count(problem: AssignmentProblem) -> int:
     """Total binary variables: assignment bits, cloud bits, slack bits."""
     return build_layout(problem).qubit_count
-
-
-@dataclass(frozen=True)
-class VarRef:
-    """One binary variable and the qubit it occupies.
-
-    kind is "assign" (x_ij), "cloud" (p_i) or "slack" (b_jk); ``bit`` is the
-    0-based slack bit position, weight 2**bit.
-    """
-
-    kind: str
-    qubit: int
-    process: int | None = None
-    node: int | None = None
-    bit: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +151,6 @@ class VariableLayout:
 
     problem: AssignmentProblem
     qubit_count: int
-    variables: tuple[VarRef, ...]
     _assign: tuple[tuple[int, ...], ...]
     _cloud: tuple[int, ...]
     _slack: tuple[tuple[int, ...], ...]
@@ -194,33 +178,23 @@ class VariableLayout:
 def build_layout(problem: AssignmentProblem) -> VariableLayout:
     """Deterministic layout; every qubit index in [0, Q) used exactly once."""
     cloud = problem.variant.cloud_allowed
-    variables: list[VarRef] = []
     assign: list[tuple[int, ...]] = []
     cloud_qubits: list[int] = []
     q = 0
-    for i in range(problem.num_processes):
-        row = []
-        for j in range(problem.num_nodes):
-            variables.append(VarRef("assign", q, process=i, node=j))
-            row.append(q)
-            q += 1
-        assign.append(tuple(row))
+    for _ in range(problem.num_processes):
+        assign.append(tuple(range(q, q + problem.num_nodes)))
+        q += problem.num_nodes
         if cloud:
-            variables.append(VarRef("cloud", q, process=i))
             cloud_qubits.append(q)
             q += 1
     slack: list[tuple[int, ...]] = []
-    for j, node in enumerate(problem.nodes):
-        reg = []
-        for k in range(slack_bit_count(node, problem.variant)):
-            variables.append(VarRef("slack", q, node=j, bit=k))
-            reg.append(q)
-            q += 1
-        slack.append(tuple(reg))
+    for node in problem.nodes:
+        size = slack_bit_count(node)
+        slack.append(tuple(range(q, q + size)))
+        q += size
     return VariableLayout(
         problem=problem,
         qubit_count=q,
-        variables=tuple(variables),
         _assign=tuple(assign),
         _cloud=tuple(cloud_qubits),
         _slack=tuple(slack),

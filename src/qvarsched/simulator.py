@@ -175,7 +175,9 @@ def index_to_bits(index: int, qubit_count: int) -> str:
     return format(index, f"0{qubit_count}b")
 
 
-def _resolve_angle(gate: Gate, binding: Mapping[str, float]) -> float:
+def _resolve_angle(gate: Gate, binding: Mapping[str, float]) -> float | None:
+    if gate.angle is None:
+        return None
     if isinstance(gate.angle, Param):
         try:
             return gate.angle.scale * binding[gate.angle.name]
@@ -202,16 +204,18 @@ def _bind(circuit: Circuit, params) -> dict[str, float]:
     return binding
 
 
-def _rotation_matrix(name: str, angle: float) -> np.ndarray:
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _matrix(name: str, angle: float | None) -> np.ndarray:
+    """The 2x2 matrix a mixer applies to its target: H, RX or, for ry and
+    cry, RY. Callers pass only mixer names."""
+    if name == "h":
+        return _H
     c, s = cos(angle / 2.0), sin(angle / 2.0)
     if name == "rx":
         return np.array([[c, -1j * s], [-1j * s, c]])
-    if name == "ry":
-        return np.array([[c, -s], [s, c]])
-    raise ValueError(name)
-
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return np.array([[c, -s], [s, c]])
 
 
 def _slices(ndim: int, axis: int):
@@ -250,45 +254,37 @@ def _control_view(nd: np.ndarray, controls: Sequence[int]):
 
 
 def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: float | None = None):
-    """Apply a single gate (with literal or pre-resolved angle) in place."""
+    """Apply a single gate (with literal or pre-resolved angle) in place.
+
+    The gates fall into three families plus csub:
+      - parity phases (rz, rzz) multiply each slice of the gate's qubits by
+        exp(-0.5j * angle) at even parity and exp(0.5j * angle) at odd;
+      - controlled flips (x, cx, mcx) swap the target's halves of the view
+        where every control is 1, all of it for no controls;
+      - controlled 2x2 mixers (h, rx, ry, cry) apply _matrix to the target
+        on that view.
+    """
     nd = amplitudes.reshape((2,) * qubit_count)
     name = gate.name
-    if angle is None and gate.angle is not None:
+    if angle is None:
         angle = _resolve_angle(gate, {})
 
-    if name == "x":
-        _flip(nd, gate.qubits[0])
-    elif name == "h":
-        _apply_matrix(nd, _H, gate.qubits[0])
-    elif name in ("rx", "ry"):
-        _apply_matrix(nd, _rotation_matrix(name, angle), gate.qubits[0])
-    elif name == "rz":
-        lo, hi = _slices(qubit_count, gate.qubits[0])
-        nd[lo] *= np.exp(-0.5j * angle)
-        nd[hi] *= np.exp(0.5j * angle)
-    elif name == "cx":
-        control, target = gate.qubits
-        view, adjust = _control_view(nd, (control,))
-        _flip(view, adjust(target))
-    elif name == "cry":
-        control, target = gate.qubits
-        view, adjust = _control_view(nd, (control,))
-        _apply_matrix(view, _rotation_matrix("ry", angle), adjust(target))
-    elif name == "rzz":
-        qa, qb = gate.qubits
-        same, diff = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-        for va in (0, 1):
-            for vb in (0, 1):
-                key: list = [slice(None)] * qubit_count
-                key[qa], key[qb] = va, vb
-                nd[tuple(key)] *= same if va == vb else diff
-    elif name == "mcx":
-        *controls, target = gate.qubits
-        view, adjust = _control_view(nd, controls)
-        _flip(view, adjust(target))
+    if name in ("rz", "rzz"):
+        for bits in product((0, 1), repeat=len(gate.qubits)):
+            key: list = [slice(None)] * qubit_count
+            for q, bit in zip(gate.qubits, bits):
+                key[q] = bit
+            nd[tuple(key)] *= np.exp((0.5j if sum(bits) % 2 else -0.5j) * angle)
     elif name == "csub":
         control, *register = gate.qubits
         _apply_csub(nd, control, register, gate.constant)
+    elif name in GATE_NAMES:
+        *controls, target = gate.qubits
+        view, adjust = _control_view(nd, controls)
+        if name in _PERMUTATION_GATES:
+            _flip(view, adjust(target))
+        else:
+            _apply_matrix(view, _matrix(name, angle), adjust(target))
     else:
         raise ValueError(f"unknown gate {name!r}")
     return amplitudes
@@ -320,9 +316,7 @@ def _bits(qubits: Sequence[int], qubit_count: int) -> int:
 
 def _relabel(labels: np.ndarray, gate: Gate, qubit_count: int) -> np.ndarray:
     """The basis index each of labels moves to under a permutation gate."""
-    if gate.name == "x":
-        return labels ^ _bits(gate.qubits, qubit_count)
-    if gate.name in ("cx", "mcx"):
+    if gate.name != "csub":
         *controls, target = gate.qubits
         mask = _bits(controls, qubit_count)
         return np.where((labels & mask) == mask, labels ^ _bits((target,), qubit_count), labels)
@@ -354,10 +348,7 @@ class _SupportProgram:
         slots = np.zeros(len(self.labels))
         slots[0] = 1.0
         for gate, lo, hi in self.ops:
-            if gate.name == "h":
-                matrix = _H
-            else:
-                matrix = _rotation_matrix("ry", _resolve_angle(gate, binding))
+            matrix = _matrix(gate.name, _resolve_angle(gate, binding))
             # The expression _apply_matrix evaluates, on the slots.
             a0, a1 = slots[lo], slots[hi]
             slots[lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
@@ -405,7 +396,7 @@ class _DenseProgram:
                 np.copyto(spare.reshape(data[::-1]), amplitudes.reshape(data).T)
                 amplitudes, spare = spare, amplitudes
                 continue
-            angle = _resolve_angle(gate, binding) if gate.angle is not None else None
+            angle = _resolve_angle(gate, binding)
             if kernel == "phase":
                 # The phases apply_gate multiplies by, state first.
                 low, high = np.exp(-0.5j * angle), np.exp(0.5j * angle)
@@ -415,7 +406,7 @@ class _DenseProgram:
             elif kernel == "rx":
                 # spare gets m01 * a1 at a0 and m10 * a0 at a1, the state
                 # m00 * a0 and m11 * a1 in place.
-                matrix = _rotation_matrix("rx", angle)
+                matrix = _matrix("rx", angle)
                 swapped = amplitudes.reshape(data)[:, ::-1]
                 np.multiply(matrix[0, 1], swapped, out=spare.reshape(data))
                 np.multiply(matrix[0, 0], amplitudes, out=amplitudes)

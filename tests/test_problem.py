@@ -17,7 +17,7 @@ from qvarsched import (
     slack_bit_count,
 )
 from qvarsched.errors import MalformedBitstringError
-from qvarsched.problem import ECFL, ECHL, EOFL, EOHL
+from qvarsched.problem import ECFL, EOHL
 
 from helpers import random_problem, reference_problem
 
@@ -30,11 +30,11 @@ def test_variant_names():
 
 
 @pytest.mark.parametrize(
-    "capacity,threshold,variant,expected",
-    [(3, 0, EOFL, 2), (3, 2, EOHL, 1), (1, 0, ECFL, 1), (7, 0, ECFL, 3), (7, 4, ECHL, 2)],
+    "capacity,threshold,expected",
+    [(3, 0, 2), (3, 2, 1), (1, 0, 1), (7, 0, 3), (7, 4, 2)],
 )
-def test_slack_bit_count(capacity, threshold, variant, expected):
-    assert slack_bit_count(NodeSpec(capacity, threshold), variant) == expected
+def test_slack_bit_count(capacity, threshold, expected):
+    assert slack_bit_count(NodeSpec(capacity, threshold)) == expected
 
 
 @pytest.mark.parametrize(
@@ -46,17 +46,12 @@ def test_qubit_count_reference(variant, expected):
 
 def test_layout_order_eohl():
     layout = build_layout(reference_problem("EOHL"))
-    kinds = [(v.kind, v.process, v.node, v.bit) for v in layout.variables]
-    assert kinds == [
-        ("assign", 0, 0, None),
-        ("assign", 0, 1, None),
-        ("assign", 1, 0, None),
-        ("assign", 1, 1, None),
-        ("assign", 2, 0, None),
-        ("assign", 2, 1, None),
-        ("slack", None, 0, 0),
-        ("slack", None, 1, 0),
-    ]
+    # x_11 x_12 x_21 x_22 x_31 x_32, then node 0's and node 1's one slack bit.
+    order = [layout.assign_qubit(i, j) for i in range(3) for j in range(2)]
+    order += [q for j in range(2) for q in layout.slack_qubits(j)]
+    assert order == list(range(8)) == list(range(layout.qubit_count))
+    assert [layout.process_block(i) for i in range(3)] == [(0, 1), (2, 3), (4, 5)]
+    assert [len(layout.slack_qubits(j)) for j in range(2)] == [1, 1]
 
 
 def test_layout_order_ecfl():
@@ -83,8 +78,9 @@ def test_layout_matches_qubit_count_randomized():
         problem = random_problem(rng)
         layout = build_layout(problem)
         assert layout.qubit_count == qubit_count(problem)
-        qubits = sorted(v.qubit for v in layout.variables)
-        assert qubits == list(range(layout.qubit_count))
+        qubits = [q for i in range(problem.num_processes) for q in layout.process_block(i)]
+        qubits += [q for j in range(problem.num_nodes) for q in layout.slack_qubits(j)]
+        assert sorted(qubits) == list(range(layout.qubit_count))
 
 
 def test_decode_reference_optimum():

@@ -118,6 +118,42 @@ def test_every_gate_kind_matches_dense_matrix_on_random_states():
     assert seen == {"x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub"}
 
 
+@pytest.mark.parametrize(
+    "gate", [Gate("cz", (0, 1)), Gate("X", (0,)), Gate("ryy", (0, 1), 0.3)], ids=str
+)
+def test_unknown_gate_names_fail_in_every_kernel(gate):
+    # No misspelled name may fall into a gate family's branch.
+    state = np.zeros(4, dtype=np.complex128)
+    state[0] = 1.0
+    for kernel in (
+        lambda: apply_gate(state, gate, 2),
+        lambda: gate_unitary(gate, 2),
+        lambda: run(Circuit(2, (gate,), ())),
+    ):
+        with pytest.raises(ValueError, match="unknown gate"):
+            kernel()
+
+
+def test_mcx_with_one_or_no_controls_equals_cx_or_x_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n = 4
+    for _ in range(20):
+        a, b = (int(q) for q in rng.permutation(n)[:2])
+        prep = tuple(Gate("ry", (q,), float(rng.uniform(0, 2 * pi))) for q in range(n))
+        for special, generic in (
+            (Gate("cx", (a, b)), Gate("mcx", (a, b))),
+            (Gate("x", (b,)), Gate("mcx", (b,))),
+        ):
+            # The cry after the flip mixes the amplitudes it moved.
+            tail = Gate("cry", (b, a), 0.7)
+            pair = [Circuit(n, (*prep, g, tail), ()) for g in (special, generic)]
+            assert isinstance(pair[1]._program, _SupportProgram)
+            ran = [run(circuit).amplitudes.tobytes() for circuit in pair]
+            looped = [reference_run(circuit).tobytes() for circuit in pair]
+            assert ran[0] == ran[1] and looped[0] == looped[1]
+            assert np.array_equal(gate_unitary(generic, n), gate_unitary(special, n))
+
+
 def test_norm_preserved_over_long_random_circuit():
     rng = np.random.default_rng(3)
     n = 5
