@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("shots must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.reps != 1 and self.algorithm != "qaoa":
+            raise ValueError(f"reps applies to qaoa only, got reps {self.reps} for {self.algorithm}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -206,8 +206,10 @@ def a1_basis_angles(layout: VariableLayout, bits: str) -> tuple[float, ...]:
 
 
 def _mcx_cost(controls: int) -> tuple[int, int]:
+    """(gate cost, depth cost) of a flip with that many controls: none is an
+    x and costs nothing, one is a cx."""
     if controls <= 1:
-        return 1, 1
+        return controls, controls
     return 2 * controls * controls - 2 * controls + 2, 2 * controls
 
 

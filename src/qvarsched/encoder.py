@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
 from .problem import AssignmentProblem, VariableLayout, parse_bits
 
 Term = tuple[tuple[int, ...], Fraction]
@@ -138,26 +137,6 @@ def to_terms(model: IsingModel) -> list[Term]:
     return terms
 
 
-def from_terms(qubit_count: int, terms: list[Term], penalty: Fraction) -> IsingModel:
-    """Inverse of to_terms."""
-    constant = Fraction(0)
-    linear = [Fraction(0)] * qubit_count
-    pairwise: dict[tuple[int, int], Fraction] = {}
-    for qubits, coeff in terms:
-        coeff = Fraction(coeff)
-        if len(qubits) == 0:
-            constant += coeff
-        elif len(qubits) == 1:
-            linear[qubits[0]] += coeff
-        elif len(qubits) == 2:
-            i, j = sorted(qubits)
-            pairwise[(i, j)] = pairwise.get((i, j), Fraction(0)) + coeff
-        else:
-            raise ValueError("only constant, singleton and pair terms are supported")
-    pairwise = {k: c for k, c in sorted(pairwise.items()) if c}
-    return IsingModel(qubit_count, constant, tuple(linear), pairwise, Fraction(penalty))
-
-
 def format_fraction(x: Fraction) -> str:
     """Exact text form: integer, finite decimal, or p/q."""
     if x.denominator == 1:
@@ -192,29 +171,3 @@ def model_to_text(model: IsingModel) -> str:
             lines.append(" ".join(str(q) for q in qubits) + f" {format_fraction(coeff)}")
     return "\n".join(lines) + "\n"
 
-
-def model_from_text(text: str) -> IsingModel:
-    """Parse the model_to_text format back into an identical IsingModel."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [(n + 1, ln) for n, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if not lines or lines[0][1].split() != ["qvarsched-v1", "ising"]:
-        raise ParseError("missing 'qvarsched-v1 ising' header", lines[0][0] if lines else 1)
-    qubits: int | None = None
-    penalty = Fraction(0)
-    terms: list[Term] = []
-    for number, line in lines[1:]:
-        fields = line.split()
-        try:
-            if fields[0] == "qubits":
-                qubits = int(fields[1])
-            elif fields[0] == "penalty":
-                penalty = Fraction(fields[1])
-            elif fields[0] == "constant":
-                terms.append(((), Fraction(fields[1])))
-            else:
-                terms.append((tuple(int(f) for f in fields[:-1]), Fraction(fields[-1])))
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad term line {line!r}: {exc}", number)
-    if qubits is None:
-        raise ParseError("missing 'qubits' line")
-    return from_terms(qubits, terms, penalty)

@@ -17,9 +17,9 @@ Experiment file::
 
     qvarsched-v1 experiment
     problem eohl.problem          # path, relative to the spec file; required
-    algorithm a4                  # one of vqa.ALGORITHMS; required
-    reps 3                        # qaoa only
-    optimizer cobyla              # cobyla|nelder-mead
+    algorithm qaoa                # one of vqa.ALGORITHMS; required
+    reps 3                        # qaoa layers; a1-a4 take only 1
+    optimizer cobyla              # the only method; any case
     max_iterations 1000
     tolerance 1e-4
     restarts 10
@@ -30,6 +30,8 @@ Experiment file::
 
 Only problem and algorithm are required; a keyword left out takes the
 default of the bench.ExperimentConfig or vqa.OptimizerConfig field it sets.
+The optimizer keyword sets no field: cobyla, vqa.minimize's only method, is
+its one valid value.
 """
 from __future__ import annotations
 
@@ -138,7 +140,6 @@ _CONFIG_KEYWORDS = {
     "seed": ("seed", int),
 }
 _OPTIMIZER_KEYWORDS = {
-    "optimizer": ("method", str.lower),
     "max_iterations": ("max_iterations", int),
     "tolerance": ("tolerance", float),
     "restarts": ("restarts", int),
@@ -176,9 +177,11 @@ def parse_experiment(text: str, base_dir: Path) -> ExperimentConfig:
         if keyword in settings:
             raise ParseError(f"duplicate keyword {keyword!r}", number)
         settings[keyword] = rest
-    unknown = settings.keys() - {"problem", *_CONFIG_KEYWORDS, *_OPTIMIZER_KEYWORDS}
+    unknown = settings.keys() - {"problem", "optimizer", *_CONFIG_KEYWORDS, *_OPTIMIZER_KEYWORDS}
     if unknown:
         raise ParseError(f"unknown keywords: {', '.join(sorted(unknown))}")
+    if settings.get("optimizer", "cobyla").lower() != "cobyla":
+        raise ParseError(f"unknown optimizer {settings['optimizer']!r}, expected cobyla")
     for keyword in ("problem", "algorithm"):
         if keyword not in settings:
             raise ParseError(f"missing required keyword {keyword!r}")

@@ -115,8 +115,8 @@ def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np
     """
     n = qubit_count
     dim = 1 << n
-    if gate.angle is not None and angle is None:
-        angle = float(gate.angle)
+    if angle is None:
+        angle = _resolve_angle(gate, {})
 
     def bit(state: int, qubit: int) -> int:
         return (state >> (n - 1 - qubit)) & 1

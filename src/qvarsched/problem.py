@@ -275,30 +275,14 @@ def assignment_bits(layout: VariableLayout, assignment: Assignment) -> str:
     return "".join(str(b) for b in bits)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "process" or "node"
-    index: int
-    message: str
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    violations: tuple[Violation, ...]
-
-
-def check_feasible(layout: VariableLayout, bits: str) -> FeasibilityReport:
-    """Check every per-process one-hot equality and per-node load equality."""
+def check_feasible(layout: VariableLayout, bits: str) -> bool:
+    """Whether bits meets every per-process one-hot equality and every
+    per-node load-plus-slack equality."""
     problem = layout.problem
     values = parse_bits(bits, layout.qubit_count)
-    violations: list[Violation] = []
     for i in range(problem.num_processes):
-        total = sum(values[q] for q in layout.process_block(i))
-        if total != 1:
-            violations.append(
-                Violation("process", i, f"process {i}: one-hot sum is {total}, want 1")
-            )
+        if sum(values[q] for q in layout.process_block(i)) != 1:
+            return False
     for j, node in enumerate(problem.nodes):
         load = sum(
             problem.processes[i].weight * values[layout.assign_qubit(i, j)]
@@ -306,14 +290,8 @@ def check_feasible(layout: VariableLayout, bits: str) -> FeasibilityReport:
         )
         slack = sum(values[q] << k for k, q in enumerate(layout.slack_qubits(j)))
         if load + slack != node.capacity:
-            violations.append(
-                Violation(
-                    "node",
-                    j,
-                    f"node {j}: load {load} + slack {slack} != capacity {node.capacity}",
-                )
-            )
-    return FeasibilityReport(not violations, tuple(violations))
+            return False
+    return True
 
 
 def gain(problem: AssignmentProblem, assignment: Assignment) -> Fraction:

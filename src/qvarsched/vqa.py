@@ -1,8 +1,8 @@
 """Hybrid optimization loop: bind, evaluate, minimize, sample.
 
 The derivative-free minimizer is scipy's COBYLA (initial trust radius 1.0,
-the configured tolerance as the final one), with Nelder-Mead as a selectable
-fallback. COBYLA needs at least dim + 2 evaluations, so a smaller
+the configured tolerance as the final one), the only method, as in the
+paper. COBYLA needs at least dim + 2 evaluations, so a smaller
 max_iterations is raised to that with a warning, and the budget actually used
 is recorded on the result. Initial points are drawn uniformly from [0, pi)
 per seed and every source of randomness — restart initial points,
@@ -55,7 +55,6 @@ DEFAULT_SHOTS = 4096  # of the final measurement, and of each sampled evaluation
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "cobyla"  # or "nelder-mead"
     max_iterations: int = 1000
     tolerance: float = 1e-4
     seed: int = 0
@@ -69,9 +68,7 @@ class OptimizerConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.method.lower() not in ("cobyla", "nelder-mead"):
-            raise ValueError(f"unknown optimizer method {self.method!r}")
-        if self.method.lower() == "cobyla" and self.tolerance > _COBYLA_RHOBEG:
+        if self.tolerance > _COBYLA_RHOBEG:
             raise ValueError(
                 f"cobyla tolerance must be <= the initial trust radius "
                 f"{_COBYLA_RHOBEG}, got {self.tolerance}"
@@ -121,33 +118,20 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
         return value
 
     budget = config.max_iterations
-    if config.method.lower() == "cobyla":
-        if budget < dim + 2:
-            budget = dim + 2
-            warnings.warn(
-                f"cobyla needs at least dim + 2 = {budget} evaluations; "
-                f"max_iterations {config.max_iterations} raised to {budget}",
-                stacklevel=2,
-            )
-        scipy_minimize(
-            wrapped,
-            x0,
-            method="COBYLA",
-            tol=config.tolerance,
-            options={"maxiter": budget, "rhobeg": _COBYLA_RHOBEG},
+    if budget < dim + 2:
+        budget = dim + 2
+        warnings.warn(
+            f"cobyla needs at least dim + 2 = {budget} evaluations; "
+            f"max_iterations {config.max_iterations} raised to {budget}",
+            stacklevel=2,
         )
-    else:
-        scipy_minimize(
-            wrapped,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "maxfev": config.max_iterations,
-                "xatol": config.tolerance,
-                "fatol": config.tolerance,
-            },
-        )
+    scipy_minimize(
+        wrapped,
+        x0,
+        method="COBYLA",
+        tol=config.tolerance,
+        options={"maxiter": budget, "rhobeg": _COBYLA_RHOBEG},
+    )
     best = int(np.argmin(trace))
     return MinimizeResult(tuple(points[best]), trace[best], tuple(trace), budget)
 

@@ -102,7 +102,7 @@ def brute_force_oracle(layout: VariableLayout) -> OracleReport:
     gains = {}
     for index in range(1 << q):
         bits = format(index, f"0{q}b")
-        if check_feasible(layout, bits).feasible:
+        if check_feasible(layout, bits):
             gains[index] = gain(problem, decode(layout, bits))
     best = max(gains.values(), default=None)
     optimal = frozenset(index for index, value in gains.items() if value == best)

@@ -94,7 +94,7 @@ def test_score_equals_a_per_hit_count_over_check_feasible_and_gain(problem_seed,
     best_hits = feasible_hits = 0
     for index, count in hits.items():
         bits = index_to_bits(index, q)
-        if check_feasible(layout, bits).feasible:
+        if check_feasible(layout, bits):
             feasible_hits += count
             if gain(problem, decode(layout, bits)) == oracle.optimal_gain:
                 best_hits += count
@@ -264,13 +264,14 @@ def test_unknown_algorithm_raises_before_any_energies(monkeypatch):
         ({"mode": "approx"}, "mode"),
         ({"seed": -1}, "seed"),
         ({"reps": 0}, "reps"),
+        ({"algorithm": "a4", "reps": 3}, "reps"),
     ],
 )
 def test_bad_settings_raise_before_any_energies(monkeypatch, setting, match):
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
     minimized = spy_calls(monkeypatch, vqa, "minimize")
     with pytest.raises(ValueError, match=match):
-        run_experiment(_tiny_config(reference_problem("EOHL"), algorithm="qaoa", **setting))
+        run_experiment(_tiny_config(reference_problem("EOHL"), **{"algorithm": "qaoa", **setting}))
     assert energies == [] and minimized == []
 
 

@@ -1,14 +1,16 @@
 import csv
 import io
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvarsched import bench, cli, make_problem, vqa
+from qvarsched import bench, cli, files, make_problem, vqa
 from qvarsched.cli import main
-from qvarsched.encoder import model_from_text, encode
+from qvarsched.encoder import encode, model_to_text
 from qvarsched.errors import ParseError
 from qvarsched.files import format_problem, parse_experiment, parse_problem
 from qvarsched.problem import EOFL, build_layout
@@ -117,18 +119,44 @@ def test_parse_experiment(tmp_path):
         "runs 2\n"
         "seed 5\n"
         "max_iterations 40\n"
+        "optimizer COBYLA\n"
         "restarts 2\n"
     )
     config = parse_experiment(text, _problem_dir(tmp_path))
     assert config.algorithm == "qaoa" and config.reps == 3
     assert config.problem == reference_problem("EOHL") and config.label == "eohl"
-    assert config.optimizer.max_iterations == 40
+    assert config.optimizer == vqa.OptimizerConfig(max_iterations=40, restarts=2)
     with pytest.raises(ParseError, match="algorithm"):
         parse_experiment("qvarsched-v1 experiment\nproblem eohl.problem\n", tmp_path)
     with pytest.raises(ParseError, match="unknown keywords"):
         parse_experiment(
             "qvarsched-v1 experiment\nproblem eohl.problem\nalgorithm a1\nbogus 1\n", tmp_path
         )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _example(text: str, header: str) -> str:
+    """The example in text that starts at the line header: its lines up to
+    the next blank line or code fence."""
+    lines = [line.strip() for line in text.splitlines()]
+    start = lines.index(header)
+    end = next(i for i in range(start, len(lines)) if lines[i] in ("", "```"))
+    return "\n".join(lines[start:end]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text", [(ROOT / "README.md").read_text(), files.__doc__], ids=["README.md", "files.py"]
+)
+def test_documented_file_examples_parse(tmp_path, text):
+    # Every keyword and value the docs show must be one the parsers accept.
+    problem = parse_problem(_example(text, "qvarsched-v1 problem"))
+    assert problem.variant.name == "EOHL"
+    shutil.copy(ROOT / "problems" / "eohl.problem", tmp_path)
+    config = parse_experiment(_example(text, "qvarsched-v1 experiment"), tmp_path)
+    assert config.problem == reference_problem("EOHL")
+    assert (config.algorithm, config.reps, config.runs, config.seed) == ("qaoa", 3, 10, 7)
 
 
 def test_parse_experiment_missing_problem_file_is_a_parse_error(tmp_path):
@@ -147,8 +175,9 @@ def test_every_algorithm_name_parses_and_builds_a_circuit(tmp_path, algorithm):
     assert isinstance(circuit, Circuit)
 
 
-# Valid values per spec keyword. The keywords set ExperimentConfig's field of
-# the same name, or OptimizerConfig's ("optimizer" sets its method).
+# Values per spec keyword. The keywords set ExperimentConfig's field of the
+# same name, or OptimizerConfig's; "optimizer" sets none, and cobyla is its
+# one valid value. Reps other than 1 are valid for qaoa only.
 _CONFIG_VALUES = {
     "reps": st.integers(1, 8),
     "mode": st.sampled_from(vqa.MODES),
@@ -157,7 +186,7 @@ _CONFIG_VALUES = {
     "seed": st.integers(0, 2**40),
 }
 _OPTIMIZER_VALUES = {
-    "optimizer": st.sampled_from(("cobyla", "nelder-mead")),
+    "optimizer": st.just("cobyla"),
     "max_iterations": st.integers(1, 10**5),
     "tolerance": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     "restarts": st.integers(1, 50),
@@ -203,16 +232,19 @@ def eohl_dir(tmp_path_factory):
 @given(_specs())
 def test_parse_experiment_matches_the_config_built_from_the_same_values(eohl_dir, spec):
     text, config, optimizer = spec
-    if "optimizer" in optimizer:
-        optimizer["method"] = optimizer.pop("optimizer")
-    # Keywords the spec leaves out take the dataclasses' own defaults here.
-    expected = bench.ExperimentConfig(
-        problem=reference_problem("EOHL"),
-        optimizer=vqa.OptimizerConfig(**optimizer),
-        label="eohl",
-        **config,
-    )
-    assert parse_experiment(text, eohl_dir) == expected
+    optimizer.pop("optimizer", None)
+    if config.get("reps", 1) != 1 and config["algorithm"] != "qaoa":
+        with pytest.raises(ParseError, match="reps applies to qaoa only"):
+            parse_experiment(text, eohl_dir)
+    else:
+        # Keywords the spec leaves out take the dataclasses' own defaults here.
+        expected = bench.ExperimentConfig(
+            problem=reference_problem("EOHL"),
+            optimizer=vqa.OptimizerConfig(**optimizer),
+            label="eohl",
+            **config,
+        )
+        assert parse_experiment(text, eohl_dir) == expected
 
 
 def test_cmd_encode(tmp_path, capsys):
@@ -222,7 +254,7 @@ def test_cmd_encode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "constant 55.5" in out
     problem = reference_problem("EOHL")
-    assert model_from_text(out) == encode(build_layout(problem))
+    assert out == model_to_text(encode(build_layout(problem)))
 
 
 def test_cmd_encode_parse_error(tmp_path, capsys):
@@ -381,10 +413,22 @@ def test_cmd_solve_rejects_out_of_range_overrides_before_running(
     assert experiments == []
 
 
-def test_cmd_solve_bad_spec_setting_exits_2_before_running(tmp_path, monkeypatch):
-    spec_path = _solve_files(tmp_path, extra="shots 0\n")
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("shots 0", "shots must be >= 1"),
+        ("optimizer NELDER-MEAD", "unknown optimizer 'NELDER-MEAD', expected cobyla"),
+        ("optimizer bfgs", "unknown optimizer 'bfgs', expected cobyla"),
+        ("reps 3", "reps applies to qaoa only, got reps 3 for a4"),
+    ],
+)
+def test_cmd_solve_bad_spec_setting_exits_2_before_running(
+    tmp_path, monkeypatch, capsys, line, message
+):
+    spec_path = _solve_files(tmp_path, extra=line + "\n")
     experiments = spy_calls(monkeypatch, bench, "run_experiment")
     assert main(["solve", str(spec_path), "--out", str(tmp_path / "r")]) == 2
+    assert message in capsys.readouterr().err
     assert experiments == []
 
 

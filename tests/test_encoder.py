@@ -1,16 +1,11 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from qvarsched import build_layout, encode, energy, make_problem, penalty_weight, to_terms
-from qvarsched.encoder import (
-    IsingModel,
-    format_fraction,
-    from_terms,
-    model_from_text,
-    model_to_text,
-)
+from qvarsched.encoder import IsingModel, format_fraction, model_to_text
 from qvarsched.errors import MalformedBitstringError
 from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import diagonal_energies
@@ -117,26 +112,39 @@ def test_penalty_separation_randomized():
             assert argmin == report.optimal
 
 
+def _summed_terms(terms, bits: str) -> Fraction:
+    """The sum of every term at bits; bit 0 maps to z = +1, bit 1 to z = -1."""
+    z = [1 - 2 * int(b) for b in bits]
+    return sum((c * prod(z[q] for q in qubits) for qubits, c in terms), Fraction(0))
+
+
 def test_to_terms_reference():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     model = encode(layout)
     terms = to_terms(model)
-    assert terms[0] == ((), GOLDEN_CONSTANT)
+    assert terms == [
+        ((), GOLDEN_CONSTANT),
+        *(((i,), c) for i, c in enumerate(GOLDEN_LINEAR)),
+        *sorted(GOLDEN_PAIRS.items()),
+    ]
     singles = [t for t in terms if len(t[0]) == 1]
     pairs = [t for t in terms if len(t[0]) == 2]
     assert len(singles) == 8 and len(pairs) == 15
-    assert from_terms(8, terms, model.penalty) == model
+    for i in range(256):
+        bits = format(i, "08b")
+        assert _summed_terms(terms, bits) == energy(model, bits)
 
 
 def test_to_terms_singleton_only_model():
     model = IsingModel(2, Fraction(1), (Fraction(2), Fraction(-3)), {}, Fraction(1))
     terms = to_terms(model)
-    assert all(len(t[0]) <= 1 for t in terms)
-    assert from_terms(2, terms, Fraction(1)) == model
+    assert terms == [((), 1), ((0,), 2), ((1,), -3)]
+    for bits in ("00", "01", "10", "11"):
+        assert _summed_terms(terms, bits) == energy(model, bits)
 
 
-def test_example_hamiltonian_round_trips():
+def test_example_hamiltonian_terms_and_text():
     # 1*Z1 + 2*Z3 - 4*Z1Z2 - 2*Z2Z3 in 1-based labels.
     model = IsingModel(
         3,
@@ -145,17 +153,26 @@ def test_example_hamiltonian_round_trips():
         {(0, 1): Fraction(-4), (1, 2): Fraction(-2)},
         Fraction(1),
     )
-    assert from_terms(3, to_terms(model), Fraction(1)) == model
-    assert model_from_text(model_to_text(model)) == model
+    assert to_terms(model) == [((), 0), ((0,), 1), ((2,), 2), ((0, 1), -4), ((1, 2), -2)]
+    assert model_to_text(model) == (
+        "qvarsched-v1 ising\nqubits 3\npenalty 1\nconstant 0\n0 1\n2 2\n0 1 -4\n1 2 -2\n"
+    )
 
 
-def test_model_text_round_trip_reference():
+def test_model_text_reference_matches_golden_lines():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    model = encode(layout)
-    text = model_to_text(model)
-    assert "constant 55.5" in text
-    assert model_from_text(text) == model
+    text = model_to_text(encode(layout))
+    expected = [
+        "qvarsched-v1 ising",
+        "qubits 8",
+        "penalty 11",
+        "constant 55.5",
+        *(f"{i} {format_fraction(c)}" for i, c in enumerate(GOLDEN_LINEAR)),
+        *(f"{i} {j} {format_fraction(c)}" for (i, j), c in sorted(GOLDEN_PAIRS.items())),
+    ]
+    assert text.splitlines() == expected
+    assert text.endswith("\n")
 
 
 def test_format_fraction():

@@ -138,28 +138,27 @@ def test_decode_encode_identity_randomized():
 def test_check_feasible_reference():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    assert check_feasible(layout, "10100101").feasible
-    report = check_feasible(layout, "11100000")
-    assert not report.feasible
-    assert any(v.kind == "process" and v.index == 0 for v in report.violations)
+    assert check_feasible(layout, "10100101")
+    # Process 0 sets both of its bits, so its one-hot equality fails.
+    assert not check_feasible(layout, "11100000")
+    assert decode(layout, "11100000").targets[0] is None
 
 
 def test_check_feasible_counts_eohl():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     feasible = [
-        i for i in range(256) if check_feasible(layout, format(i, "08b")).feasible
+        i for i in range(256) if check_feasible(layout, format(i, "08b"))
     ]
     assert len(feasible) == 4
 
 
-def test_check_feasible_violation_identifies_node():
+def test_check_feasible_rejects_a_node_violation_alone():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     # One-hot holds everywhere but node loads are wrong.
-    report = check_feasible(layout, "01010100")
-    assert not report.feasible
-    assert {v.kind for v in report.violations} == {"node"}
+    assert decode(layout, "01010100").consistent
+    assert not check_feasible(layout, "01010100")
 
 
 def test_feasibility_equals_load_interval_for_pow2_registers():
@@ -185,7 +184,7 @@ def test_feasibility_equals_load_interval_for_pow2_registers():
                 node.threshold <= load <= node.capacity
                 for node, load in zip(problem.nodes, loads)
             )
-            assert check_feasible(layout, bits).feasible == in_interval
+            assert check_feasible(layout, bits) == in_interval
 
 
 def test_gain_reference_values():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qvarsched import build_layout, encode, run, sample, simulator, vqa
 from qvarsched.bench import scaling_instance
-from qvarsched.circuits import ANSATZ_BUILDERS
+from qvarsched.circuits import ANSATZ_BUILDERS, CircuitMetrics, metrics
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import (
     QubitCountExceededError,
@@ -152,6 +152,8 @@ def test_mcx_with_one_or_no_controls_equals_cx_or_x_bit_for_bit():
             looped = [reference_run(circuit).tobytes() for circuit in pair]
             assert ran[0] == ran[1] and looped[0] == looped[1]
             assert np.array_equal(gate_unitary(generic, n), gate_unitary(special, n))
+            assert metrics(pair[0]) == metrics(pair[1])
+    assert metrics(Circuit(2, (Gate("mcx", (1,)),), ())) == CircuitMetrics(0, 0, 0)
 
 
 def test_norm_preserved_over_long_random_circuit():
@@ -253,6 +255,12 @@ def test_unbound_and_excess_parameters():
         run(circuit, [0.1, 0.2])
     state = run(circuit, {"t0": pi})
     assert abs(state.amplitudes[1] - 1.0) < 1e-12
+    # Both gate kernels, called without an angle.
+    gate = circuit.gates[0]
+    with pytest.raises(UnboundParameterError, match="'t0'"):
+        apply_gate(np.array([1.0, 0.0], dtype=np.complex128), gate, 1)
+    with pytest.raises(UnboundParameterError, match="'t0'"):
+        gate_unitary(gate, 1)
 
 
 def test_param_scale():

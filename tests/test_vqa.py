@@ -33,15 +33,10 @@ def test_minimize_quadratic():
 
 
 def test_minimize_rosenbrock():
-    # Nelder-Mead traverses the valley well inside the 2000-eval budget;
-    # COBYLA at the documented defaults needs ~5000 evaluations for the same
-    # target, so it is asserted at its own budget.
-    config = OptimizerConfig(
-        method="nelder-mead", max_iterations=2000, tolerance=1e-8, initial_point=(-1.0, 1.0)
-    )
+    # COBYLA at the documented defaults needs ~5000 evaluations to reach the
+    # valley floor.
+    config = OptimizerConfig(max_iterations=5000, tolerance=1e-8, initial_point=(-1.0, 1.0))
     assert minimize(rosen, 2, config).value < 1e-2
-    cobyla = OptimizerConfig(max_iterations=5000, tolerance=1e-8, initial_point=(-1.0, 1.0))
-    assert minimize(rosen, 2, cobyla).value < 1e-2
 
 
 def test_minimize_constant_function():
@@ -50,14 +45,6 @@ def test_minimize_constant_function():
     assert result.value == 1.5
     assert len(result.trace) < 500  # tolerance stop, not budget exhaustion
     assert result.parameters == (0.3, 0.7)
-
-
-def test_minimize_nelder_mead():
-    config = OptimizerConfig(
-        method="nelder-mead", max_iterations=400, initial_point=(0.0,)
-    )
-    result = minimize(lambda x: (x[0] - 1.0) ** 2, 1, config)
-    assert abs(result.parameters[0] - 1.0) < 1e-3
 
 
 def test_minimize_rejects_non_finite():
@@ -79,8 +66,6 @@ def test_config_validation():
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(method="bfgs")
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-4, 1e300, 1.5])
@@ -94,9 +79,6 @@ def test_cobyla_tolerance_bound_is_the_initial_trust_radius():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         minimize(lambda x: float(x @ x), 2, config)
-    OptimizerConfig(method="nelder-mead", tolerance=1.5)
-    with pytest.raises(ValueError, match="tolerance"):
-        OptimizerConfig(method="nelder-mead", tolerance=float("inf"))
 
 
 def test_cobyla_budget_below_dim_plus_two_is_raised_and_recorded():
@@ -107,8 +89,6 @@ def test_cobyla_budget_below_dim_plus_two_is_raised_and_recorded():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert minimize(lambda x: float(x @ x), 2, replace(config, max_iterations=4)).budget == 4
-        nelder_mead = replace(config, method="nelder-mead")
-        assert minimize(lambda x: float(x @ x), 2, nelder_mead).budget == 1
     problem = reference_problem("EOHL")
     with pytest.warns(UserWarning, match="raised to 4"):
         assert run_qaoa(problem, 1, replace(config, restarts=2)).budget == 4
