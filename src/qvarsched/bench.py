@@ -233,9 +233,11 @@ def _time_statevector(instance: Instance, circuit: Circuit) -> float:
     for _ in range(3):
         started = time.perf_counter()
         state = run(circuit, theta, max_qubits=instance.max_qubits)
-        # Squares and sums all 2^Q amplitudes, unlike probabilities() on a
-        # support state, which optimize uses: sim_seconds must time the dense
-        # statevector simulator, whose growth with Q the sweep reports.
+        # Reading amplitudes scatters a support state into all 2^Q entries,
+        # which are then squared and summed, unlike optimize's objective,
+        # which squares the support alone into its kept vector: sim_seconds
+        # must time the dense statevector simulator, whose growth with Q the
+        # sweep reports.
         float((np.abs(state.amplitudes) ** 2) @ energies)
         best = min(best, time.perf_counter() - started)
     return best

@@ -1,17 +1,18 @@
 """Classical ground truth: exact enumeration and dense-matrix circuits.
 
 enumerate_solutions takes a VariableLayout alone and reads its problem. It
-walks the (N + c)^P target tuples, derives each slack register and sums exact
-Fraction gains into a report of basis indices; it never visits the 2^Q basis
-states, and per-string check_feasible(layout, bits) over all of them is its
-independent counterpart. dense_state rebuilds every gate as an
+walks the target tuples depth first, leaving out every tuple whose prefix
+already loads a node past its capacity, derives each slack register and sums
+exact Fraction gains into a report of basis indices; it never visits the 2^Q
+basis states. Per-string check_feasible(layout, bits) over all of them, and
+the full walk over every tuple in tests/helpers.py, are its independent
+counterparts. dense_state rebuilds every gate as an
 explicit 2^n x 2^n matrix, sharing no kernel code with the fast simulator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import cos, sin
 
 import numpy as np
@@ -56,9 +57,11 @@ def enumerate_solutions(
     target tuples.
 
     Each process goes to one of the N nodes or, where allowed, the Cloud, so
-    the walk visits (N + c)^P tuples (c = 1 with a Cloud, else 0): at most
+    there are (N + c)^P tuples (c = 1 with a Cloud, else 0): at most
     3^8 = 6,561 under the default 24-qubit cap, against 2^Q strings for a
-    full scan. A tuple is feasible exactly when every residual capacity fits
+    full scan. Weights are positive, so a node's load only grows along a
+    tuple and the walk drops a prefix at the first node it loads past its
+    capacity. A tuple is feasible exactly when every residual capacity fits
     its slack register, in which case the register value is unique, so each
     feasible tuple gives exactly one feasible basis index. Gains are exact
     Fractions.
@@ -69,18 +72,32 @@ def enumerate_solutions(
     if problem.variant.cloud_allowed:
         options.append(CLOUD)
     register_sizes = [1 << len(layout.slack_qubits(j)) for j in range(problem.num_nodes)]
+
+    def fitting(targets: tuple, loads: tuple):
+        """Each full tuple that extends targets, with its loads, keeping
+        every load within its node's capacity."""
+        i = len(targets)
+        if i == problem.num_processes:
+            yield targets, loads
+            return
+        weight = problem.processes[i].weight
+        for target in options:
+            grown = loads
+            if target != CLOUD:
+                load = loads[target] + weight
+                if load > problem.nodes[target].capacity:
+                    continue
+                grown = loads[:target] + (load,) + loads[target + 1 :]
+            yield from fitting(targets + (target,), grown)
+
     feasible: list[int] = []
     best: Fraction | None = None
     optimal: list[int] = []
-    for targets in product(options, repeat=problem.num_processes):
-        loads = [0] * problem.num_nodes
-        for i, target in enumerate(targets):
-            if target != CLOUD:
-                loads[target] += problem.processes[i].weight
+    for targets, loads in fitting((), (0,) * problem.num_nodes):
         residuals = [node.capacity - load for node, load in zip(problem.nodes, loads)]
         if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
             continue
-        assignment = Assignment(tuple(targets), tuple(loads), tuple(residuals))
+        assignment = Assignment(targets, loads, tuple(residuals))
         index = int(assignment_bits(layout, assignment), 2)
         feasible.append(index)
         value = gain(problem, assignment)

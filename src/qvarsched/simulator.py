@@ -23,12 +23,14 @@ being the basis index slot k holds, by bit arithmetic on the labels alone:
     that have a member in the support; an absent partner gets a new slot
     holding 0.
 Run evaluates m00*a0 + m01*a1 and m10*a0 + m11*a1 on the slots, the
-expression _apply_matrix evaluates, and scatters the slots once into a dense
-float64 vector. Outside the support the dense loop holds +0 or -0 where a
-new slot holds +0, so each amplitude agrees with the dense loop's up to the
-sign of a zero: a zero term m*(+-0) = +-0 leaves a nonzero sum unchanged,
-and a sum of zeros is a zero. As |+-0|^2 = +0, every probability equals the
-gate-by-gate loop's bit for bit, whatever the size of the support.
+expression _apply_matrix evaluates, and hands the slots, in the order of the
+sorted labels, to the StateVector it returns. That scatters them into a
+dense float64 vector only when its amplitudes are read. Outside the support
+the dense loop holds +0 or -0 where a new slot holds +0, so each amplitude
+agrees with the dense loop's up to the sign of a zero: a zero term
+m*(+-0) = +-0 leaves a nonzero sum unchanged, and a sum of zeros is a zero.
+As |+-0|^2 = +0, every probability equals the gate-by-gate loop's bit for
+bit, whatever the size of the support.
 
 Any other circuit (QAOA) becomes a dense program that updates all 2^Q
 complex128 amplitudes, viewed as rows of 2^k contiguous amplitudes
@@ -62,9 +64,11 @@ bit, the one from that gate-by-gate loop. The norm is checked after every
 run, on the support for a support program.
 
 run() hands a support program's labels, sorted, to the state as
-StateVector.support; every amplitude outside it is +0. probabilities() then
-squares only the support and scatters it into zeros, which is |a|^2 of every
-amplitude bit for bit. sample, which returns the basis indices hit and the
+StateVector.support; every amplitude outside it is +0. probabilities_into
+then squares only the support and writes it into a vector that is +0
+elsewhere, which is |a|^2 of every amplitude bit for bit; the exact
+objective keeps one such vector for all its evaluations, and probabilities()
+writes into new zeros. sample, which returns the basis indices hit and the
 hits on each (the package's one form of a sample), draws its multinomial
 over the support in ascending order instead of over all 2^Q indices, with
 one trailing category of probability 0 for index 2^Q - 1 when the support
@@ -82,7 +86,8 @@ qubits inside the row to the rows with that pattern. Each energy receives
 the same float adds, in the same order, as from one broadcast table per term
 over the (2,)*Q view; coeff times +-1.0 is exact, sign of zero included, in
 any order of the factors. energies_at makes the same adds, term by term, at
-given basis indices only, so it equals the table there bit for bit.
+given basis indices only, from one row of +-1.0 per qubit, so it equals
+the table there bit for bit.
 """
 from __future__ import annotations
 
@@ -148,23 +153,45 @@ class Circuit:
         return self._program.support
 
 
-@dataclass(frozen=True, eq=False)
 class StateVector:
-    """support, when set, holds ascending basis indices outside which every
-    amplitude is +0."""
+    """A state of qubit_count qubits.
 
-    qubit_count: int
-    amplitudes: np.ndarray
-    support: np.ndarray | None = None
+    support, when set, holds ascending basis indices outside which every
+    amplitude is +0, and held the amplitudes at them; otherwise held is every
+    amplitude. amplitudes is the dense vector: given, or, for a support
+    program's run, which passes held alone, scattered when first read.
+    """
+
+    def __init__(self, qubit_count: int, amplitudes: np.ndarray, support: np.ndarray | None = None):
+        self.qubit_count, self.support = qubit_count, support
+        if support is None or len(amplitudes) == len(support):
+            self.held = amplitudes
+        else:
+            self.held = amplitudes[support]
+            self.amplitudes = amplitudes
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        if self.support is None:
+            return self.held
+        amplitudes = np.zeros(1 << self.qubit_count, dtype=self.held.dtype)
+        amplitudes[self.support] = self.held
+        return amplitudes
 
     def probabilities(self) -> np.ndarray:
-        """|a|^2 of every amplitude; with a support, only the support is
-        squared and scattered into zeros (see the module docstring)."""
+        """|a|^2 of every amplitude, in a new vector."""
+        return self.probabilities_into(np.zeros(1 << self.qubit_count))
+
+    def probabilities_into(self, out: np.ndarray) -> np.ndarray:
+        """Write |a|^2 of every amplitude into the float64 vector out and
+        return it. With a support only the support is squared and written,
+        so out must already be +0 outside it (see the module docstring)."""
         if self.support is None:
-            return np.abs(self.amplitudes) ** 2
-        probs = np.zeros(len(self.amplitudes))
-        probs[self.support] = np.abs(self.amplitudes[self.support]) ** 2
-        return probs
+            np.abs(self.held, out=out)
+            out **= 2
+        else:
+            out[self.support] = np.abs(self.held) ** 2
+        return out
 
 
 def bits_to_index(bits: str) -> int:
@@ -335,17 +362,18 @@ def _relabel(labels: np.ndarray, gate: Gate, qubit_count: int) -> np.ndarray:
 class _SupportProgram:
     """A real-gate circuit run on the basis states it can reach from |0...0>.
 
-    Slot 0 starts as |0...0> with amplitude 1 and labels[k] is the basis index
-    slot k holds at the end; support is labels sorted. Each op is an h, ry or
-    cry gate with the slot arrays (lo, hi) of the amplitude pairs it mixes.
+    Slot 0 starts as |0...0> with amplitude 1; support[k] is the basis index
+    slot order[k] holds at the end. Each op is an h, ry or cry gate with the
+    slot arrays (lo, hi) of the amplitude pairs it mixes.
     """
 
-    labels: np.ndarray
+    order: np.ndarray
     support: np.ndarray
     ops: tuple[tuple[Gate, np.ndarray, np.ndarray], ...]
 
     def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
-        slots = np.zeros(len(self.labels))
+        """The amplitudes at the support, in its order."""
+        slots = np.zeros(len(self.order))
         slots[0] = 1.0
         for gate, lo, hi in self.ops:
             matrix = _matrix(gate.name, _resolve_angle(gate, binding))
@@ -353,9 +381,7 @@ class _SupportProgram:
             a0, a1 = slots[lo], slots[hi]
             slots[lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
             slots[hi] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-        amplitudes = np.zeros(1 << qubit_count)
-        amplitudes[self.labels] = slots
-        return amplitudes
+        return slots[self.order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,7 +519,8 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
         lo = np.where(low, slots, partner_slots)[pairs]
         hi = np.where(low, partner_slots, slots)[pairs]
         ops.append((gate, lo, hi))
-    return _SupportProgram(labels, np.sort(labels), tuple(ops))
+    order = np.argsort(labels)
+    return _SupportProgram(order, labels[order], tuple(ops))
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
@@ -508,13 +535,13 @@ def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) 
     check_qubit_count(n, max_qubits)
     binding = _bind(circuit, params)
     program = circuit._program
-    amplitudes = program.execute(n, binding)
-    # Outside a support program's support every amplitude is +0.
-    held = amplitudes if program.support is None else amplitudes[program.support]
+    # Every amplitude, or a support program's amplitudes at its support,
+    # outside which every amplitude is +0.
+    held = program.execute(n, binding)
     norm = float(np.vdot(held, held).real)
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
-    return StateVector(n, amplitudes, program.support)
+    return StateVector(n, held, program.support)
 
 
 def diagonal_energies(model: IsingModel) -> np.ndarray:
@@ -558,20 +585,19 @@ def energies_at(model: IsingModel, indices) -> np.ndarray:
     """diagonal_energies(model)[indices], bit for bit, without the 2^Q table.
 
     Each term adds its +-coeff values in the order diagonal_energies adds
-    them, one elementwise += per term, and coeff times +-1.0 is exact.
+    them, one elementwise += per term, and coeff times +-1.0 is exact. The
+    +-1.0 of every qubit at every index is built once, as spins[qubit].
     """
     indices = np.asarray(indices, dtype=np.int64)
     q = model.qubit_count
+    shifts = np.arange(q - 1, -1, -1, dtype=np.int64)[:, None]
+    spins = 1.0 - 2.0 * ((indices >> shifts) & 1)
     energies = np.full(len(indices), float(model.constant))
-
-    def spin(i: int) -> np.ndarray:
-        return 1.0 - 2.0 * ((indices >> (q - 1 - i)) & 1)
-
     for i, coeff in enumerate(model.linear):
         if coeff:
-            energies += float(coeff) * spin(i)
+            energies += float(coeff) * spins[i]
     for (i, j), coeff in model.pairwise.items():
-        energies += float(coeff) * spin(i) * spin(j)
+        energies += float(coeff) * spins[i] * spins[j]
     return energies
 
 
@@ -595,15 +621,16 @@ class Counts:
         return int(self.counts.sum())
 
 
-def sample(state: StateVector, shots: int, seed: int) -> Counts:
+def sample(state: StateVector, shots: int, seed: int, out: np.ndarray | None = None) -> Counts:
     """Multinomial measurement sample; deterministic for a given seed.
 
     A state with a support draws over the support (see the module docstring)
-    and gets the draws of a state without one.
+    and gets the draws of a state without one. Given out, the probabilities
+    are written into it by state.probabilities_into.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
+    probs = state.probabilities() if out is None else state.probabilities_into(out)
     total = probs.sum()
     categories = state.support
     if categories is None:

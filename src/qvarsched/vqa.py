@@ -12,12 +12,17 @@ count — derives from the config seed, so exact-mode runs are bit-reproducible.
 The objective reads each circuit's energy view (Instance.energy_view): all
 2^Q energies for a dense program (QAOA); for a support program (a1-a4),
 zeros except at the basis states sample draws over, which hold the true
-energies. So the sampled objective reads a true energy at every hit. The
-exact one keeps its bytes too: probabilities() is +0 outside the support, so
-every product its ddot adds there is an exact +-0, whatever energy it meets.
-Adding an exact zero leaves a nonzero lane sum unchanged, and a lane sum
-that starts at +0 never becomes -0, so probabilities() @ view equals
-probabilities() @ energies bit for bit, whatever the BLAS kernel.
+energies. So the sampled objective reads a true energy at every hit. Each
+Objective keeps one 2^Q probability vector for as long as it lives, which
+every evaluation and the final sample fill in place (probabilities_into):
+wholly for a dense program; for a support program only at the support,
+which never changes, so it stays +0 everywhere else and equals
+probabilities() at every point. The exact objective keeps its bytes too:
+the vector is +0 outside the support, so every product its ddot adds there
+is an exact +-0, whatever energy it meets. Adding an exact zero leaves a
+nonzero lane sum unchanged, and a lane sum that starts at +0 never becomes
+-0, so vector @ view equals probabilities() @ energies bit for bit, whatever
+the BLAS kernel.
 """
 from __future__ import annotations
 
@@ -194,23 +199,30 @@ def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
 class Objective:
     """The energy optimize minimizes, one per (instance, circuit, mode, shots):
     called with (theta, rng), it reads the circuit's energy view, and sampled
-    mode seeds each measurement from rng."""
+    mode seeds each measurement from rng. Every evaluation and sample writes
+    its probabilities into one vector, +0 off the circuit's support."""
 
     def __init__(self, instance: Instance, circuit: Circuit, mode: str, shots: int):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         self.circuit, self.mode, self.shots = circuit, mode, shots
         self.max_qubits, self.energies = instance.max_qubits, instance.energy_view(circuit)
+        self.probabilities = np.zeros(len(self.energies))
 
     def __call__(self, theta: np.ndarray, rng: np.random.Generator) -> float:
-        state = run(self.circuit, theta, max_qubits=self.max_qubits)
         if self.mode != "sampled":
-            return float(state.probabilities() @ self.energies)
-        counts = sample(state, self.shots, int(rng.integers(SEED_RANGE)))
+            state = run(self.circuit, theta, max_qubits=self.max_qubits)
+            return float(state.probabilities_into(self.probabilities) @ self.energies)
+        counts = self.sample(theta, int(rng.integers(SEED_RANGE)))
         # Summed strictly left to right in ascending index order, so the value is
         # bit-identical to a plain sum over the sample's (index, count) pairs.
         total = np.add.accumulate(counts.counts * self.energies[counts.indices])[-1]
         return float(total) / self.shots
+
+    def sample(self, theta, seed: int) -> Counts:
+        """A measurement of shots at theta, drawn with seed."""
+        state = run(self.circuit, theta, max_qubits=self.max_qubits)
+        return sample(state, self.shots, seed, self.probabilities)
 
 
 def optimize(
@@ -236,14 +248,12 @@ def optimize(
         if best is None or result.value < best.value:
             best = result
 
-    final_state = run(circuit, best.parameters, max_qubits=instance.max_qubits)
-    counts = sample(final_state, shots, final_seed)
     return VqaResult(
         parameters=best.parameters,
         value=best.value,
         trace=best.trace,
         iterations=len(best.trace),
-        counts=counts,
+        counts=objective.sample(best.parameters, final_seed),
         wall_time=time.perf_counter() - started,
         budget=best.budget,
     )

@@ -5,7 +5,8 @@ variables (gain plus squared equality residuals); it never touches the
 encoder's polynomial expansion, so it serves as the independent route when
 checking IsingModel energies. brute_force_oracle is the per-string
 counterpart of enumerate_solutions: check_feasible and gain on all 2^Q
-strings. reference_run and reference_energies are the slow counterparts of
+strings; product_walk_oracle is its unpruned counterpart, which visits every
+one of the (N + c)^P target tuples. reference_run and reference_energies are the slow counterparts of
 simulator.run and simulator.diagonal_energies: the gate-by-gate complex128
 loop and the per-term energy sum, whose results the fast paths must equal
 bit for bit. reference_sample is the dense counterpart of simulator.sample:
@@ -14,6 +15,7 @@ a multinomial over every one of the 2^Q indices.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from qvarsched import (
     make_problem,
 )
 from qvarsched.encoder import IsingModel, penalty_weight
-from qvarsched.problem import parse_bits
+from qvarsched.problem import CLOUD, Assignment, assignment_bits, parse_bits
 from qvarsched.simulator import Circuit, _bind, _resolve_angle, apply_gate
 
 REFERENCE_WEIGHTS = (2, 1, 1)
@@ -107,6 +109,37 @@ def brute_force_oracle(layout: VariableLayout) -> OracleReport:
     best = max(gains.values(), default=None)
     optimal = frozenset(index for index, value in gains.items() if value == best)
     return OracleReport(best, optimal, frozenset(gains), q)
+
+
+def product_walk_oracle(layout: VariableLayout) -> OracleReport:
+    """The oracle's report from every one of the (N + c)^P target tuples,
+    each dropped only once its residuals are found not to fit."""
+    problem, q = layout.problem, layout.qubit_count
+    options = list(range(problem.num_nodes))
+    if problem.variant.cloud_allowed:
+        options.append(CLOUD)
+    register_sizes = [1 << len(layout.slack_qubits(j)) for j in range(problem.num_nodes)]
+    feasible: list[int] = []
+    best: Fraction | None = None
+    optimal: list[int] = []
+    for targets in product(options, repeat=problem.num_processes):
+        loads = [0] * problem.num_nodes
+        for i, target in enumerate(targets):
+            if target != CLOUD:
+                loads[target] += problem.processes[i].weight
+        residuals = [node.capacity - load for node, load in zip(problem.nodes, loads)]
+        if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
+            continue
+        assignment = Assignment(tuple(targets), tuple(loads), tuple(residuals))
+        index = int(assignment_bits(layout, assignment), 2)
+        feasible.append(index)
+        value = gain(problem, assignment)
+        if best is None or value > best:
+            best = value
+            optimal = []
+        if value == best:
+            optimal.append(index)
+    return OracleReport(best, frozenset(optimal), frozenset(feasible), q)
 
 
 def feasible_mask(report: OracleReport) -> np.ndarray:

@@ -23,6 +23,7 @@ from helpers import (
     REFERENCE_COUNTS,
     brute_force_oracle,
     feasible_mask,
+    product_walk_oracle,
     random_problem,
     reference_problem,
 )
@@ -109,6 +110,32 @@ def wide_gain_problems(draw):
 def test_enumeration_is_exact_on_wide_denominators(problem):
     layout = build_layout(problem)
     assert enumerate_solutions(layout) == brute_force_oracle(layout)
+
+
+@st.composite
+def walk_problems(draw):
+    """Problems of every variant with one process heavier than some node's
+    capacity, so that process never fits on that node."""
+    variant = draw(st.sampled_from(["ECFL", "EOFL", "ECHL", "EOHL"]))
+    processes = draw(st.integers(1, 6))
+    nodes = draw(st.integers(1, 3))
+    thresholds = [draw(st.integers(0, 3)) if variant.endswith("HL") else 0 for _ in range(nodes)]
+    capacities = [t + draw(st.integers(1, 6)) for t in thresholds]
+    weights = draw(st.lists(st.integers(1, 10), min_size=processes, max_size=processes))
+    heavy = draw(st.integers(0, processes - 1))
+    weights[heavy] = min(capacities) + draw(st.integers(1, 4))
+    gains = st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(7, 3)])
+    values = draw(
+        st.lists(st.lists(gains, min_size=nodes, max_size=nodes), min_size=processes, max_size=processes)
+    )
+    return make_problem(variant, weights, values, capacities, thresholds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(walk_problems())
+def test_the_pruned_walk_equals_the_product_walk(problem):
+    layout = build_layout(problem)
+    assert enumerate_solutions(layout, max_qubits=64) == product_walk_oracle(layout)
 
 
 def test_optimum_matches_energy_argmin():

@@ -535,6 +535,52 @@ def test_the_dense_program_needs_two_state_buffers():
 
 
 @pytest.mark.parametrize("problem, kind", _ansatz_cases())
+def test_a_support_state_scatters_its_amplitudes_when_first_read(problem, kind):
+    circuit = ANSATZ_BUILDERS[kind](build_layout(problem))
+    values = np.random.default_rng(5).uniform(0, pi, len(circuit.parameters))
+    state = run(circuit, values)
+    assert "amplitudes" not in vars(state)
+    assert np.array_equal(state.amplitudes, reference_run(circuit, values))
+    assert state.amplitudes.dtype == np.float64
+    assert state.amplitudes is state.amplitudes
+
+
+@pytest.mark.parametrize("problem, kind", _ansatz_cases())
+def test_one_objective_equals_the_gate_by_gate_loop_at_each_point_bit_for_bit(problem, kind):
+    instance = Instance(problem)
+    circuit = build_circuit(kind, instance)
+    view = instance.energy_view(circuit)
+    objective = vqa.Objective(instance, circuit, "exact", 1)
+    rng = np.random.default_rng(13)
+    first, second = (rng.uniform(0, pi, len(circuit.parameters)) for _ in range(2))
+    # The third point repeats the first: an entry left over from the second
+    # evaluation in the objective's kept vector would change its value.
+    points = (first, second, first)
+    values = [np.float64(objective(theta, None)) for theta in points]
+    for theta, value in zip(points, values):
+        expected = np.float64(np.abs(reference_run(circuit, theta)) ** 2 @ view)
+        assert value.tobytes() == expected.tobytes()
+    assert values[2].tobytes() == values[0].tobytes()
+
+
+def test_an_exact_a4_evaluation_at_20_qubits_allocates_no_full_basis_array():
+    instance = Instance(scaling_instance(6))
+    circuit = build_circuit("a4", instance)
+    assert circuit.qubit_count == 20
+    objective = vqa.Objective(instance, circuit, "exact", 1)
+    theta = np.full(len(circuit.parameters), 0.7)
+    objective(theta, None)  # compiles
+    tracemalloc.start()
+    try:
+        objective(theta, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One float64 vector over the 2^20 basis states would alone take 8 MiB.
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("problem, kind", _ansatz_cases())
 def test_the_objective_squares_the_support_to_the_dense_probabilities_bit_for_bit(problem, kind):
     instance = Instance(problem)
     circuit = build_circuit(kind, instance)

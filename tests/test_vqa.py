@@ -239,6 +239,19 @@ def test_sampled_energy_matches_a_plain_sum_bit_for_bit():
         assert indexed == _reparsed_energy(sample(run(circuit, theta), 4096, drawn), energies)
 
 
+@pytest.mark.parametrize("algorithm", ["a4", "qaoa"])
+@pytest.mark.parametrize("mode", vqa.MODES)
+def test_the_final_counts_equal_a_sample_of_a_fresh_run_bit_for_bit(algorithm, mode):
+    instance = vqa.Instance(reference_problem("ECHL"))
+    circuit = vqa.build_circuit(algorithm, instance)
+    config = OptimizerConfig(max_iterations=40, restarts=2, seed=3)
+    result = vqa.optimize(instance, circuit, config, mode, shots=512)
+    final_seed = int(np.random.default_rng(config.seed).integers(vqa.SEED_RANGE))
+    expected = sample(run(circuit, result.parameters), 512, final_seed)
+    assert result.counts.indices.tobytes() == expected.indices.tobytes()
+    assert result.counts.counts.tobytes() == expected.counts.tobytes()
+
+
 def test_qubit_cap_is_checked_before_any_encoding(monkeypatch):
     encoded = spy_calls(monkeypatch, vqa, "encode")
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
