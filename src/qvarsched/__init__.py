@@ -12,7 +12,7 @@ from .problem import (
     ProblemVariant,
     ProcessSpec,
     VariableLayout,
-    assignment_bits,
+    assignment_index,
     build_layout,
     check_feasible,
     decode,
@@ -44,6 +44,7 @@ from .circuits import (
 from .oracle import OracleReport, dense_state, enumerate_solutions
 from .vqa import (
     Instance,
+    Objective,
     OptimizerConfig,
     VqaResult,
     build_circuit,

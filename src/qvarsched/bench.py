@@ -2,10 +2,11 @@
 
 P_best / P_feas are the shot fractions landing on optimal / feasible
 basis states; C_best / C_feas divide them by the random-guess probability
-N_x / 2^Q, so a uniform sampler scores C = 1. Experiments run R independent
-seeded repetitions of one algorithm on one Instance, which carries the
-problem's layout, Ising model and qubit cap, and aggregate with mean and
-sample standard deviation. Timing columns are wall-clock and are the
+N_x / 2^Q, so a uniform sampler scores C = 1. An experiment is an Instance,
+which carries the problem's layout, Ising model and qubit cap, and an
+ExperimentConfig, which says how to run it: R independent seeded repetitions
+of one algorithm, all on one Objective, aggregated with mean and sample
+standard deviation. Timing columns are wall-clock and are the
 only non-reproducible output fields.
 """
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import InstanceMismatchError
 from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
-from .vqa import ALGORITHMS, MODES, SEED_RANGE, Instance, OptimizerConfig, build_circuit, optimize
-from .vqa import DEFAULT_MODE, DEFAULT_SHOTS
+from .vqa import ALGORITHMS, MODES, SEED_RANGE, Instance, Objective, OptimizerConfig
+from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, build_circuit, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -70,7 +71,8 @@ def score(counts: Counts, report: OracleReport) -> Metrics:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: AssignmentProblem
+    """How to run an experiment on an Instance; the problem is the instance's."""
+
     algorithm: str  # one of vqa.ALGORITHMS
     optimizer: OptimizerConfig
     reps: int = 1
@@ -139,32 +141,25 @@ def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[s
     return means, stds
 
 
-def run_experiment(config: ExperimentConfig, instance: Instance | None = None) -> ExperimentReport:
-    """Execute R seeded runs, score each at the configured shot count.
-
-    instance, when given, is an Instance built from config.problem itself,
-    whose circuits and energy views the runs share and whose cap applies;
-    otherwise one is built with the default cap.
-    """
-    if instance is None:
-        instance = Instance(config.problem)
-    elif instance.problem is not config.problem:
-        raise InstanceMismatchError("instance was built from another problem than the config's")
+def run_experiment(instance: Instance, config: ExperimentConfig) -> ExperimentReport:
+    """Execute R seeded runs on one Objective, score each at the configured
+    shot count. The instance's cap applies, and its circuits and energy views
+    are shared."""
     report = enumerate_solutions(instance.layout, max_qubits=instance.max_qubits)
     circuit = build_circuit(config.algorithm, instance, config.reps)
+    objective = Objective(instance, circuit, config.mode, config.shots)
     run_seeds = np.random.default_rng(config.seed).integers(SEED_RANGE, size=config.runs)
     records: list[RunRecord] = []
     for raw_seed in run_seeds:
         seed = int(raw_seed)
-        optimizer = replace(config.optimizer, seed=seed)
-        result = optimize(instance, circuit, optimizer, config.mode, config.shots)
+        result = optimize(objective, replace(config.optimizer, seed=seed))
         metrics = score(result.counts, report)
         records.append(
             RunRecord(seed, metrics, result.parameters, result.iterations, result.wall_time)
         )
     means, stds = _aggregate(tuple(records))
     return ExperimentReport(
-        label=config.label or config.problem.variant.name.lower(),
+        label=config.label or instance.problem.variant.name.lower(),
         algorithm=config.algorithm_label,
         qubit_count=instance.layout.qubit_count,
         oracle=report,
@@ -243,22 +238,19 @@ def _time_statevector(instance: Instance, circuit: Circuit) -> float:
     return best
 
 
-# The sweep's default budget: one short restart per point.
-SWEEP_OPTIMIZER = OptimizerConfig(max_iterations=20, restarts=1)
+# The sweep's default experiment: a4, one short restart per point.
+SWEEP_CONFIG = ExperimentConfig("a4", OptimizerConfig(max_iterations=20, restarts=1))
 
 
 def scaling_sweep(
     process_counts,
+    config: ExperimentConfig = SWEEP_CONFIG,
     *,
     variant: ProblemVariant = ECHL,
-    algorithm: str = "a4",
-    optimizer: OptimizerConfig = SWEEP_OPTIMIZER,
     max_qubits: int = DEFAULT_MAX_QUBITS,
-    **settings,
 ) -> list[SweepPoint]:
-    """One experiment per process count over the synthetic family; settings
-    are ExperimentConfig fields (mode, shots, runs, seed, reps), left out
-    ones at its defaults."""
+    """One experiment of config per process count over the synthetic family,
+    each labelled by its variant and process count."""
     # Every Instance checks its cap before the first point runs; each is
     # dropped once its point is done, so at most one holds its energies.
     pending = [Instance(scaling_instance(p, variant), max_qubits) for p in process_counts]
@@ -267,9 +259,8 @@ def scaling_sweep(
         instance = pending.pop(0)
         processes = instance.problem.num_processes
         label = f"{variant.name.lower()}-p{processes}"
-        config = ExperimentConfig(instance.problem, algorithm, optimizer, label=label, **settings)
-        report = run_experiment(config, instance=instance)
-        circuit = build_circuit(algorithm, instance, config.reps)
+        report = run_experiment(instance, replace(config, label=label))
+        circuit = build_circuit(config.algorithm, instance, config.reps)
         sim_seconds = _time_statevector(instance, circuit)
         points.append(SweepPoint(processes, report.qubit_count, sim_seconds, report))
     return points

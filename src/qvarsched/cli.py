@@ -93,9 +93,9 @@ def _summary_text(report: bench.ExperimentReport, spec_mode: str, shots: int) ->
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = parse_experiment(read_text(args.spec), Path(args.spec).parent)
+    problem, config = parse_experiment(read_text(args.spec), Path(args.spec).parent)
     config = replace(config, **_given(args, "mode", "shots", "runs", "seed"))
-    report = bench.run_experiment(config, instance=Instance(config.problem, args.max_qubits))
+    report = bench.run_experiment(Instance(problem, args.max_qubits), config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # Appended, not swapped in: --out exp-0.5 must not write exp-0.csv.
@@ -108,15 +108,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    given = _given(args, "algorithm", "mode", "shots", "runs", "seed")
-    if args.variant is not None:
-        given["variant"] = VARIANTS[args.variant]
-    budget = _given(args, "max_iterations", "restarts")
+    config = bench.SWEEP_CONFIG
+    optimizer = replace(config.optimizer, **_given(args, "max_iterations", "restarts"))
+    config = replace(
+        config, optimizer=optimizer, **_given(args, "algorithm", "mode", "shots", "runs", "seed")
+    )
+    variant = {} if args.variant is None else {"variant": VARIANTS[args.variant]}
     points = bench.scaling_sweep(
-        range(args.pmin, args.pmax + 1),
-        optimizer=replace(bench.SWEEP_OPTIMIZER, **budget),
-        max_qubits=args.max_qubits,
-        **given,
+        range(args.pmin, args.pmax + 1), config=config, max_qubits=args.max_qubits, **variant
     )
     _write_output(bench.sweep_csv(points), args.out)
     return 0
@@ -163,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.set_defaults(func=cmd_solve)
 
     sweep_p = sub.add_parser("sweep", help="scaling sweep over the synthetic family")
-    # Flags left out take scaling_sweep's and SWEEP_OPTIMIZER's defaults.
+    # Flags left out take scaling_sweep's and SWEEP_CONFIG's defaults.
     sweep_p.add_argument("--variant", type=str.upper, choices=VARIANTS)
     sweep_p.add_argument("--algorithm", type=str.lower, choices=ALGORITHMS)
     sweep_p.add_argument("--pmin", type=_at_least(1), default=3)

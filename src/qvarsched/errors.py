@@ -29,7 +29,7 @@ class NonFiniteObjectiveError(QvarschedError):
 
 class InstanceMismatchError(QvarschedError):
     """Two things that must belong to one instance do not: measurement counts
-    and an oracle report, or an Instance and an experiment's problem."""
+    and an oracle report, or a circuit and the Instance of an Objective."""
 
 
 class ParseError(QvarschedError):

@@ -28,10 +28,11 @@ Experiment file::
     runs 10
     seed 7
 
-Only problem and algorithm are required; a keyword left out takes the
-default of the bench.ExperimentConfig or vqa.OptimizerConfig field it sets.
-The optimizer keyword sets no field: cobyla, vqa.minimize's only method, is
-its one valid value.
+Only problem and algorithm are required. parse_experiment returns the
+problem the spec names and the bench.ExperimentConfig that says how to run
+it; a keyword left out takes the default of the ExperimentConfig or
+vqa.OptimizerConfig field it sets. The optimizer keyword sets no field:
+cobyla, vqa.minimize's only method, is its one valid value.
 """
 from __future__ import annotations
 
@@ -163,9 +164,10 @@ def _read_fields(settings: dict[str, str], keywords: dict) -> dict:
     }
 
 
-def parse_experiment(text: str, base_dir: Path) -> ExperimentConfig:
-    """The experiment a spec describes. Its problem file, relative to
-    base_dir, is read and parsed here, and its stem labels the experiment."""
+def parse_experiment(text: str, base_dir: Path) -> tuple[AssignmentProblem, ExperimentConfig]:
+    """The problem a spec names and the config it gives. The problem file,
+    relative to base_dir, is read and parsed here, and its stem labels the
+    experiment."""
     lines = _content_lines(text)
     _check_header(lines, EXPERIMENT_HEADER)
     settings: dict[str, str] = {}
@@ -188,8 +190,7 @@ def parse_experiment(text: str, base_dir: Path) -> ExperimentConfig:
     problem_path = base_dir / settings["problem"]
     problem = parse_problem(read_text(problem_path))
     try:
-        return ExperimentConfig(
-            problem=problem,
+        return problem, ExperimentConfig(
             optimizer=OptimizerConfig(**_read_fields(settings, _OPTIMIZER_KEYWORDS)),
             label=problem_path.stem,
             **_read_fields(settings, _CONFIG_KEYWORDS),

@@ -18,7 +18,7 @@ from math import cos, sin
 import numpy as np
 
 from .errors import QubitCountExceededError, check_qubit_count
-from .problem import CLOUD, Assignment, VariableLayout, assignment_bits, gain
+from .problem import CLOUD, Assignment, VariableLayout, assignment_index, gain
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, _bind, _resolve_angle
 
 DENSE_MAX_QUBITS = 6
@@ -98,7 +98,7 @@ def enumerate_solutions(
         if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
             continue
         assignment = Assignment(targets, loads, tuple(residuals))
-        index = int(assignment_bits(layout, assignment), 2)
+        index = assignment_index(layout, assignment)
         feasible.append(index)
         value = gain(problem, assignment)
         if best is None or value > best:

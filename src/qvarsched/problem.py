@@ -11,6 +11,7 @@ character of a bitstring.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -45,6 +46,14 @@ EOHL = ProblemVariant(cloud_allowed=False, high_load=True)
 VARIANTS = {"ECFL": ECFL, "EOFL": EOFL, "ECHL": ECHL, "EOHL": EOHL}
 
 
+def _integer(field: str, value) -> int:
+    """value as an int; anything operator.index rejects is a ValueError naming field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
 def as_fraction(value) -> Fraction:
     """Exact conversion; decimal strings like "0.5" parse exactly."""
     if isinstance(value, float):
@@ -62,6 +71,7 @@ class ProcessSpec:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", _integer("process weight", self.weight))
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
         if self.weight < 1:
             raise ValueError(f"process weight must be >= 1, got {self.weight}")
@@ -77,6 +87,8 @@ class NodeSpec:
     threshold: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "capacity", _integer("node capacity", self.capacity))
+        object.__setattr__(self, "threshold", _integer("node threshold", self.threshold))
         if self.capacity < 1:
             raise ValueError(f"node capacity must be >= 1, got {self.capacity}")
         if self.threshold < 0:
@@ -251,8 +263,8 @@ def decode(layout: VariableLayout, bits: str) -> Assignment:
     return Assignment(tuple(targets), tuple(loads), tuple(residuals))
 
 
-def assignment_bits(layout: VariableLayout, assignment: Assignment) -> str:
-    """Bitstring for a structurally consistent assignment.
+def assignment_index(layout: VariableLayout, assignment: Assignment) -> int:
+    """Basis index of a structurally consistent assignment.
 
     Slack registers are set to the residual capacity modulo the register
     size, which is the unique value satisfying the node equality whenever one
@@ -261,18 +273,17 @@ def assignment_bits(layout: VariableLayout, assignment: Assignment) -> str:
     problem = layout.problem
     if not assignment.consistent:
         raise ValueError("assignment is structurally inconsistent")
-    bits = [0] * layout.qubit_count
+    top = layout.qubit_count - 1  # qubit 0 is the most significant bit
+    index = 0
     for i, target in enumerate(assignment.targets):
-        if target == CLOUD:
-            bits[layout.cloud_qubit(i)] = 1
-        else:
-            bits[layout.assign_qubit(i, target)] = 1
+        qubit = layout.cloud_qubit(i) if target == CLOUD else layout.assign_qubit(i, target)
+        index |= 1 << (top - qubit)
     for j, node in enumerate(problem.nodes):
         reg = layout.slack_qubits(j)
         residual = (node.capacity - assignment.loads[j]) % (1 << len(reg))
         for k, q in enumerate(reg):
-            bits[q] = (residual >> k) & 1
-    return "".join(str(b) for b in bits)
+            index |= ((residual >> k) & 1) << (top - q)
+    return index
 
 
 def check_feasible(layout: VariableLayout, bits: str) -> bool:

@@ -642,19 +642,3 @@ def sample(state: StateVector, shots: int, seed: int, out: np.ndarray | None = N
     hit = np.nonzero(draws)[0]
     indices = hit if categories is None else categories[hit]
     return Counts(state.qubit_count, indices, draws[hit])
-
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """One gate per line, for debugging and golden-file tests."""
-    lines = [f"circuit qubits={circuit.qubit_count} params={','.join(circuit.parameters) or '-'}"]
-    for gate in circuit.gates:
-        fields = [gate.name, ",".join(str(q) for q in gate.qubits)]
-        if isinstance(gate.angle, Param):
-            scale = f"*{gate.angle.scale:g}" if gate.angle.scale != 1.0 else ""
-            fields.append(f"{gate.angle.name}{scale}")
-        elif gate.angle is not None:
-            fields.append(f"{gate.angle:.12g}")
-        if gate.constant is not None:
-            fields.append(f"-{gate.constant}")
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"

@@ -12,20 +12,22 @@ count — derives from the config seed, so exact-mode runs are bit-reproducible.
 The objective reads each circuit's energy view (Instance.energy_view): all
 2^Q energies for a dense program (QAOA); for a support program (a1-a4),
 zeros except at the basis states sample draws over, which hold the true
-energies. So the sampled objective reads a true energy at every hit. Each
-Objective keeps one 2^Q probability vector for as long as it lives, which
-every evaluation and the final sample fill in place (probabilities_into):
-wholly for a dense program; for a support program only at the support,
-which never changes, so it stays +0 everywhere else and equals
-probabilities() at every point. The exact objective keeps its bytes too:
-the vector is +0 outside the support, so every product its ddot adds there
-is an exact +-0, whatever energy it meets. Adding an exact zero leaves a
-nonzero lane sum unchanged, and a lane sum that starts at +0 never becomes
--0, so vector @ view equals probabilities() @ energies bit for bit, whatever
-the BLAS kernel.
+energies. So the sampled objective reads a true energy at every hit. One
+Objective serves every run of an experiment and keeps one 2^Q probability
+vector, which every evaluation and final sample of every run fills in place
+(probabilities_into): wholly for a dense program; for a support program only
+at the support, which never changes, so it stays +0 everywhere else. Either
+way it equals probabilities() at every point, whatever ran before, so a run
+on a shared Objective gives the bytes of a run on a fresh one. The exact
+objective keeps its bytes too: the vector is +0 outside the support, so
+every product its ddot adds there is an exact +-0, whatever energy it meets.
+Adding an exact zero leaves a nonzero lane sum unchanged, and a lane sum that
+starts at +0 never becomes -0, so vector @ view equals probabilities() @
+energies bit for bit, whatever the BLAS kernel.
 """
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -37,7 +39,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
 from .encoder import encode
-from .errors import NonFiniteObjectiveError, check_qubit_count
+from .errors import InstanceMismatchError, NonFiniteObjectiveError, check_qubit_count
 from .problem import AssignmentProblem, build_layout
 from .simulator import (
     DEFAULT_MAX_QUBITS,
@@ -147,6 +149,8 @@ class Instance:
     run and restart on it.
 
     max_qubits caps every run on it and is checked before any 2^Q work.
+    Every Ising coefficient must fit a float64, the type the simulator reads
+    them in; one past sys.float_info.max is a ValueError.
     """
 
     def __init__(self, problem: AssignmentProblem, max_qubits: int = DEFAULT_MAX_QUBITS):
@@ -156,6 +160,11 @@ class Instance:
         self.max_qubits = max_qubits
         self.layout = layout
         self.model = encode(layout)
+        terms = (self.model.constant, *self.model.linear, *self.model.pairwise.values())
+        if max(map(abs, terms)) > sys.float_info.max:
+            raise ValueError(
+                f"an Ising coefficient exceeds the float64 limit {sys.float_info.max:.6g}"
+            )
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.views: dict[Circuit, np.ndarray] = {}
 
@@ -197,14 +206,20 @@ def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
 
 
 class Objective:
-    """The energy optimize minimizes, one per (instance, circuit, mode, shots):
-    called with (theta, rng), it reads the circuit's energy view, and sampled
-    mode seeds each measurement from rng. Every evaluation and sample writes
-    its probabilities into one vector, +0 off the circuit's support."""
+    """The energy optimize minimizes, one per (instance, circuit, mode, shots),
+    shared by every run, restart and final sample on them: called with
+    (theta, rng), it reads the circuit's energy view, and sampled mode seeds
+    each measurement from rng. Every evaluation and sample writes its
+    probabilities into one vector, +0 off the circuit's support."""
 
-    def __init__(self, instance: Instance, circuit: Circuit, mode: str, shots: int):
+    def __init__(
+        self, instance: Instance, circuit: Circuit, mode: str = DEFAULT_MODE, shots: int = DEFAULT_SHOTS
+    ):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        q = instance.layout.qubit_count
+        if circuit.qubit_count != q:
+            raise InstanceMismatchError(f"circuit has {circuit.qubit_count} qubits, instance has {q}")
         self.circuit, self.mode, self.shots = circuit, mode, shots
         self.max_qubits, self.energies = instance.max_qubits, instance.energy_view(circuit)
         self.probabilities = np.zeros(len(self.energies))
@@ -225,18 +240,11 @@ class Objective:
         return sample(state, self.shots, seed, self.probabilities)
 
 
-def optimize(
-    instance: Instance,
-    circuit: Circuit,
-    config: OptimizerConfig,
-    mode: str = DEFAULT_MODE,
-    shots: int = DEFAULT_SHOTS,
-) -> VqaResult:
-    """Minimize the instance's energy over the circuit's parameters, then
-    measure the best point with the given number of shots."""
-    objective = Objective(instance, circuit, mode, shots)
+def optimize(objective: Objective, config: OptimizerConfig) -> VqaResult:
+    """Minimize the objective over its circuit's parameters, then measure the
+    best point with the objective's number of shots."""
     started = time.perf_counter()
-    dim = len(circuit.parameters)
+    dim = len(objective.circuit.parameters)
     master = np.random.default_rng(config.seed)
     final_seed = int(master.integers(SEED_RANGE))
     restart_seeds = [int(s) for s in master.integers(SEED_RANGE, size=config.restarts)]
@@ -269,7 +277,7 @@ def run_vqe(
 ) -> VqaResult:
     """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
     instance = Instance(problem, max_qubits)
-    return optimize(instance, build_circuit(ansatz, instance), config, mode, shots)
+    return optimize(Objective(instance, build_circuit(ansatz, instance), mode, shots), config)
 
 
 def run_qaoa(
@@ -282,4 +290,4 @@ def run_qaoa(
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""
     instance = Instance(problem, max_qubits)
-    return optimize(instance, build_circuit("qaoa", instance, reps), config, mode, shots)
+    return optimize(Objective(instance, build_circuit("qaoa", instance, reps), mode, shots), config)

@@ -29,7 +29,7 @@ from qvarsched import (
     make_problem,
 )
 from qvarsched.encoder import IsingModel, penalty_weight
-from qvarsched.problem import CLOUD, Assignment, assignment_bits, parse_bits
+from qvarsched.problem import CLOUD, Assignment, assignment_index, parse_bits
 from qvarsched.simulator import Circuit, _bind, _resolve_angle, apply_gate
 
 REFERENCE_WEIGHTS = (2, 1, 1)
@@ -131,7 +131,7 @@ def product_walk_oracle(layout: VariableLayout) -> OracleReport:
         if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
             continue
         assignment = Assignment(tuple(targets), tuple(loads), tuple(residuals))
-        index = int(assignment_bits(layout, assignment), 2)
+        index = assignment_index(layout, assignment)
         feasible.append(index)
         value = gain(problem, assignment)
         if best is None or value > best:

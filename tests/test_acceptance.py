@@ -5,6 +5,7 @@ lines. Criteria 8-10 exercise full hybrid runs; the suite takes 43-49 s on a
 2-core host, 32-36 s of that in criterion 9.
 """
 import time
+from dataclasses import replace
 from math import cos, pi, sin
 
 import numpy as np
@@ -23,7 +24,7 @@ from qvarsched import (
     run_vqe,
     score,
 )
-from qvarsched.bench import scaling_sweep, sweep_csv
+from qvarsched.bench import SWEEP_CONFIG, scaling_sweep, sweep_csv
 from qvarsched.circuits import CircuitMetrics
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import dense_state, enumerate_solutions
@@ -276,12 +277,8 @@ def test_criterion_10_scaling_substitute(tmp_path):
         "and error-mitigated bars are out of scope; substituting the "
         "simulator wall-time sweep."
     )
-    points = scaling_sweep(
-        range(3, 8),
-        optimizer=OptimizerConfig(restarts=1, max_iterations=3),
-        runs=1,
-        seed=10,
-    )
+    optimizer = OptimizerConfig(restarts=1, max_iterations=3)
+    points = scaling_sweep(range(3, 8), replace(SWEEP_CONFIG, optimizer=optimizer, runs=1, seed=10))
     qubits = [p.qubit_count for p in points]
     assert qubits == [11, 14, 17, 20, 23]
     times = [p.sim_seconds for p in points]

@@ -1,7 +1,8 @@
 """API shape: each fact reaches a call once.
 
-A VariableLayout carries its problem and an Instance carries its qubit cap,
-so a public function that takes both can only be handed two that disagree.
+A VariableLayout carries its problem and an Instance carries its problem and
+its qubit cap, so a public function that takes both can only be handed two
+that disagree.
 """
 import importlib
 import inspect
@@ -12,7 +13,7 @@ import pytest
 import qvarsched
 
 # (carried, carrier): a function that takes the carrier reads the carried fact from it.
-CARRIED = (("problem", "layout"), ("max_qubits", "instance"))
+CARRIED = (("problem", "layout"), ("problem", "instance"), ("max_qubits", "instance"))
 
 MODULES = [f"qvarsched.{info.name}" for info in pkgutil.iter_modules(qvarsched.__path__)]
 

@@ -118,9 +118,8 @@ def test_c_feas_of_uniform_sampler_is_one(report):
     assert abs(metrics.c_feas - 1.0) < 3 * sigma_c
 
 
-def _tiny_config(problem, algorithm="a4", runs=3, seed=11, **kwargs):
+def _tiny_config(algorithm="a4", runs=3, seed=11, **kwargs):
     return ExperimentConfig(
-        problem=problem,
         algorithm=algorithm,
         optimizer=OptimizerConfig(restarts=1, max_iterations=30),
         runs=runs,
@@ -129,9 +128,12 @@ def _tiny_config(problem, algorithm="a4", runs=3, seed=11, **kwargs):
     )
 
 
+def _eohl():
+    return vqa.Instance(reference_problem("EOHL"))
+
+
 def test_run_experiment_structure():
-    problem = reference_problem("EOHL")
-    report = run_experiment(_tiny_config(problem))
+    report = run_experiment(_eohl(), _tiny_config())
     assert len(report.runs) == 3
     assert report.qubit_count == 8
     assert report.algorithm == "a4"
@@ -141,9 +143,8 @@ def test_run_experiment_structure():
 
 
 def test_run_experiment_deterministic_modulo_timing():
-    problem = reference_problem("EOHL")
-    first = run_experiment(_tiny_config(problem))
-    second = run_experiment(_tiny_config(problem))
+    first = run_experiment(_eohl(), _tiny_config())
+    second = run_experiment(_eohl(), _tiny_config())
     for a, b in zip(first.runs, second.runs):
         assert a.seed == b.seed
         assert a.parameters == b.parameters
@@ -152,17 +153,16 @@ def test_run_experiment_deterministic_modulo_timing():
 
 
 def test_run_experiment_qaoa_label():
-    problem = reference_problem("EOHL")
-    config = _tiny_config(problem, algorithm="qaoa", runs=1, reps=2)
-    report = run_experiment(config)
+    config = _tiny_config(algorithm="qaoa", runs=1, reps=2)
+    report = run_experiment(_eohl(), config)
     assert report.algorithm == "qaoa-2"
     assert len(report.runs[0].parameters) == 4
 
 
 def test_ansatz_comparison_shape():
-    problem = reference_problem("EOHL")
+    instance = _eohl()
     reports = [
-        run_experiment(_tiny_config(problem, algorithm=kind, runs=2))
+        run_experiment(instance, _tiny_config(algorithm=kind, runs=2))
         for kind in ("a1", "a2", "a3", "a4")
     ]
     assert [r.algorithm for r in reports] == ["a1", "a2", "a3", "a4"]
@@ -190,8 +190,7 @@ def test_scaling_instance_qubit_growth():
 def test_scaling_sweep_small():
     points = scaling_sweep(
         range(3, 5),
-        optimizer=OptimizerConfig(restarts=1, max_iterations=5),
-        seed=3,
+        replace(bench.SWEEP_CONFIG, optimizer=OptimizerConfig(restarts=1, max_iterations=5), seed=3),
     )
     assert [p.processes for p in points] == [3, 4]
     assert [p.qubit_count for p in points] == [11, 14]
@@ -205,55 +204,64 @@ def test_scaling_sweep_small():
 def test_instance_is_built_once_per_experiment_and_sweep_point(monkeypatch):
     encoded = spy_calls(monkeypatch, vqa, "encode")
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
-    config = ExperimentConfig(
-        problem=reference_problem("EOHL"),
-        algorithm="a4",
-        optimizer=OptimizerConfig(max_iterations=10, restarts=2),
-        runs=3,
-    )
+    config = ExperimentConfig("a4", OptimizerConfig(max_iterations=10, restarts=2), runs=3)
     # a1-a4 read energies only where their program reaches: no 2^Q table,
     # in the runs, restarts or the sweep's timing probe.
     for kind in ("a1", "a2", "a3", "a4"):
-        run_experiment(replace(config, algorithm=kind))
+        run_experiment(_eohl(), replace(config, algorithm=kind))
     assert len(encoded) == 4 and energies == []
-    scaling_sweep([3], optimizer=OptimizerConfig(max_iterations=5, restarts=1))
+    scaling_sweep([3], replace(config, optimizer=OptimizerConfig(max_iterations=5, restarts=1)))
     assert len(encoded) == 5 and energies == []
-    run_experiment(replace(config, algorithm="qaoa"))
+    run_experiment(_eohl(), replace(config, algorithm="qaoa"))
     assert len(encoded) == 6 and len(energies) == 1
 
 
-def test_run_experiment_rejects_an_instance_of_another_problem(monkeypatch):
-    oracles = spy_calls(monkeypatch, bench, "enumerate_solutions")
-    minimized = spy_calls(monkeypatch, vqa, "minimize")
-    instance = vqa.Instance(reference_problem("EOHL"))
-    with pytest.raises(InstanceMismatchError, match="another problem"):
-        run_experiment(_tiny_config(reference_problem("EOHL")), instance=instance)
-    assert oracles == [] and minimized == []
-    report = run_experiment(_tiny_config(instance.problem, runs=1), instance=instance)
-    assert report.qubit_count == 8
+@pytest.mark.parametrize("algorithm", ["a4", "qaoa"])
+@pytest.mark.parametrize("mode", vqa.MODES)
+def test_one_objective_serves_every_run_and_each_equals_a_fresh_optimize(
+    monkeypatch, algorithm, mode
+):
+    objectives = spy_calls(monkeypatch, bench, "Objective")
+    runs = []
+
+    def recording(objective, config):
+        result = vqa.optimize(objective, config)
+        runs.append((objective, result))
+        return result
+
+    monkeypatch.setattr(bench, "optimize", recording)
+    config = _tiny_config(algorithm, runs=3, mode=mode, shots=256)
+    config = replace(config, optimizer=replace(config.optimizer, restarts=2))
+    report = run_experiment(_eohl(), config)
+    assert len(objectives) == 1 and len({id(objective) for objective, _ in runs}) == 1
+    assert len({record.seed for record in report.runs}) == 3
+    for record, (_, shared) in zip(report.runs, runs, strict=True):
+        instance = _eohl()
+        fresh = vqa.optimize(
+            vqa.Objective(instance, vqa.build_circuit(algorithm, instance), mode, 256),
+            replace(config.optimizer, seed=record.seed),
+        )
+        assert shared.parameters == fresh.parameters == record.parameters
+        assert shared.counts.indices.tobytes() == fresh.counts.indices.tobytes()
+        assert shared.counts.counts.tobytes() == fresh.counts.counts.tobytes()
 
 
 def test_scaling_sweep_passes_on_experiment_settings():
-    points = scaling_sweep(
-        [3],
-        algorithm="qaoa",
-        optimizer=OptimizerConfig(restarts=1, max_iterations=6),
-        reps=2,
-        mode="sampled",
-        shots=64,
-        runs=2,
+    config = ExperimentConfig(
+        "qaoa", OptimizerConfig(restarts=1, max_iterations=6), reps=2, mode="sampled", shots=64, runs=2
     )
+    points = scaling_sweep([3], config)
     report = points[0].report
     assert report.algorithm == "qaoa-2" and len(report.runs) == 2
     assert all(len(run.parameters) == 4 for run in report.runs)
     with pytest.raises(ValueError, match="mode"):
-        scaling_sweep([3], mode="approx")
+        scaling_sweep([3], replace(bench.SWEEP_CONFIG, mode="approx"))
 
 
 def test_unknown_algorithm_raises_before_any_energies(monkeypatch):
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
     with pytest.raises(ValueError, match="a5"):
-        run_experiment(_tiny_config(reference_problem("EOHL"), algorithm="a5"))
+        run_experiment(_eohl(), _tiny_config(algorithm="a5"))
     assert energies == []
 
 
@@ -271,13 +279,14 @@ def test_bad_settings_raise_before_any_energies(monkeypatch, setting, match):
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
     minimized = spy_calls(monkeypatch, vqa, "minimize")
     with pytest.raises(ValueError, match=match):
-        run_experiment(_tiny_config(reference_problem("EOHL"), **{"algorithm": "qaoa", **setting}))
+        run_experiment(_eohl(), _tiny_config(**{"algorithm": "qaoa", **setting}))
     assert energies == [] and minimized == []
 
 
 def test_sweep_compiles_each_point_circuit_once(monkeypatch):
     compiled = spy_calls(monkeypatch, simulator, "_compile")
-    points = scaling_sweep([3, 4], optimizer=OptimizerConfig(max_iterations=10, restarts=2))
+    config = replace(bench.SWEEP_CONFIG, optimizer=OptimizerConfig(max_iterations=10, restarts=2))
+    points = scaling_sweep([3, 4], config)
     # Every evaluation, final measurement and timing probe of a point runs
     # one compiled program.
     assert [c.qubit_count for (c,) in compiled] == [p.qubit_count for p in points]

@@ -122,9 +122,9 @@ def test_parse_experiment(tmp_path):
         "optimizer COBYLA\n"
         "restarts 2\n"
     )
-    config = parse_experiment(text, _problem_dir(tmp_path))
+    problem, config = parse_experiment(text, _problem_dir(tmp_path))
     assert config.algorithm == "qaoa" and config.reps == 3
-    assert config.problem == reference_problem("EOHL") and config.label == "eohl"
+    assert problem == reference_problem("EOHL") and config.label == "eohl"
     assert config.optimizer == vqa.OptimizerConfig(max_iterations=40, restarts=2)
     with pytest.raises(ParseError, match="algorithm"):
         parse_experiment("qvarsched-v1 experiment\nproblem eohl.problem\n", tmp_path)
@@ -154,8 +154,8 @@ def test_documented_file_examples_parse(tmp_path, text):
     problem = parse_problem(_example(text, "qvarsched-v1 problem"))
     assert problem.variant.name == "EOHL"
     shutil.copy(ROOT / "problems" / "eohl.problem", tmp_path)
-    config = parse_experiment(_example(text, "qvarsched-v1 experiment"), tmp_path)
-    assert config.problem == reference_problem("EOHL")
+    problem, config = parse_experiment(_example(text, "qvarsched-v1 experiment"), tmp_path)
+    assert problem == reference_problem("EOHL")
     assert (config.algorithm, config.reps, config.runs, config.seed) == ("qaoa", 3, 10, 7)
 
 
@@ -166,7 +166,7 @@ def test_parse_experiment_missing_problem_file_is_a_parse_error(tmp_path):
 
 @pytest.mark.parametrize("algorithm", vqa.ALGORITHMS)
 def test_every_algorithm_name_parses_and_builds_a_circuit(tmp_path, algorithm):
-    config = parse_experiment(
+    _, config = parse_experiment(
         f"qvarsched-v1 experiment\nproblem eohl.problem\nalgorithm {algorithm}\n",
         _problem_dir(tmp_path),
     )
@@ -239,12 +239,11 @@ def test_parse_experiment_matches_the_config_built_from_the_same_values(eohl_dir
     else:
         # Keywords the spec leaves out take the dataclasses' own defaults here.
         expected = bench.ExperimentConfig(
-            problem=reference_problem("EOHL"),
             optimizer=vqa.OptimizerConfig(**optimizer),
             label="eohl",
             **config,
         )
-        assert parse_experiment(text, eohl_dir) == expected
+        assert parse_experiment(text, eohl_dir) == (reference_problem("EOHL"), expected)
 
 
 def test_cmd_encode(tmp_path, capsys):
@@ -386,7 +385,7 @@ def test_cmd_solve_folds_the_case_of_mode(tmp_path, monkeypatch):
     spec_path = _solve_files(tmp_path, runs=1)
     experiments = spy_calls(monkeypatch, bench, "run_experiment")
     assert main(["solve", str(spec_path), "--out", str(tmp_path / "r"), "--mode", "SAMPLED"]) == 0
-    assert [config.mode for config, in experiments] == ["sampled"]
+    assert [config.mode for _, config in experiments] == ["sampled"]
 
 
 @pytest.mark.parametrize("line", ["runs 0", "shots 0", "seed -1"])
@@ -518,23 +517,26 @@ def _sweep_keywords(monkeypatch, *options) -> dict:
 
 
 def test_cmd_sweep_passes_on_only_the_flags_given(monkeypatch, capsys):
-    budget = {"optimizer": bench.SWEEP_OPTIMIZER, "max_qubits": DEFAULT_MAX_QUBITS}
-    assert _sweep_keywords(monkeypatch) == budget
-    assert _sweep_keywords(monkeypatch, "--restarts", "3", "--seed", "4", "--algorithm", "a1") == {
-        **budget,
-        "optimizer": replace(bench.SWEEP_OPTIMIZER, restarts=3),
-        "seed": 4,
-        "algorithm": "a1",
+    defaults = {"config": bench.SWEEP_CONFIG, "max_qubits": DEFAULT_MAX_QUBITS}
+    assert _sweep_keywords(monkeypatch) == defaults
+    options = ("--restarts", "3", "--seed", "4", "--algorithm", "a1")
+    optimizer = replace(bench.SWEEP_CONFIG.optimizer, restarts=3)
+    assert _sweep_keywords(monkeypatch, *options) == {
+        **defaults,
+        "config": replace(bench.SWEEP_CONFIG, optimizer=optimizer, seed=4, algorithm="a1"),
     }
 
 
 @pytest.mark.parametrize(
-    "option, keyword, value",
-    [(("--variant", "eofl"), "variant", EOFL), (("--mode", "SAMPLED"), "mode", "sampled")],
+    "option, read, value",
+    [
+        (("--variant", "eofl"), lambda keywords: keywords["variant"], EOFL),
+        (("--mode", "SAMPLED"), lambda keywords: keywords["config"].mode, "sampled"),
+    ],
     ids=["variant", "mode"],
 )
-def test_cmd_sweep_folds_the_case_of_names(monkeypatch, capsys, option, keyword, value):
-    assert _sweep_keywords(monkeypatch, *option)[keyword] == value
+def test_cmd_sweep_folds_the_case_of_names(monkeypatch, capsys, option, read, value):
+    assert read(_sweep_keywords(monkeypatch, *option)) == value
 
 
 @pytest.mark.parametrize("option", [("--variant", "ECXL"), ("--mode", "approx")], ids=" ".join)
@@ -572,3 +574,27 @@ def test_cmd_non_positive_max_qubits_exits_2_before_running(
     assert exc.value.code == 2
     assert "--max-qubits" in capsys.readouterr().err
     assert oracles == [] and energies == []
+
+
+def test_readme_quickstart_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```python\n", text.index("## Library quickstart")) + len("```python\n")
+    exec(compile(text[start : text.index("```", start)], "README.md quickstart", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("Metrics(p_best=") for line in lines) == 3
+
+
+def test_cmd_solve_rejects_a_gain_past_the_float64_limit_before_the_oracle(
+    tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "huge.problem").write_text(EOHL_FILE.replace("=2 values=2,1", "=2 values=1e400,1"))
+    spec = tmp_path / "huge.spec"
+    spec.write_text("qvarsched-v1 experiment\nproblem huge.problem\nalgorithm a4\n")
+    oracles = spy_calls(monkeypatch, bench, "enumerate_solutions")
+    assert main(["solve", str(spec), "--out", str(tmp_path / "r")]) == 4
+    assert "exceeds the float64 limit 1.79769e+308" in capsys.readouterr().err
+    assert oracles == []
+    # encode and oracle work in exact Fractions and still print the exact values.
+    assert main(["encode", str(tmp_path / "huge.problem")]) == 0
+    assert main(["oracle", str(tmp_path / "huge.problem")]) == 0
+    assert f"optimal_gain {10**400 + 4}" in capsys.readouterr().out

@@ -7,7 +7,7 @@ from qvarsched import (
     NodeSpec,
     ProblemVariant,
     ProcessSpec,
-    assignment_bits,
+    assignment_index,
     build_layout,
     check_feasible,
     decode,
@@ -18,6 +18,7 @@ from qvarsched import (
 )
 from qvarsched.errors import MalformedBitstringError
 from qvarsched.problem import ECFL, EOHL
+from qvarsched.simulator import index_to_bits
 
 from helpers import random_problem, reference_problem
 
@@ -132,7 +133,8 @@ def test_decode_encode_identity_randomized():
                 loads[t] += problem.processes[i].weight
         residuals = tuple(n.capacity - l for n, l in zip(problem.nodes, loads))
         assignment = Assignment(targets, tuple(loads), residuals)
-        assert decode(layout, assignment_bits(layout, assignment)) == assignment
+        bits = index_to_bits(assignment_index(layout, assignment), layout.qubit_count)
+        assert decode(layout, bits) == assignment
 
 
 def test_check_feasible_reference():
@@ -179,7 +181,7 @@ def test_feasibility_equals_load_interval_for_pow2_registers():
                     loads[t] += problem.processes[i].weight
             residuals = tuple(n.capacity - l for n, l in zip(problem.nodes, loads))
             assignment = Assignment(targets, tuple(loads), residuals)
-            bits = assignment_bits(layout, assignment)
+            bits = index_to_bits(assignment_index(layout, assignment), layout.qubit_count)
             in_interval = all(
                 node.threshold <= load <= node.capacity
                 for node, load in zip(problem.nodes, loads)
@@ -211,6 +213,29 @@ def test_validation_errors():
         make_problem("EOFL", [1], [(1, 1)], (3, 2), (1, 0))  # threshold under free load
     with pytest.raises(ValueError):
         make_problem("EOFL", [1], [(1,)], (3, 2))  # wrong value count
+
+
+@pytest.mark.parametrize(
+    "weights, capacities, thresholds, field",
+    [
+        ([2.5, 1, 1], (3, 2), (2, 1), "process weight"),
+        ([2, 1, 1], (3.5, 2), (2, 1), "node capacity"),
+        ([2, 1, 1], (3, 2), (2, "1"), "node threshold"),
+    ],
+)
+def test_non_integer_weights_capacities_and_thresholds_are_rejected(
+    weights, capacities, thresholds, field
+):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make_problem("EOHL", weights, [(2, 1), (3, 1), (2, 1)], capacities, thresholds)
+
+
+def test_numpy_integers_pass_as_python_ints():
+    problem = make_problem(
+        "EOHL", np.array([2, 1, 1]), [(2, 1), (3, 1), (2, 1)], np.array([3, 2]), np.array([2, 1])
+    )
+    assert problem == reference_problem("EOHL")
+    assert type(problem.processes[0].weight) is int and type(problem.nodes[0].capacity) is int
 
 
 def test_infeasible_instance_is_constructible():

@@ -27,7 +27,6 @@ from qvarsched.simulator import (
     StateVector,
     apply_gate,
     bits_to_index,
-    circuit_to_text,
     diagonal_energies,
     energies_at,
     index_to_bits,
@@ -274,21 +273,6 @@ def test_qubit_count_cap():
     with pytest.raises(QubitCountExceededError):
         run(circuit)
     run(Circuit(4, (), ()), max_qubits=4)
-
-
-def test_circuit_text_dump():
-    circuit = Circuit(
-        2,
-        (Gate("x", (0,)), Gate("cry", (0, 1), Param("t0")), Gate("csub", (0, 1), constant=1)),
-        ("t0",),
-    )
-    text = circuit_to_text(circuit)
-    assert text.splitlines() == [
-        "circuit qubits=2 params=t0",
-        "x 0",
-        "cry 0,1 t0",
-        "csub 0,1 -1",
-    ]
 
 
 _REAL_KINDS = ("x", "h", "ry", "cx", "cry", "mcx", "csub")

@@ -16,7 +16,11 @@ from qvarsched import (
 )
 from qvarsched.bench import scaling_instance
 from qvarsched.circuits import a1_basis_angles, build_ansatz, build_qaoa
-from qvarsched.errors import NonFiniteObjectiveError, QubitCountExceededError
+from qvarsched.errors import (
+    InstanceMismatchError,
+    NonFiniteObjectiveError,
+    QubitCountExceededError,
+)
 from qvarsched.oracle import dense_state, enumerate_solutions
 from qvarsched.simulator import bits_to_index, diagonal_energies, run, sample
 from qvarsched.vqa import minimize
@@ -245,7 +249,7 @@ def test_the_final_counts_equal_a_sample_of_a_fresh_run_bit_for_bit(algorithm, m
     instance = vqa.Instance(reference_problem("ECHL"))
     circuit = vqa.build_circuit(algorithm, instance)
     config = OptimizerConfig(max_iterations=40, restarts=2, seed=3)
-    result = vqa.optimize(instance, circuit, config, mode, shots=512)
+    result = vqa.optimize(vqa.Objective(instance, circuit, mode, shots=512), config)
     final_seed = int(np.random.default_rng(config.seed).integers(vqa.SEED_RANGE))
     expected = sample(run(circuit, result.parameters), 512, final_seed)
     assert result.counts.indices.tobytes() == expected.indices.tobytes()
@@ -259,3 +263,13 @@ def test_qubit_cap_is_checked_before_any_encoding(monkeypatch):
     with pytest.raises(QubitCountExceededError, match="11 qubits"):
         run_vqe(scaling_instance(3), "a4", config, max_qubits=8)
     assert encoded == [] and energies == []
+
+
+@pytest.mark.parametrize("algorithm", ["a4", "qaoa"])
+def test_an_objective_rejects_a_circuit_of_another_instance_width(monkeypatch, algorithm):
+    runs = spy_calls(monkeypatch, vqa, "run")
+    instance = vqa.Instance(reference_problem("ECHL"))
+    circuit = vqa.build_circuit(algorithm, vqa.Instance(reference_problem("EOHL")))
+    with pytest.raises(InstanceMismatchError, match="circuit has 8 qubits, instance has 11"):
+        vqa.Objective(instance, circuit)
+    assert runs == []
