@@ -145,9 +145,10 @@ def run_experiment(instance: Instance, config: ExperimentConfig) -> ExperimentRe
     """Execute R seeded runs on one Objective, score each at the configured
     shot count. The instance's cap applies, and its circuits and energy views
     are shared."""
-    report = enumerate_solutions(instance.layout, max_qubits=instance.max_qubits)
     circuit = build_circuit(config.algorithm, instance, config.reps)
+    # Built first, so its checks fail before the oracle runs.
     objective = Objective(instance, circuit, config.mode, config.shots)
+    report = enumerate_solutions(instance.layout, max_qubits=instance.max_qubits)
     run_seeds = np.random.default_rng(config.seed).integers(SEED_RANGE, size=config.runs)
     records: list[RunRecord] = []
     for raw_seed in run_seeds:

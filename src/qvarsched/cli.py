@@ -33,7 +33,9 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def _write_output(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     else:
         sys.stdout.write(text)
 

@@ -8,6 +8,9 @@ is recorded on the result. Initial points are drawn uniformly from [0, pi)
 per seed and every source of randomness — restart initial points,
 sampled-mode measurement seeds, the final measurement of the configured shot
 count — derives from the config seed, so exact-mode runs are bit-reproducible.
+minimize imports scipy at its first call, not with this module: that import
+is most of a cold start, and parsing, encode, the oracle and every input
+error never need it.
 
 The objective reads each circuit's energy view (Instance.energy_view): all
 2^Q energies for a dense program (QAOA); for a support program (a1-a4),
@@ -35,7 +38,6 @@ from functools import cached_property, partial
 from math import isfinite, pi
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
 from .encoder import encode
@@ -132,6 +134,9 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
             f"max_iterations {config.max_iterations} raised to {budget}",
             stacklevel=2,
         )
+    # Imported here, not at module level: scipy takes most of a cold start.
+    from scipy.optimize import minimize as scipy_minimize
+
     scipy_minimize(
         wrapped,
         x0,
@@ -143,14 +148,22 @@ def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
     return MinimizeResult(tuple(points[best]), trace[best], tuple(trace), budget)
 
 
+def _check_float64(bound, what: str):
+    """Raise ValueError if the exact bound does not fit a float64."""
+    if bound > sys.float_info.max:
+        raise ValueError(f"{what} exceeds the float64 limit {sys.float_info.max:.6g}")
+
+
 class Instance:
     """One problem built once: its qubit layout, Ising model, the circuits
     built for it (see build_circuit) and their energy views, shared by every
     run and restart on it.
 
     max_qubits caps every run on it and is checked before any 2^Q work.
-    Every Ising coefficient must fit a float64, the type the simulator reads
-    them in; one past sys.float_info.max is a ValueError.
+    energy_bound, the exact sum of every Ising coefficient's magnitude, bounds
+    |E(z)| for every basis state z. Twice it must fit a float64, the type the
+    simulator reads the model in, so that no energy and no QAOA gate scale
+    2*coeff overflows; past sys.float_info.max it is a ValueError.
     """
 
     def __init__(self, problem: AssignmentProblem, max_qubits: int = DEFAULT_MAX_QUBITS):
@@ -161,10 +174,8 @@ class Instance:
         self.layout = layout
         self.model = encode(layout)
         terms = (self.model.constant, *self.model.linear, *self.model.pairwise.values())
-        if max(map(abs, terms)) > sys.float_info.max:
-            raise ValueError(
-                f"an Ising coefficient exceeds the float64 limit {sys.float_info.max:.6g}"
-            )
+        self.energy_bound = sum(map(abs, terms))
+        _check_float64(2 * self.energy_bound, "twice the Ising model's energy bound")
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.views: dict[Circuit, np.ndarray] = {}
 
@@ -210,7 +221,8 @@ class Objective:
     shared by every run, restart and final sample on them: called with
     (theta, rng), it reads the circuit's energy view, and sampled mode seeds
     each measurement from rng. Every evaluation and sample writes its
-    probabilities into one vector, +0 off the circuit's support."""
+    probabilities into one vector, +0 off the circuit's support. In sampled
+    mode shots * instance.energy_bound must fit a float64 (ValueError)."""
 
     def __init__(
         self, instance: Instance, circuit: Circuit, mode: str = DEFAULT_MODE, shots: int = DEFAULT_SHOTS
@@ -220,6 +232,8 @@ class Objective:
         q = instance.layout.qubit_count
         if circuit.qubit_count != q:
             raise InstanceMismatchError(f"circuit has {circuit.qubit_count} qubits, instance has {q}")
+        if mode == "sampled":  # its sum of hits times energies reaches shots * |E|
+            _check_float64(shots * instance.energy_bound, f"{shots} shots times the energy bound")
         self.circuit, self.mode, self.shots = circuit, mode, shots
         self.max_qubits, self.energies = instance.max_qubits, instance.energy_view(circuit)
         self.probabilities = np.zeros(len(self.energies))

@@ -1,6 +1,7 @@
 import csv
 import io
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -598,3 +599,57 @@ def test_cmd_solve_rejects_a_gain_past_the_float64_limit_before_the_oracle(
     assert main(["encode", str(tmp_path / "huge.problem")]) == 0
     assert main(["oracle", str(tmp_path / "huge.problem")]) == 0
     assert f"optimal_gain {10**400 + 4}" in capsys.readouterr().out
+
+
+def _gain_spec(tmp_path, gain: str, algorithm: str, mode: str) -> Path:
+    """A short spec on the EOHL reference problem with its first gain set to gain."""
+    (tmp_path / "gain.problem").write_text(EOHL_FILE.replace("=2 values=2,1", f"=2 values={gain},1"))
+    spec = tmp_path / "gain.spec"
+    spec.write_text(
+        "qvarsched-v1 experiment\nproblem gain.problem\n"
+        f"algorithm {algorithm}\nmode {mode}\nmax_iterations 20\nrestarts 1\n"
+    )
+    return spec
+
+
+@pytest.mark.parametrize(
+    "gain, algorithm, mode, bound",
+    [
+        # Every coefficient fits a float64, but the energies they sum to do not.
+        ("3e307", "a4", "exact", "twice the Ising model's energy bound"),
+        ("1e307", "qaoa", "exact", "twice the Ising model's energy bound"),
+        # The energies fit, but shots times an energy does not.
+        ("1e306", "a4", "sampled", "4096 shots times the energy bound"),
+        ("1e306", "qaoa", "sampled", "4096 shots times the energy bound"),
+    ],
+)
+def test_cmd_solve_rejects_energies_past_the_float64_limit_before_the_oracle(
+    tmp_path, monkeypatch, capsys, gain, algorithm, mode, bound
+):
+    spec = _gain_spec(tmp_path, gain, algorithm, mode)
+    oracles = spy_calls(monkeypatch, bench, "enumerate_solutions")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", str(spec), "--out", str(tmp_path / "r")]) == 4
+    assert f"error: {bound} exceeds the float64 limit 1.79769e+308" in capsys.readouterr().err
+    assert oracles == []
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("algorithm", ["a4", "qaoa"])
+def test_cmd_solve_runs_a_gain_whose_energies_fit_float64(tmp_path, algorithm):
+    spec = _gain_spec(tmp_path, "1e306", algorithm, "exact")
+    assert main(["solve", str(spec), "--out", str(tmp_path / "r")]) == 0
+    assert "oracle_best 1" in (tmp_path / "r.txt").read_text()
+
+
+def test_cmd_encode_out_creates_missing_directories(tmp_path):
+    out = tmp_path / "new" / "dir" / "eohl.ising"
+    assert main(["encode", str(ROOT / "problems" / "eohl.problem"), "--out", str(out)]) == 0
+    assert out.read_text() == model_to_text(encode(build_layout(reference_problem("EOHL"))))
+
+
+def test_cmd_sweep_out_creates_missing_directories(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--pmin", "3", "--pmax", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].startswith("processes,qubits,sim_seconds")
