@@ -24,7 +24,7 @@ from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
 from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
 from .vqa import ALGORITHMS, MODES, SEED_RANGE, Instance, Objective, OptimizerConfig
-from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, build_circuit, optimize
+from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, build_circuit, check_count, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -83,14 +83,12 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        check_count("runs", self.runs)
+        check_count("shots", self.shots)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.reps != 1 and self.algorithm != "qaoa":

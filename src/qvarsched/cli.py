@@ -23,7 +23,7 @@ from .files import parse_experiment, parse_problem, read_text
 from .oracle import enumerate_solutions
 from .problem import VARIANTS, build_layout
 from .simulator import index_to_bits
-from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES, Instance
+from .vqa import ALGORITHMS, COUNT_LIMIT, DEFAULT_MAX_QUBITS, MODES, Instance
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -123,16 +123,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than minimum, nor larger than
+    maximum when given."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return integer
+
+
+_COUNT = _at_least(1, COUNT_LIMIT)  # shots, runs, restarts, max_iterations
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("spec")
     solve_p.add_argument("--out", default="results")
     solve_p.add_argument("--seed", type=_at_least(0))
-    solve_p.add_argument("--runs", type=_at_least(1))
-    solve_p.add_argument("--shots", type=_at_least(1))
+    solve_p.add_argument("--runs", type=_COUNT)
+    solve_p.add_argument("--shots", type=_COUNT)
     solve_p.add_argument("--mode", type=str.lower, choices=MODES)
     solve_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     solve_p.set_defaults(func=cmd_solve)
@@ -169,11 +175,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--algorithm", type=str.lower, choices=ALGORITHMS)
     sweep_p.add_argument("--pmin", type=_at_least(1), default=3)
     sweep_p.add_argument("--pmax", type=_at_least(1), default=7)
-    sweep_p.add_argument("--max-iterations", type=_at_least(1))
-    sweep_p.add_argument("--restarts", type=_at_least(1))
+    sweep_p.add_argument("--max-iterations", type=_COUNT)
+    sweep_p.add_argument("--restarts", type=_COUNT)
     sweep_p.add_argument("--seed", type=_at_least(0))
-    sweep_p.add_argument("--runs", type=_at_least(1))
-    sweep_p.add_argument("--shots", type=_at_least(1))
+    sweep_p.add_argument("--runs", type=_COUNT)
+    sweep_p.add_argument("--shots", type=_COUNT)
     sweep_p.add_argument("--mode", type=str.lower, choices=MODES)
     sweep_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     sweep_p.add_argument("--out")

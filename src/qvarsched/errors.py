@@ -10,7 +10,8 @@ class MalformedBitstringError(QvarschedError):
 
 
 class UnboundParameterError(QvarschedError):
-    """A circuit was executed with at least one named parameter left unbound."""
+    """A circuit was executed with a named parameter left unbound, or with a
+    value for a name it does not have."""
 
 
 class QubitCountExceededError(QvarschedError):

@@ -33,35 +33,50 @@ As |+-0|^2 = +0, every probability equals the gate-by-gate loop's bit for
 bit, whatever the size of the support.
 
 Any other circuit (QAOA) becomes a dense program that updates all 2^Q
-complex128 amplitudes, viewed as rows of 2^k contiguous amplitudes
-(k = _STATE_ROW_QUBITS, or Q if smaller): the first Q - k qubits pick the
-row and the last k the column.
+complex128 amplitudes:
   - a circuit that opens with an h on every qubit starts from the uniform
     state instead, whose amplitude is the chain of products by 1/sqrt(2)
     that those h gates compute;
-  - each rz and rzz is one multiply, state first, of the rows by a table of
-    the phases apply_gate uses, gathered at an index compiled from the
-    gate's qubits, which broadcasts over the (2,)*(Q-k) + (2^k,) view;
+  - each maximal run of consecutive rz and rzz gates whose angles all scale
+    one Param, or are all literal, is one diagonal op: a QAOA cost layer
+    (Farhi et al., arXiv:1411.4028). A gate multiplies amplitude z by
+    exp(-0.5j * value * scale * s(z)), s(z) = +1 at even parity of its
+    qubits in z and -1 at odd (value 1.0 and scale the angle if literal),
+    so the run multiplies it by exp(-0.5j * value * w(z)), w(z) the sum of
+    scale * s(z). Compile builds w with _parity_sums, in gate order, and
+    keeps its distinct values (levels) and each amplitude's index into
+    them, shared by runs with the same terms, as QAOA layers are. Run
+    exponentiates the levels, gathers them into a spare buffer and
+    multiplies the state by it;
   - each rx is a butterfly on the (outer, 2, inner) view that pairs the
     amplitudes a0, a1 the gate mixes: m01 times the state with a0 and a1
-    swapped into a spare buffer, m00 times the state in place, then the sum
-    of the two. As rx has m10 = m01 and m11 = m00, that is the m00*a0 +
+    swapped into the spare buffer, m00 times the state in place, then the
+    sum of the two. As rx has m10 = m01 and m11 = m00, that is the m00*a0 +
     m01*a1 and m10*a0 + m11*a1 of _apply_matrix, the second sum with its
     terms in the other order, which IEEE addition does not round
     differently;
-  - an rx on a column qubit runs on the transposed (columns, rows) layout,
-    in which its pairs lie 2^(Q-k) or more amplitudes apart instead of less
-    than 2^k; the program copies the state into that layout before a run of
-    such gates and back after it, into the spare buffer;
+  - the state is viewed as rows of 2^k contiguous amplitudes
+    (k = _STATE_ROW_QUBITS, or Q if smaller): the first Q - k qubits pick
+    the row and the last k the column. An rx on a column qubit runs on the
+    transposed (columns, rows) layout, in which its pairs lie 2^(Q-k) or
+    more amplitudes apart instead of less than 2^k; the program copies the
+    state into that layout before a run of such gates and back after it,
+    into the spare buffer;
   - every other gate goes through apply_gate on the natural layout, and so
-    does an rx, rz or rzz on every qubit (Q <= 2), where apply_gate
-    multiplies single elements, which numpy rounds differently from an
-    array multiply.
-Each amplitude thus receives the same float operations, in the same order, as
-from applying apply_gate gate by gate to a complex128 |0...0>, and equals its
-amplitude bit for bit. Either way every probability |a|^2 equals, bit for
-bit, the one from that gate-by-gate loop. The norm is checked after every
-run, on the support for a support program.
+    does an rx on every qubit (Q = 1), where apply_gate multiplies single
+    elements, which numpy rounds differently from an array multiply.
+Outside the diagonal ops each amplitude thus receives the same float
+operations, in the same order, as from applying apply_gate gate by gate, so
+a circuit with no rz or rzz gate gives that loop's amplitudes bit for bit.
+A diagonal op rounds differently from its gates one by one (at most 1.1e-14
+apart on the QAOA circuits of problems/ at 1-3 layers, 50 random points
+each), and equals bit for bit the loop that applies each fused run as one
+multiply by exp(-0.5j * (value * w)), w summed per basis state in gate
+order.
+
+run() rejects a parameter value that is not finite with ArithmeticError
+before any gate, and checks the norm after every run, on the support for a
+support program: a norm that is not finite fails that check too.
 
 run() hands a support program's labels, sorted, to the state as
 StateVector.support; every amplitude outside it is +0. probabilities_into
@@ -78,23 +93,24 @@ no random numbers, returns 0 and leaves the remaining probability as it was;
 the draws left after the loop go to the last category, which the trailing
 zero keeps at index 2^Q - 1.
 
-diagonal_energies views the 2^Q energies as rows of 2^k contiguous entries
-(k = _ROW_QUBITS, or Q if smaller): the first Q - k qubits pick the row and
-the last k the entry in it. For each sign pattern of a term's qubits above
-the row it adds, with +=, one row holding the term's +-coeff values over its
-qubits inside the row to the rows with that pattern. Each energy receives
-the same float adds, in the same order, as from one broadcast table per term
-over the (2,)*Q view; coeff times +-1.0 is exact, sign of zero included, in
-any order of the factors. energies_at makes the same adds, term by term, at
-given basis indices only, from one row of +-1.0 per qubit, so it equals
-the table there bit for bit.
+_parity_sums, which builds diagonal_energies and each diagonal op's w,
+views the 2^Q sums as rows of 2^k contiguous entries (k = _ROW_QUBITS, or Q
+if smaller): the first Q - k qubits pick the row and the last k the entry in
+it. For each sign pattern of a term's qubits above the row it adds, with +=,
+one row holding the term's +-coeff values over its qubits inside the row to
+the rows with that pattern. Each sum receives the same float adds, in the
+same order, as from one broadcast table per term over the (2,)*Q view;
+coeff times +-1.0 is exact, sign of zero included, in any order of the
+factors. energies_at makes the same adds, term by term, at given basis
+indices only, from one row of +-1.0 per qubit, so it equals the table there
+bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import cos, sin
+from itertools import groupby, product
+from math import cos, isfinite, sin
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,6 +124,7 @@ NORM_TOLERANCE = 1e-9
 GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub")
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
+_PHASE_GATES = frozenset({"rz", "rzz"})
 # diagonal_energies adds rows of 2^_ROW_QUBITS entries (32 KiB of float64).
 _ROW_QUBITS = 12
 # A dense program works on rows of 2^_STATE_ROW_QUBITS amplitudes (2 KiB of complex128).
@@ -228,6 +245,9 @@ def _bind(circuit: Circuit, params) -> dict[str, float]:
     missing = [p for p in circuit.parameters if p not in binding]
     if missing:
         raise UnboundParameterError(f"unbound parameters: {', '.join(missing)}")
+    unknown = [name for name in binding if name not in circuit.parameters]
+    if unknown:
+        raise UnboundParameterError(f"unknown parameters: {', '.join(unknown)}")
     return binding
 
 
@@ -391,7 +411,9 @@ class _DenseProgram:
     uniform marks a circuit whose leading h on every qubit is folded into
     the uniform state. ops are (kernel, gate, data) for the gates after that
     prefix:
-      - ("phase", rz or rzz, index): the index into the gate's phase table;
+      - ("diagonal", gate, (levels, inverse)): a fused run of phase gates;
+        gate's angle is the Param at scale 1, or 1.0 for literal angles,
+        levels the distinct values of w and inverse each amplitude's level;
       - ("rx", rx, shape): the (outer, 2, inner) shape of the butterfly on
         the current layout;
       - ("transpose", None, shape): the shape of the layout to copy out of;
@@ -413,22 +435,21 @@ class _DenseProgram:
         else:
             amplitudes = np.zeros(1 << qubit_count, dtype=np.complex128)
             amplitudes[0] = 1.0
-        # The other layout's buffer, and a butterfly's swapped products.
+        # The other layout's buffer, a butterfly's swapped products and a
+        # diagonal's phases.
         spare = np.empty_like(amplitudes)
-        width = min(qubit_count, _STATE_ROW_QUBITS)
-        grid = (2,) * (qubit_count - width) + (1 << width,)
         for kernel, gate, data in self.ops:
             if kernel == "transpose":
                 np.copyto(spare.reshape(data[::-1]), amplitudes.reshape(data).T)
                 amplitudes, spare = spare, amplitudes
                 continue
             angle = _resolve_angle(gate, binding)
-            if kernel == "phase":
-                # The phases apply_gate multiplies by, state first.
-                low, high = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-                table = np.array((low, high) if gate.name == "rz" else (low, high, high, low))
-                rows = amplitudes.reshape(grid)
-                np.multiply(rows, table[data], out=rows)
+            if kernel == "diagonal":
+                # exp(-0.5j * value * w) at every amplitude; mode="clip" lets
+                # take write into spare, where "raise" buffers its output.
+                levels, inverse = data
+                np.take(np.exp(-0.5j * (angle * levels)), inverse, out=spare, mode="clip")
+                np.multiply(amplitudes, spare, out=amplitudes)
             elif kernel == "rx":
                 # spare gets m01 * a1 at a0 and m10 * a0 at a1, the state
                 # m00 * a0 and m11 * a1 in place.
@@ -442,18 +463,13 @@ class _DenseProgram:
         return amplitudes
 
 
-def _phase_index(qubits: Sequence[int], qubit_count: int, top: int) -> np.ndarray:
-    """Each amplitude's entry, sum of bit_q * 2^k with the last of qubits
-    as k = 0, broadcast over the (2,)*top + (columns,) view of the state."""
-    column = np.arange(1 << (qubit_count - top))
-    index = np.zeros((1,) * top + (len(column),), dtype=np.intp)
-    for q in qubits:
-        if q < top:
-            bit = np.arange(2).reshape((1,) * q + (2,) + (1,) * (top - q))
-        else:
-            bit = (column >> (qubit_count - 1 - q)) & 1
-        index = 2 * index + bit
-    return index
+def _fusion_key(gate: Gate):
+    """Equal for consecutive phase gates that fuse into one diagonal op:
+    ("param", name) when the angle scales that Param, ("literal",) for a
+    literal angle; None for any other gate."""
+    if gate.name not in _PHASE_GATES:
+        return None
+    return ("param", gate.angle.name) if isinstance(gate.angle, Param) else ("literal",)
 
 
 def _compile_dense(circuit: Circuit) -> _DenseProgram:
@@ -467,30 +483,46 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
     shapes = ((1 << top, 1 << width), (1 << width, 1 << top))  # natural, transposed
     ops: list = []
     transposed = False
-    for gate in gates:
-        # On every qubit apply_gate multiplies single elements, which numpy
-        # rounds differently from an array multiply, so it keeps that case.
-        if len(gate.qubits) == n or gate.name not in ("rx", "rz", "rzz"):
-            kernel = "gate"
-        else:
-            kernel = "rx" if gate.name == "rx" else "phase"
-        # An rx on a column qubit runs on the transposed layout, all else on
-        # the natural one.
-        wanted = kernel == "rx" and top > 0 and gate.qubits[0] >= top
+
+    def layout(wanted: bool):
+        nonlocal transposed
         if wanted != transposed:
             ops.append(("transpose", None, shapes[transposed]))
             transposed = wanted
-        if kernel == "phase":
-            ops.append((kernel, gate, _phase_index(gate.qubits, n, top)))
-        elif kernel == "rx":
-            # The qubit's bit in the index of the layout: a column bit sits
-            # above the row bits once transposed.
+
+    # (levels, inverse) per run's terms: every QAOA layer shares one.
+    diagonals: dict = {}
+    for key, group in groupby(gates, _fusion_key):
+        if key is not None:
+            group = tuple(group)
+            literal = key == ("literal",)
+            terms = tuple(
+                (float(g.angle) if literal else g.angle.scale, g.qubits) for g in group
+            )
+            if terms not in diagonals:
+                # unique then searchsorted: half the time of return_inverse
+                # at Q=23, same indices.
+                weights = _parity_sums(n, 0.0, terms)
+                levels = np.unique(weights)
+                diagonals[terms] = levels, np.searchsorted(levels, weights)
+            fused = Gate("diagonal", (), 1.0 if literal else Param(key[1]))
+            layout(False)
+            ops.append(("diagonal", fused, diagonals[terms]))
+            continue
+        for gate in group:
+            # An rx on every qubit (Q = 1) stays with apply_gate, which
+            # multiplies single elements there: numpy rounds those
+            # differently from an array multiply.
+            if gate.name != "rx" or n == 1:
+                layout(False)
+                ops.append(("gate", gate, None))
+                continue
+            # An rx on a column qubit runs on the transposed layout; its bit
+            # in the index of that layout sits above the row bits.
+            layout(top > 0 and gate.qubits[0] >= top)
             bit = n - 1 - gate.qubits[0] + (top if transposed else 0)
-            ops.append((kernel, gate, (1 << (n - 1 - bit), 2, 1 << bit)))
-        else:
-            ops.append((kernel, gate, None))
-    if transposed:
-        ops.append(("transpose", None, shapes[True]))
+            ops.append(("rx", gate, (1 << (n - 1 - bit), 2, 1 << bit)))
+    layout(False)
     return _DenseProgram(uniform, tuple(ops))
 
 
@@ -534,33 +566,37 @@ def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) 
     n = circuit.qubit_count
     check_qubit_count(n, max_qubits)
     binding = _bind(circuit, params)
+    if not all(map(isfinite, binding.values())):
+        bad = ", ".join(f"{name}={value}" for name, value in binding.items() if not isfinite(value))
+        raise ArithmeticError(f"non-finite parameter values: {bad}")
     program = circuit._program
     # Every amplitude, or a support program's amplitudes at its support,
     # outside which every amplitude is +0.
     held = program.execute(n, binding)
     norm = float(np.vdot(held, held).real)
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    # Written so that a NaN norm fails it too.
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
     return StateVector(n, held, program.support)
 
 
-def diagonal_energies(model: IsingModel) -> np.ndarray:
-    """Energy of every basis state, ordered by basis index.
+def _parity_sums(qubit_count: int, start: float, terms) -> np.ndarray:
+    """start plus, term by term, coeff times the parity sign of the term's
+    qubits (+1 at even parity, -1 at odd) at every basis index: terms are
+    (coeff, qubits) pairs of floats and qubit tuples.
 
-    Each term adds its +-coeff values in place, linear terms first, then
-    pairwise in dict order, as rows of 2^_ROW_QUBITS contiguous entries (see
-    the module docstring).
+    Each term adds its +-coeff values in place, as rows of 2^_ROW_QUBITS
+    contiguous entries (see the module docstring).
     """
-    q = model.qubit_count
+    q = qubit_count
     width = min(q, _ROW_QUBITS)
     top = q - width  # qubits 0..top-1 pick the row
-    energies = np.full(1 << q, float(model.constant))
-    rows = energies.reshape((2,) * top + (1 << width,))
+    sums = np.full(1 << q, start)
+    rows = sums.reshape((2,) * top + (1 << width,))
     entry = np.arange(1 << width)
     spin = (1.0, -1.0)
-
-    def add(coeff, qubits: Sequence[int]):
-        row = float(coeff)
+    for coeff, qubits in terms:
+        row = coeff
         for i in qubits:
             if i >= top:
                 row = row * (1.0 - 2.0 * ((entry >> (q - 1 - i)) & 1))
@@ -572,13 +608,16 @@ def diagonal_energies(model: IsingModel) -> np.ndarray:
                 key[i] = bit
                 value = value * spin[bit]
             rows[tuple(key)] += value
+    return sums
 
-    for i, coeff in enumerate(model.linear):
-        if coeff:
-            add(coeff, (i,))
-    for pair, coeff in model.pairwise.items():
-        add(coeff, pair)
-    return energies
+
+def diagonal_energies(model: IsingModel) -> np.ndarray:
+    """Energy of every basis state, ordered by basis index: the constant,
+    then the linear terms, then the pairwise ones in dict order, added by
+    _parity_sums."""
+    terms = [(float(coeff), (i,)) for i, coeff in enumerate(model.linear) if coeff]
+    terms += [(float(coeff), pair) for pair, coeff in model.pairwise.items()]
+    return _parity_sums(model.qubit_count, float(model.constant), terms)
 
 
 def energies_at(model: IsingModel, indices) -> np.ndarray:

@@ -60,6 +60,16 @@ ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names build_circuit takes
 DEFAULT_MODE = "exact"
 MODES = (DEFAULT_MODE, "sampled")  # the objectives optimize evaluates
 DEFAULT_SHOTS = 4096  # of the final measurement, and of each sampled evaluation
+# The largest shots, runs, restarts or max_iterations: numpy takes them as C longs.
+COUNT_LIMIT = 2**63 - 1
+
+
+def check_count(name: str, value: int):
+    """Raise ValueError unless 1 <= value <= COUNT_LIMIT."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if value > COUNT_LIMIT:
+        raise ValueError(f"{name} must be <= {COUNT_LIMIT}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +81,10 @@ class OptimizerConfig:
     initial_point: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_count("max_iterations", self.max_iterations)
+        check_count("restarts", self.restarts)
         if not (isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if self.tolerance > _COBYLA_RHOBEG:
             raise ValueError(
                 f"cobyla tolerance must be <= the initial trust radius "

@@ -269,6 +269,8 @@ def test_unknown_algorithm_raises_before_any_energies(monkeypatch):
     "setting, match",
     [
         ({"shots": 0}, "shots"),
+        ({"shots": 2**63}, "shots must be <= 9223372036854775807"),
+        ({"runs": 2**63}, "runs must be <= 9223372036854775807"),
         ({"mode": "approx"}, "mode"),
         ({"seed": -1}, "seed"),
         ({"reps": 0}, "reps"),

@@ -389,7 +389,19 @@ def test_cmd_solve_folds_the_case_of_mode(tmp_path, monkeypatch):
     assert [config.mode for _, config in experiments] == ["sampled"]
 
 
-@pytest.mark.parametrize("line", ["runs 0", "shots 0", "seed -1"])
+# 2^63, one past the largest count numpy takes as a C long.
+_PAST_COUNT_LIMIT = "9223372036854775808"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "runs 0",
+        "shots 0",
+        "seed -1",
+        *(f"{key} {_PAST_COUNT_LIMIT}" for key in ("runs", "shots", "max_iterations", "restarts")),
+    ],
+)
 def test_parse_experiment_rejects_out_of_range_settings(tmp_path, line):
     with pytest.raises(ParseError, match=line.split()[0]):
         parse_experiment(
@@ -399,7 +411,14 @@ def test_parse_experiment_rejects_out_of_range_settings(tmp_path, line):
 
 
 @pytest.mark.parametrize(
-    "override", [("--runs", "0"), ("--shots", "0"), ("--seed", "-1")]
+    "override",
+    [
+        ("--runs", "0"),
+        ("--shots", "0"),
+        ("--seed", "-1"),
+        ("--runs", _PAST_COUNT_LIMIT),
+        ("--shots", _PAST_COUNT_LIMIT),
+    ],
 )
 def test_cmd_solve_rejects_out_of_range_overrides_before_running(
     tmp_path, monkeypatch, capsys, override
@@ -417,6 +436,7 @@ def test_cmd_solve_rejects_out_of_range_overrides_before_running(
     "line, message",
     [
         ("shots 0", "shots must be >= 1"),
+        (f"shots {_PAST_COUNT_LIMIT}", "shots must be <= 9223372036854775807"),
         ("optimizer NELDER-MEAD", "unknown optimizer 'NELDER-MEAD', expected cobyla"),
         ("optimizer bfgs", "unknown optimizer 'bfgs', expected cobyla"),
         ("reps 3", "reps applies to qaoa only, got reps 3 for a4"),
@@ -485,6 +505,10 @@ def test_cmd_sweep(tmp_path):
     [
         ("--restarts", "0"),
         ("--max-iterations", "0"),
+        ("--restarts", _PAST_COUNT_LIMIT),
+        ("--max-iterations", _PAST_COUNT_LIMIT),
+        ("--runs", _PAST_COUNT_LIMIT),
+        ("--shots", _PAST_COUNT_LIMIT),
         ("--pmin", "0"),
         ("--pmax", "0"),
         ("--pmin", "5", "--pmax", "3"),

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import cos, pi, sin
 from pathlib import Path
@@ -37,6 +38,7 @@ from qvarsched.simulator import (
 from qvarsched.vqa import Instance, build_circuit
 
 from helpers import (
+    fused_run,
     reference_energies,
     reference_problem,
     reference_run,
@@ -252,6 +254,8 @@ def test_unbound_and_excess_parameters():
         run(circuit)
     with pytest.raises(UnboundParameterError):
         run(circuit, [0.1, 0.2])
+    with pytest.raises(UnboundParameterError, match="unknown parameters: t1, u$"):
+        run(circuit, {"t0": pi, "t1": 5, "u": 0})
     state = run(circuit, {"t0": pi})
     assert abs(state.amplitudes[1] - 1.0) < 1e-12
     # Both gate kernels, called without an angle.
@@ -260,6 +264,28 @@ def test_unbound_and_excess_parameters():
         apply_gate(np.array([1.0, 0.0], dtype=np.complex128), gate, 1)
     with pytest.raises(UnboundParameterError, match="'t0'"):
         gate_unitary(gate, 1)
+
+
+@pytest.mark.parametrize("algorithm", ["qaoa", "a4"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_parameter_value_raises_arithmetic_error(algorithm, bad):
+    # QAOA runs as a dense program, a4 as a support program.
+    circuit = build_circuit(algorithm, Instance(reference_problem("EOHL")), 1)
+    for position in range(len(circuit.parameters)):
+        values = [0.2] * len(circuit.parameters)
+        values[position] = bad
+        with pytest.raises(ArithmeticError, match="non-finite parameter values"):
+            run(circuit, values)
+
+
+@pytest.mark.parametrize("kind", ["rx", "rz", "ry"])
+def test_a_nan_state_fails_the_norm_check(kind):
+    # A literal NaN angle reaches the gates: rx and rz keep the circuit
+    # dense, ry makes it a support program.
+    circuit = Circuit(2, (Gate("h", (0,)), Gate(kind, (1,), float("nan"))), ())
+    assert (circuit.support is None) == (kind != "ry")
+    with pytest.raises(ArithmeticError, match="norm drifted to nan"):
+        run(circuit)
 
 
 def test_param_scale():
@@ -311,6 +337,10 @@ def _circuits(draw):
 def test_run_equals_the_gate_by_gate_loop_bit_for_bit(circuit):
     state = run(circuit)
     reference = reference_run(circuit)
+    if any(g.name in ("rz", "rzz") for g in circuit.gates):
+        # A fused diagonal rounds differently from its gates one by one.
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+        reference = fused_run(circuit)
     assert state.probabilities().tobytes() == (np.abs(reference) ** 2).tobytes()
     assert np.max(np.abs(state.amplitudes - dense_state(circuit, max_qubits=8))) < 1e-12
 
@@ -333,19 +363,20 @@ def test_only_a_leading_h_on_every_qubit_folds_into_the_uniform_state(layer):
         assert np.max(np.abs(state.amplitudes - dense_state(circuit))) < 1e-12
 
 
-def test_phase_gates_on_every_qubit_equal_the_gate_by_gate_loop_bit_for_bit():
-    # apply_gate multiplies single elements here, which rounds differently
-    # from a broadcast multiply once both parts of an amplitude are nonzero.
+def test_phase_gates_on_every_qubit_equal_the_fused_loop_bit_for_bit():
+    # On 1 and 2 qubits the phase gates act on every qubit and still fuse;
+    # the rx on every qubit (Q = 1) stays with apply_gate.
     rng = np.random.default_rng(23)
     for _ in range(50):
         a, b, c = (float(t) for t in rng.uniform(0, 2 * pi, 3))
         mix = [Gate(kind, (q,), a) for q in (0, 1) for kind in ("rx", "ry")]
         for circuit in (
             Circuit(1, (*mix[:2], Gate("rz", (0,), b), Gate("rx", (0,), c)), ()),
-            Circuit(2, (*mix, Gate("rzz", (0, 1), b), Gate("rx", (0,), c)), ()),
+            Circuit(2, (*mix, Gate("rzz", (0, 1), b), Gate("rz", (1,), c), Gate("rx", (0,), c)), ()),
         ):
-            expected = np.abs(reference_run(circuit)) ** 2
-            assert run(circuit).probabilities().tobytes() == expected.tobytes()
+            state = run(circuit)
+            assert state.amplitudes.tobytes() == fused_run(circuit).tobytes()
+            assert np.max(np.abs(state.amplitudes - reference_run(circuit))) < 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -421,34 +452,66 @@ def test_a_complex_gate_sends_the_circuit_to_the_dense_program(kind):
 @st.composite
 def _dense_circuits(draw):
     """A circuit with a complex gate on 1-14 qubits, so on both sides of the
-    dense program's row split: an optional h on every qubit, then runs of
-    rx/rz/rzz gates, some a whole rx layer, each maybe followed by an h, cx
-    or ry gate, which the program runs on the natural layout."""
+    dense program's row split, and values for its parameters g and b: an
+    optional h on every qubit, then runs of rx/rz/rzz gates, some a whole rx
+    layer, each maybe followed by an h, cx or ry gate, which the program
+    runs on the natural layout. Each rx/rz/rzz angle is literal or scales g
+    or b, so a run of phase gates splits where that choice changes, and a
+    run after a whole rx layer follows rx gates on column qubits."""
     n = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     complex_kinds = ("rx", "rz", "rzz") if n > 1 else ("rx", "rz")
     other_kinds = ("h", "cx", "ry") if n > 1 else ("h", "ry")
+
+    def angled(gate):
+        name = ("g", "b", None)[int(rng.integers(3))]
+        if name is None:
+            return gate
+        return replace(gate, angle=Param(name, float(rng.uniform(-3, 3))))
+
     gates = [Gate("h", (q,)) for q in range(n)] if draw(st.booleans()) else []
     for size in draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)):
         if size == 0:
-            gates += [Gate("rx", (q,), float(rng.uniform(0, 2 * pi))) for q in range(n)]
+            layer = [Gate("rx", (q,), float(rng.uniform(0, 2 * pi))) for q in range(n)]
         else:
-            gates += [_random_gate(rng, n, complex_kinds) for _ in range(size)]
+            layer = [_random_gate(rng, n, complex_kinds) for _ in range(size)]
+        gates += [angled(gate) for gate in layer]
         if draw(st.booleans()):
             gates.append(_random_gate(rng, n, other_kinds))
-    return Circuit(n, tuple(gates), ())
+    return Circuit(n, tuple(gates), ("g", "b")), rng.uniform(0, 2 * pi, 2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_dense_circuits())
-def test_dense_program_equals_the_gate_by_gate_loop_bit_for_bit(circuit):
+def test_dense_program_equals_the_fused_loop_bit_for_bit(drawn):
+    circuit, values = drawn
     assert isinstance(circuit._program, _DenseProgram)
-    state = run(circuit)
-    reference = reference_run(circuit)
-    assert state.amplitudes.tobytes() == reference.tobytes()
-    assert state.probabilities().tobytes() == (np.abs(reference) ** 2).tobytes()
+    state = run(circuit, values)
+    fused = fused_run(circuit, values)
+    assert state.amplitudes.tobytes() == fused.tobytes()
+    assert state.probabilities().tobytes() == (np.abs(fused) ** 2).tobytes()
+    assert np.max(np.abs(state.amplitudes - reference_run(circuit, values))) < 1e-12
     if circuit.qubit_count <= 8:
-        assert np.max(np.abs(state.amplitudes - dense_state(circuit, max_qubits=8))) < 1e-12
+        dense = dense_state(circuit, values, max_qubits=8)
+        assert np.max(np.abs(state.amplitudes - dense)) < 1e-12
+
+
+def test_each_run_of_phase_gates_with_one_parameter_is_one_diagonal():
+    literal = [Gate("rz", (0,), 0.3), Gate("rzz", (0, 1), 0.5)]
+    g = [Gate("rz", (1,), Param("g", 2.0)), Gate("rzz", (1, 2), Param("g", -1.0))]
+    b = [Gate("rz", (2,), Param("b"))]
+    cases = [
+        (literal + g + b, 3),
+        (g + literal + g, 3),
+        (g + [Gate("rx", (0,), 0.4)] + g, 2),
+        (literal + literal + g + g, 2),
+    ]
+    for gates, diagonals in cases:
+        circuit = Circuit(3, tuple(gates), ("g", "b"))
+        kernels = [kernel for kernel, _, _ in circuit._program.ops]
+        assert kernels.count("diagonal") == diagonals
+        values = [0.7, -1.9]
+        assert run(circuit, values).amplitudes.tobytes() == fused_run(circuit, values).tobytes()
 
 
 _PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -481,17 +544,20 @@ def _qaoa_cases():
 
 
 @pytest.mark.parametrize("problem, reps", _qaoa_cases())
-def test_qaoa_circuits_equal_the_gate_by_gate_loop_bit_for_bit(problem, reps):
+def test_qaoa_circuits_equal_the_fused_loop_bit_for_bit(problem, reps):
     instance = Instance(problem)
     circuit = build_circuit("qaoa", instance, reps)
+    kernels = [kernel for kernel, _, _ in circuit._program.ops]
+    assert kernels.count("diagonal") == reps
     values = np.random.default_rng(reps).uniform(0, 2 * pi, len(circuit.parameters))
     state = run(circuit, values)
-    reference = reference_run(circuit, values)
-    assert state.amplitudes.tobytes() == reference.tobytes()
-    expected = np.abs(reference) ** 2
+    fused = fused_run(circuit, values)
+    assert state.amplitudes.tobytes() == fused.tobytes()
+    expected = np.abs(fused) ** 2
     assert state.probabilities().tobytes() == expected.tobytes()
     objective = state.probabilities() @ instance.energies
     assert objective.tobytes() == (expected @ instance.energies).tobytes()
+    assert np.max(np.abs(state.amplitudes - reference_run(circuit, values))) < 1e-12
 
 
 def test_qaoa_phase_and_rx_gates_bypass_apply_gate(monkeypatch):

@@ -23,7 +23,7 @@ from qvarsched.errors import (
 )
 from qvarsched.oracle import dense_state, enumerate_solutions
 from qvarsched.simulator import bits_to_index, diagonal_energies, run, sample
-from qvarsched.vqa import minimize
+from qvarsched.vqa import COUNT_LIMIT, minimize
 
 from helpers import reference_problem, spy_calls
 
@@ -68,6 +68,10 @@ def test_minimize_running_minimum_is_monotone():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
+    for field in ("max_iterations", "restarts"):
+        with pytest.raises(ValueError, match=f"{field} must be <= {COUNT_LIMIT}"):
+            OptimizerConfig(**{field: COUNT_LIMIT + 1})
+        OptimizerConfig(**{field: COUNT_LIMIT})
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
 
