@@ -48,23 +48,16 @@ complex128 amplitudes:
     them, shared by runs with the same terms, as QAOA layers are. Run
     exponentiates the levels, gathers them into a spare buffer and
     multiplies the state by it;
-  - each rx is a butterfly on the (outer, 2, inner) view that pairs the
-    amplitudes a0, a1 the gate mixes: m01 times the state with a0 and a1
-    swapped into the spare buffer, m00 times the state in place, then the
-    sum of the two. As rx has m10 = m01 and m11 = m00, that is the m00*a0 +
-    m01*a1 and m10*a0 + m11*a1 of _apply_matrix, the second sum with its
-    terms in the other order, which IEEE addition does not round
-    differently;
-  - the state is viewed as rows of 2^k contiguous amplitudes
-    (k = _STATE_ROW_QUBITS, or Q if smaller): the first Q - k qubits pick
-    the row and the last k the column. An rx on a column qubit runs on the
-    transposed (columns, rows) layout, in which its pairs lie 2^(Q-k) or
-    more amplitudes apart instead of less than 2^k; the program copies the
-    state into that layout before a run of such gates and back after it,
-    into the spare buffer;
-  - every other gate goes through apply_gate on the natural layout, and so
-    does an rx on every qubit (Q = 1), where apply_gate multiplies single
-    elements, which numpy rounds differently from an array multiply.
+  - each rx on qubit q is a butterfly on the (2^q, 2, 2^(Q-1-q)) view of
+    the state, which pairs the amplitudes a0, a1 the gate mixes: m01 times
+    the state with a0 and a1 swapped into the spare buffer, m00 times the
+    state in place, then the sum of the two. As rx has m10 = m01 and
+    m11 = m00, that is the m00*a0 + m01*a1 and m10*a0 + m11*a1 of
+    _apply_matrix, the second sum with its terms in the other order, which
+    IEEE addition does not round differently;
+  - every other gate goes through apply_gate, and so does an rx on every
+    qubit (Q = 1), where apply_gate multiplies single elements, which numpy
+    rounds differently from an array multiply.
 Outside the diagonal ops each amplitude thus receives the same float
 operations, in the same order, as from applying apply_gate gate by gate, so
 a circuit with no rz or rzz gate gives that loop's amplitudes bit for bit.
@@ -74,9 +67,10 @@ each), and equals bit for bit the loop that applies each fused run as one
 multiply by exp(-0.5j * (value * w)), w summed per basis state in gate
 order.
 
-run() rejects a parameter value that is not finite with ArithmeticError
-before any gate, and checks the norm after every run, on the support for a
-support program: a norm that is not finite fails that check too.
+Compile rejects a gate whose literal angle is not finite, and run() a
+parameter value that is not finite, with ArithmeticError before any gate.
+run() checks the norm after every run, on the support for a support
+program: a norm that is not finite fails that check too.
 
 run() hands a support program's labels, sorted, to the state as
 StateVector.support; every amplitude outside it is +0. probabilities_into
@@ -127,8 +121,6 @@ _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
 _PHASE_GATES = frozenset({"rz", "rzz"})
 # diagonal_energies adds rows of 2^_ROW_QUBITS entries (32 KiB of float64).
 _ROW_QUBITS = 12
-# A dense program works on rows of 2^_STATE_ROW_QUBITS amplitudes (2 KiB of complex128).
-_STATE_ROW_QUBITS = 7
 
 
 @dataclass(frozen=True)
@@ -414,9 +406,8 @@ class _DenseProgram:
       - ("diagonal", gate, (levels, inverse)): a fused run of phase gates;
         gate's angle is the Param at scale 1, or 1.0 for literal angles,
         levels the distinct values of w and inverse each amplitude's level;
-      - ("rx", rx, shape): the (outer, 2, inner) shape of the butterfly on
-        the current layout;
-      - ("transpose", None, shape): the shape of the layout to copy out of;
+      - ("rx", rx, shape): the (2^q, 2, 2^(Q-1-q)) shape of the butterfly
+        for an rx on qubit q;
       - ("gate", gate, None): a call to apply_gate.
     """
 
@@ -435,14 +426,9 @@ class _DenseProgram:
         else:
             amplitudes = np.zeros(1 << qubit_count, dtype=np.complex128)
             amplitudes[0] = 1.0
-        # The other layout's buffer, a butterfly's swapped products and a
-        # diagonal's phases.
+        # A butterfly's swapped products and a diagonal's phases.
         spare = np.empty_like(amplitudes)
         for kernel, gate, data in self.ops:
-            if kernel == "transpose":
-                np.copyto(spare.reshape(data[::-1]), amplitudes.reshape(data).T)
-                amplitudes, spare = spare, amplitudes
-                continue
             angle = _resolve_angle(gate, binding)
             if kernel == "diagonal":
                 # exp(-0.5j * value * w) at every amplitude; mode="clip" lets
@@ -478,18 +464,7 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
     uniform = n > 0 and prefix == {("h", (q,)) for q in range(n)}
     if uniform:
         gates = gates[n:]
-    width = min(n, _STATE_ROW_QUBITS)
-    top = n - width  # qubits 0..top-1 pick the row, the others the column
-    shapes = ((1 << top, 1 << width), (1 << width, 1 << top))  # natural, transposed
     ops: list = []
-    transposed = False
-
-    def layout(wanted: bool):
-        nonlocal transposed
-        if wanted != transposed:
-            ops.append(("transpose", None, shapes[transposed]))
-            transposed = wanted
-
     # (levels, inverse) per run's terms: every QAOA layer shares one.
     diagonals: dict = {}
     for key, group in groupby(gates, _fusion_key):
@@ -506,7 +481,6 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
                 levels = np.unique(weights)
                 diagonals[terms] = levels, np.searchsorted(levels, weights)
             fused = Gate("diagonal", (), 1.0 if literal else Param(key[1]))
-            layout(False)
             ops.append(("diagonal", fused, diagonals[terms]))
             continue
         for gate in group:
@@ -514,15 +488,10 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
             # multiplies single elements there: numpy rounds those
             # differently from an array multiply.
             if gate.name != "rx" or n == 1:
-                layout(False)
                 ops.append(("gate", gate, None))
                 continue
-            # An rx on a column qubit runs on the transposed layout; its bit
-            # in the index of that layout sits above the row bits.
-            layout(top > 0 and gate.qubits[0] >= top)
-            bit = n - 1 - gate.qubits[0] + (top if transposed else 0)
-            ops.append(("rx", gate, (1 << (n - 1 - bit), 2, 1 << bit)))
-    layout(False)
+            q = gate.qubits[0]
+            ops.append(("rx", gate, (1 << q, 2, 1 << (n - 1 - q))))
     return _DenseProgram(uniform, tuple(ops))
 
 
@@ -556,6 +525,13 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
+    bad = [
+        f"{g.name}({g.angle}) on {g.qubits}"
+        for g in circuit.gates
+        if g.angle is not None and not isinstance(g.angle, Param) and not isfinite(g.angle)
+    ]
+    if bad:
+        raise ArithmeticError(f"non-finite literal angles: {', '.join(bad)}")
     if all(g.name in _REAL_GATES for g in circuit.gates):
         return _compile_support(circuit)
     return _compile_dense(circuit)

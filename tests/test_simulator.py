@@ -280,12 +280,35 @@ def test_a_non_finite_parameter_value_raises_arithmetic_error(algorithm, bad):
 
 @pytest.mark.parametrize("kind", ["rx", "rz", "ry"])
 def test_a_nan_state_fails_the_norm_check(kind):
-    # A literal NaN angle reaches the gates: rx and rz keep the circuit
+    # A NaN parameter scale reaches the gates: rx and rz keep the circuit
     # dense, ry makes it a support program.
-    circuit = Circuit(2, (Gate("h", (0,)), Gate(kind, (1,), float("nan"))), ())
+    gate = Gate(kind, (1,), Param("t", float("nan")))
+    circuit = Circuit(2, (Gate("h", (0,)), gate), ("t",))
     assert (circuit.support is None) == (kind != "ry")
     with pytest.raises(ArithmeticError, match="norm drifted to nan"):
-        run(circuit)
+        run(circuit, [0.3])
+
+
+@pytest.mark.parametrize("kind", ["rx", "ry", "cry", "rz", "rzz"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_literal_angle_raises_arithmetic_error(kind, bad):
+    qubits = (0, 1) if kind in ("cry", "rzz") else (1,)
+
+    def dense(angle):
+        # The trailing rz keeps ry and cry dense.
+        gates = (Gate("h", (0,)), Gate("h", (1,)), Gate(kind, qubits, angle), Gate("rz", (0,), 0.2))
+        return Circuit(2, gates, ())
+
+    def support(angle):
+        return Circuit(2, (Gate("h", (0,)), Gate(kind, qubits, angle)), ())
+
+    builds = [(dense, _DenseProgram)]
+    if kind in ("ry", "cry"):
+        builds.append((support, _SupportProgram))
+    for build, program in builds:
+        assert isinstance(build(0.3)._program, program)
+        with pytest.raises(ArithmeticError, match=rf"non-finite literal angles: {kind}\("):
+            run(build(bad))
 
 
 def test_param_scale():
@@ -451,13 +474,12 @@ def test_a_complex_gate_sends_the_circuit_to_the_dense_program(kind):
 
 @st.composite
 def _dense_circuits(draw):
-    """A circuit with a complex gate on 1-14 qubits, so on both sides of the
-    dense program's row split, and values for its parameters g and b: an
-    optional h on every qubit, then runs of rx/rz/rzz gates, some a whole rx
-    layer, each maybe followed by an h, cx or ry gate, which the program
-    runs on the natural layout. Each rx/rz/rzz angle is literal or scales g
-    or b, so a run of phase gates splits where that choice changes, and a
-    run after a whole rx layer follows rx gates on column qubits."""
+    """A circuit with a complex gate on 1-14 qubits and values for its
+    parameters g and b: an optional h on every qubit, then runs of
+    rx/rz/rzz gates, some a whole rx layer, each maybe followed by an h, cx
+    or ry gate, which the program runs through apply_gate. Each rx/rz/rzz
+    angle is literal or scales g or b, so a run of phase gates splits where
+    that choice changes."""
     n = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     complex_kinds = ("rx", "rz", "rzz") if n > 1 else ("rx", "rz")
@@ -541,6 +563,7 @@ def _qaoa_cases():
         for reps in (1, 2, 3):
             yield pytest.param(problem, reps, id=f"{path.stem}-qaoa{reps}")
     yield pytest.param(scaling_instance(4), 2, id="scaling-p4-qaoa2")
+    yield pytest.param(scaling_instance(5), 1, id="scaling-p5-qaoa1")
 
 
 @pytest.mark.parametrize("problem, reps", _qaoa_cases())
@@ -548,7 +571,7 @@ def test_qaoa_circuits_equal_the_fused_loop_bit_for_bit(problem, reps):
     instance = Instance(problem)
     circuit = build_circuit("qaoa", instance, reps)
     kernels = [kernel for kernel, _, _ in circuit._program.ops]
-    assert kernels.count("diagonal") == reps
+    assert kernels == (["diagonal"] + ["rx"] * circuit.qubit_count) * reps
     values = np.random.default_rng(reps).uniform(0, 2 * pi, len(circuit.parameters))
     state = run(circuit, values)
     fused = fused_run(circuit, values)
