@@ -21,9 +21,10 @@ counting only, into controlled ripple decrements — one decrement of the top
 m - t register bits per set bit t of the subtrahend, each a chain of
 multi-controlled X gates. An MCX with c controls is charged 1 gate / depth 1
 for c = 1 and 2c^2 - 2c + 2 gates / depth 2c for c >= 2 (quadratic size,
-linear depth); cx, cry and rzz are charged as an MCX with one control.
-Depth is greedy as-soon-as-possible layering of two-qubit work;
-single-qubit gates are ignored.
+linear depth); cx, cry and rzz are charged as an MCX with one control, and
+a QAOA cost gate as its phase_gates, so one rzz per pair term. Depth is
+greedy as-soon-as-possible layering of two-qubit work; single-qubit gates
+are ignored.
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from math import pi
 from typing import Iterator
 
-from .encoder import IsingModel
+from .encoder import IsingModel, to_terms
 from .problem import VariableLayout, parse_bits
-from .simulator import Circuit, Gate, Param
+from .simulator import Circuit, Gate, Param, phase_gates
 
 
 @dataclass(frozen=True)
@@ -164,24 +165,22 @@ def build_ansatz(kind: str, layout: VariableLayout) -> Circuit:
 def build_qaoa(model: IsingModel, reps: int) -> Circuit:
     """Uniform superposition, then reps blocks of cost layer + RX mixer.
 
-    Cost layer: RZ(2 g coeff) per linear term and RZZ(2 g coeff) per pair
-    term; mixer: RX(2 b) on every qubit. Parameters are (g0, b0, g1, b1, ...).
+    Cost layer: one cost gate at angle g with a term (2 coeff, qubits) per
+    linear and pair term of to_terms, so RZ(2 g coeff) and RZZ(2 g coeff);
+    mixer: RX(2 b) on every qubit. Parameters are (g0, b0, g1, b1, ...).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    gates = [Gate("h", (q,)) for q in range(model.qubit_count)]
+    n = model.qubit_count
+    terms = tuple((2.0 * float(coeff), qubits) for qubits, coeff in to_terms(model)[1:])
+    gates = [Gate("h", (q,)) for q in range(n)]
     parameters: list[str] = []
     for r in range(reps):
         gamma, beta = f"g{r}", f"b{r}"
         parameters += [gamma, beta]
-        for i, coeff in enumerate(model.linear):
-            if coeff:
-                gates.append(Gate("rz", (i,), Param(gamma, 2.0 * float(coeff))))
-        for (i, j), coeff in sorted(model.pairwise.items()):
-            gates.append(Gate("rzz", (i, j), Param(gamma, 2.0 * float(coeff))))
-        for q in range(model.qubit_count):
-            gates.append(Gate("rx", (q,), Param(beta, 2.0)))
-    return Circuit(model.qubit_count, tuple(gates), tuple(parameters))
+        gates.append(Gate("cost", tuple(range(n)), Param(gamma), terms=terms))
+        gates += [Gate("rx", (q,), Param(beta, 2.0)) for q in range(n)]
+    return Circuit(n, tuple(gates), tuple(parameters))
 
 
 def a1_basis_angles(layout: VariableLayout, bits: str) -> tuple[float, ...]:
@@ -214,8 +213,9 @@ def _mcx_cost(controls: int) -> tuple[int, int]:
 
 
 def _accounting_units(circuit: Circuit) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(qubits, gate cost, depth cost) per two-qubit unit, csub expanded."""
-    for gate in circuit.gates:
+    """(qubits, gate cost, depth cost) per two-qubit unit, cost and csub expanded."""
+    units = [phase_gates(g) if g.name == "cost" else (g,) for g in circuit.gates]
+    for gate in (g for unit in units for g in unit):
         if gate.name in ("cx", "cry", "rzz", "mcx"):
             cost, duration = _mcx_cost(len(gate.qubits) - 1)
             yield gate.qubits, cost, duration

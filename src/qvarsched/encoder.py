@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .problem import AssignmentProblem, VariableLayout, parse_bits
 
@@ -36,6 +37,7 @@ class IsingModel:
         for i, j in self.pairwise:
             if not 0 <= i < j < self.qubit_count:
                 raise ValueError(f"pairwise key ({i}, {j}) is not upper-triangular")
+        object.__setattr__(self, "pairwise", dict(sorted(self.pairwise.items())))
 
 
 def penalty_weight(problem: AssignmentProblem) -> Fraction:
@@ -103,37 +105,28 @@ def encode(layout: VariableLayout) -> IsingModel:
         constant = Fraction(node.capacity) - total * half
         poly.add_affine_square(a, constant, coeffs)
 
-    pairwise = {key: c for key, c in sorted(poly.pairwise.items()) if c}
     return IsingModel(
         qubit_count=layout.qubit_count,
         constant=poly.constant,
         linear=tuple(poly.linear),
-        pairwise=pairwise,
+        pairwise={key: c for key, c in poly.pairwise.items() if c},
         penalty=a,
     )
 
 
 def energy(model: IsingModel, bits: str) -> Fraction:
     """Exact energy of a bitstring; bit 0 maps to z = +1, bit 1 to z = -1."""
-    values = parse_bits(bits, model.qubit_count)
-    z = [1 - 2 * b for b in values]
-    total = model.constant
-    for i, c in enumerate(model.linear):
-        if c:
-            total += c * z[i]
-    for (i, j), c in model.pairwise.items():
-        total += c * z[i] * z[j]
-    return total
+    z = [1 - 2 * b for b in parse_bits(bits, model.qubit_count)]
+    return sum((c * prod(z[q] for q in qubits) for qubits, c in to_terms(model)), Fraction(0))
 
 
 def to_terms(model: IsingModel) -> list[Term]:
-    """Constant, singleton and pair terms, suitable for cost-layer circuits."""
+    """(qubits, coeff) of the constant (no qubits), each nonzero linear term
+    and every pair term, in ascending pair order as the model keeps them: the
+    one term order that every energy, QAOA and the text form read."""
     terms: list[Term] = [((), model.constant)]
-    for i, c in enumerate(model.linear):
-        if c:
-            terms.append(((i,), c))
-    for key, c in sorted(model.pairwise.items()):
-        terms.append((key, c))
+    terms += [((i,), c) for i, c in enumerate(model.linear) if c]
+    terms += model.pairwise.items()
     return terms
 
 
@@ -166,8 +159,7 @@ def model_to_text(model: IsingModel) -> str:
         f"penalty {format_fraction(model.penalty)}",
         f"constant {format_fraction(model.constant)}",
     ]
-    for qubits, coeff in to_terms(model):
-        if qubits:
-            lines.append(" ".join(str(q) for q in qubits) + f" {format_fraction(coeff)}")
+    for qubits, coeff in to_terms(model)[1:]:
+        lines.append(" ".join(str(q) for q in qubits) + f" {format_fraction(coeff)}")
     return "\n".join(lines) + "\n"
 

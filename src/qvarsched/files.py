@@ -130,21 +130,17 @@ def format_problem(problem: AssignmentProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-# How each experiment keyword's text is read and the field it sets.
-# ExperimentConfig and OptimizerConfig own every default and valid range.
+# How each experiment keyword's text is read; the keyword is the field it
+# sets. ExperimentConfig and OptimizerConfig own every default and valid range.
 _CONFIG_KEYWORDS = {
-    "algorithm": ("algorithm", str.lower),
-    "reps": ("reps", int),
-    "mode": ("mode", str.lower),
-    "shots": ("shots", int),
-    "runs": ("runs", int),
-    "seed": ("seed", int),
+    "algorithm": str.lower,
+    "reps": int,
+    "mode": str.lower,
+    "shots": int,
+    "runs": int,
+    "seed": int,
 }
-_OPTIMIZER_KEYWORDS = {
-    "max_iterations": ("max_iterations", int),
-    "tolerance": ("tolerance", float),
-    "restarts": ("restarts", int),
-}
+_OPTIMIZER_KEYWORDS = {"max_iterations": int, "tolerance": float, "restarts": int}
 
 
 def read_text(path: str | Path) -> str:
@@ -157,11 +153,7 @@ def read_text(path: str | Path) -> str:
 
 def _read_fields(settings: dict[str, str], keywords: dict) -> dict:
     """The fields the spec sets, read from the keywords it gives."""
-    return {
-        field: read(settings[keyword])
-        for keyword, (field, read) in keywords.items()
-        if keyword in settings
-    }
+    return {key: read(settings[key]) for key, read in keywords.items() if key in settings}
 
 
 def parse_experiment(text: str, base_dir: Path) -> tuple[AssignmentProblem, ExperimentConfig]:

@@ -11,7 +11,7 @@ explicit 2^n x 2^n matrix, sharing no kernel code with the fast simulator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cos, sin
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QubitCountExceededError, check_qubit_count
 from .problem import CLOUD, Assignment, VariableLayout, assignment_index, gain
-from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, _bind, _resolve_angle
+from .simulator import DEFAULT_MAX_QUBITS, Circuit, Gate, _bind, _resolve_angle, phase_gates
 
 DENSE_MAX_QUBITS = 6
 
@@ -124,11 +124,12 @@ def _target_matrix(name: str, angle: float | None) -> np.ndarray:
 def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np.ndarray:
     """Explicit 2^n x 2^n matrix for one gate, built by basis-state mapping.
 
-    The gates fall into three families plus csub: parity phases (rz, rzz)
-    are diagonal, exp(-0.5j * angle) at even parity of the gate's qubits and
-    exp(0.5j * angle) at odd; controlled flips (x, cx, mcx) and controlled
-    2x2 mixers (h, rx, ry, cry) apply _target_matrix to the last qubit where
-    every other one is 1 and leave the rest of the basis in place.
+    The gates fall into three families plus csub and cost: parity phases
+    (rz, rzz) are diagonal, exp(-0.5j * angle) at even parity of the gate's
+    qubits and exp(0.5j * angle) at odd; controlled flips (x, cx, mcx) and
+    controlled 2x2 mixers (h, rx, ry, cry) apply _target_matrix to the last
+    qubit where every other one is 1 and leave the rest of the basis in
+    place; a cost gate is the product of its phase_gates' matrices.
     """
     n = qubit_count
     dim = 1 << n
@@ -141,8 +142,13 @@ def gate_unitary(gate: Gate, qubit_count: int, angle: float | None = None) -> np
     def flipped(state: int, qubit: int) -> int:
         return state ^ (1 << (n - 1 - qubit))
 
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
     name = gate.name
+    if name == "cost":
+        matrix = np.eye(dim, dtype=np.complex128)
+        for phase in phase_gates(replace(gate, angle=angle)):
+            matrix = gate_unitary(phase, n) @ matrix
+        return matrix
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
     if name in ("rz", "rzz"):
         for col in range(dim):
             odd = sum(bit(col, q) for q in gate.qubits) % 2

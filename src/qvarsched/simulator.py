@@ -9,6 +9,9 @@ Conventions:
   - csub is a controlled classical permutation: with the control set, an
     m-bit slack register (least significant qubit first) holding value r is
     mapped to (r - constant) mod 2^m.
+  - cost is a QAOA cost layer exp(-i g H_C) (Farhi et al.,
+    arXiv:1411.4028): it stands for its phase_gates, one rz or rzz gate per
+    term (scale, qubits) at its angle times scale.
 
 run() compiles each Circuit once, on its first run, into a program that the
 Circuit object keeps; every later run of that object executes the program.
@@ -37,17 +40,15 @@ complex128 amplitudes:
   - a circuit that opens with an h on every qubit starts from the uniform
     state instead, whose amplitude is the chain of products by 1/sqrt(2)
     that those h gates compute;
-  - each maximal run of consecutive rz and rzz gates whose angles all scale
-    one Param, or are all literal, is one diagonal op: a QAOA cost layer
-    (Farhi et al., arXiv:1411.4028). A gate multiplies amplitude z by
-    exp(-0.5j * value * scale * s(z)), s(z) = +1 at even parity of its
-    qubits in z and -1 at odd (value 1.0 and scale the angle if literal),
-    so the run multiplies it by exp(-0.5j * value * w(z)), w(z) the sum of
-    scale * s(z). Compile builds w with _parity_sums, in gate order, and
-    keeps its distinct values (levels) and each amplitude's index into
-    them, shared by runs with the same terms, as QAOA layers are. Run
-    exponentiates the levels, gathers them into a spare buffer and
-    multiplies the state by it;
+  - each cost gate is one diagonal op: its phase gates multiply amplitude z
+    by exp(-0.5j * value * w(z)), w(z) the sum over its terms of p * s(z),
+    p the term's scale times the Param's (value 1.0 and p times the angle if
+    literal), s(z) = +1 at even parity of the term's qubits in z, -1 at odd.
+    Compile builds w with _parity_sums, in term order, and keeps its
+    distinct values (levels) and each amplitude's index into them, shared by
+    cost gates with the same terms, as QAOA layers are. Run exponentiates
+    the levels, gathers them into a spare buffer and multiplies the state
+    by it;
   - each rx on qubit q is a butterfly on the (2^q, 2, 2^(Q-1-q)) view of
     the state, which pairs the amplitudes a0, a1 the gate mixes: m01 times
     the state with a0 and a1 swapped into the spare buffer, m00 times the
@@ -55,22 +56,22 @@ complex128 amplitudes:
     m11 = m00, that is the m00*a0 + m01*a1 and m10*a0 + m11*a1 of
     _apply_matrix, the second sum with its terms in the other order, which
     IEEE addition does not round differently;
-  - every other gate goes through apply_gate, and so does an rx on every
-    qubit (Q = 1), where apply_gate multiplies single elements, which numpy
-    rounds differently from an array multiply.
+  - every other gate, rz and rzz included, goes through apply_gate, and so
+    does an rx on every qubit (Q = 1), where apply_gate multiplies single
+    elements, which numpy rounds differently from an array multiply.
 Outside the diagonal ops each amplitude thus receives the same float
 operations, in the same order, as from applying apply_gate gate by gate, so
-a circuit with no rz or rzz gate gives that loop's amplitudes bit for bit.
-A diagonal op rounds differently from its gates one by one (at most 1.1e-14
-apart on the QAOA circuits of problems/ at 1-3 layers, 50 random points
-each), and equals bit for bit the loop that applies each fused run as one
-multiply by exp(-0.5j * (value * w)), w summed per basis state in gate
-order.
+a circuit with no cost gate gives that loop's amplitudes bit for bit. Only a
+cost gate rounds differently from its phase gates one by one (at most
+1.1e-14 apart on the QAOA circuits of problems/ at 1-3 layers, 50 random
+points each); it equals bit for bit one multiply by
+exp(-0.5j * (value * w)), w summed per basis state in term order.
 
-Compile rejects a gate whose literal angle is not finite, and run() a
-parameter value that is not finite, with ArithmeticError before any gate.
-run() checks the norm after every run, on the support for a support
-program: a norm that is not finite fails that check too.
+Compile rejects a non-finite literal angle or cost-term scale, and run() a
+non-finite parameter value or resolved angle (Param scale times value), with
+ArithmeticError before any gate. run() checks the norm after every run, on
+the support for a support program: a norm that is not finite, as when a
+finite value times a cost gate's w overflows, fails that check too.
 
 run() hands a support program's labels, sorted, to the state as
 StateVector.support; every amplitude outside it is +0. probabilities_into
@@ -101,24 +102,23 @@ bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby, product
+from itertools import product
 from math import cos, isfinite, sin
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import IsingModel
+from .encoder import IsingModel, to_terms
 from .errors import UnboundParameterError, check_qubit_count
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOLERANCE = 1e-9
 
-GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub")
+GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub", "cost")
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
-_PHASE_GATES = frozenset({"rz", "rzz"})
 # diagonal_energies adds rows of 2^_ROW_QUBITS entries (32 KiB of float64).
 _ROW_QUBITS = 12
 
@@ -137,12 +137,15 @@ class Gate:
 
     qubits: operands in gate-specific order — (control, target) for cx/cry,
     (*controls, target) for mcx, (control, *register) for csub.
+    terms: a cost gate's (scale, qubits) pairs, each one rz or rzz gate at
+    angle times scale (see phase_gates).
     """
 
     name: str
     qubits: tuple[int, ...]
     angle: float | Param | None = None
     constant: int | None = None
+    terms: tuple[tuple[float, tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -246,6 +249,16 @@ def _bind(circuit: Circuit, params) -> dict[str, float]:
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
+def phase_gates(cost: Gate) -> list[Gate]:
+    """The rz (one qubit) and rzz (two) gates a cost gate stands for, one
+    per term (scale, qubits) in term order, at its angle times scale."""
+    angle, gates = cost.angle, []
+    for s, qubits in cost.terms:
+        scaled = replace(angle, scale=angle.scale * s) if isinstance(angle, Param) else angle * s
+        gates.append(Gate("rz" if len(qubits) == 1 else "rzz", qubits, scaled))
+    return gates
+
+
 def _matrix(name: str, angle: float | None) -> np.ndarray:
     """The 2x2 matrix a mixer applies to its target: H, RX or, for ry and
     cry, RY. Callers pass only mixer names."""
@@ -295,20 +308,24 @@ def _control_view(nd: np.ndarray, controls: Sequence[int]):
 def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: float | None = None):
     """Apply a single gate (with literal or pre-resolved angle) in place.
 
-    The gates fall into three families plus csub:
+    The gates fall into three families plus csub and cost:
       - parity phases (rz, rzz) multiply each slice of the gate's qubits by
         exp(-0.5j * angle) at even parity and exp(0.5j * angle) at odd;
       - controlled flips (x, cx, mcx) swap the target's halves of the view
         where every control is 1, all of it for no controls;
       - controlled 2x2 mixers (h, rx, ry, cry) apply _matrix to the target
-        on that view.
+        on that view;
+      - a cost gate applies its phase_gates one by one.
     """
     nd = amplitudes.reshape((2,) * qubit_count)
     name = gate.name
     if angle is None:
         angle = _resolve_angle(gate, {})
 
-    if name in ("rz", "rzz"):
+    if name == "cost":
+        for phase in phase_gates(replace(gate, angle=angle)):
+            apply_gate(amplitudes, phase, qubit_count)
+    elif name in ("rz", "rzz"):
         for bits in product((0, 1), repeat=len(gate.qubits)):
             key: list = [slice(None)] * qubit_count
             for q, bit in zip(gate.qubits, bits):
@@ -401,11 +418,11 @@ class _DenseProgram:
     """A circuit run on all 2^Q complex128 amplitudes (see the module docstring).
 
     uniform marks a circuit whose leading h on every qubit is folded into
-    the uniform state. ops are (kernel, gate, data) for the gates after that
+    the uniform state. ops are (kernel, gate, data), one per gate after that
     prefix:
-      - ("diagonal", gate, (levels, inverse)): a fused run of phase gates;
-        gate's angle is the Param at scale 1, or 1.0 for literal angles,
-        levels the distinct values of w and inverse each amplitude's level;
+      - ("diagonal", cost, (levels, inverse)): a cost gate; levels are the
+        distinct values of its w, which holds its angle's scale or literal
+        value, and inverse each amplitude's level;
       - ("rx", rx, shape): the (2^q, 2, 2^(Q-1-q)) shape of the butterfly
         for an rx on qubit q;
       - ("gate", gate, None): a call to apply_gate.
@@ -429,14 +446,16 @@ class _DenseProgram:
         # A butterfly's swapped products and a diagonal's phases.
         spare = np.empty_like(amplitudes)
         for kernel, gate, data in self.ops:
-            angle = _resolve_angle(gate, binding)
             if kernel == "diagonal":
                 # exp(-0.5j * value * w) at every amplitude; mode="clip" lets
                 # take write into spare, where "raise" buffers its output.
+                value = binding[gate.angle.name] if isinstance(gate.angle, Param) else 1.0
                 levels, inverse = data
-                np.take(np.exp(-0.5j * (angle * levels)), inverse, out=spare, mode="clip")
+                np.take(np.exp(-0.5j * (value * levels)), inverse, out=spare, mode="clip")
                 np.multiply(amplitudes, spare, out=amplitudes)
-            elif kernel == "rx":
+                continue
+            angle = _resolve_angle(gate, binding)
+            if kernel == "rx":
                 # spare gets m01 * a1 at a0 and m10 * a0 at a1, the state
                 # m00 * a0 and m11 * a1 in place.
                 matrix = _matrix("rx", angle)
@@ -449,15 +468,6 @@ class _DenseProgram:
         return amplitudes
 
 
-def _fusion_key(gate: Gate):
-    """Equal for consecutive phase gates that fuse into one diagonal op:
-    ("param", name) when the angle scales that Param, ("literal",) for a
-    literal angle; None for any other gate."""
-    if gate.name not in _PHASE_GATES:
-        return None
-    return ("param", gate.angle.name) if isinstance(gate.angle, Param) else ("literal",)
-
-
 def _compile_dense(circuit: Circuit) -> _DenseProgram:
     n, gates = circuit.qubit_count, circuit.gates
     prefix = {(g.name, g.qubits) for g in gates[:n]}
@@ -465,33 +475,28 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
     if uniform:
         gates = gates[n:]
     ops: list = []
-    # (levels, inverse) per run's terms: every QAOA layer shares one.
+    # (levels, inverse) per cost gate's w terms: every QAOA layer shares one.
     diagonals: dict = {}
-    for key, group in groupby(gates, _fusion_key):
-        if key is not None:
-            group = tuple(group)
-            literal = key == ("literal",)
-            terms = tuple(
-                (float(g.angle) if literal else g.angle.scale, g.qubits) for g in group
-            )
+    for gate in gates:
+        if gate.name == "cost":
+            # The angle scales of its phase_gates; run multiplies by the value.
+            scale = gate.angle.scale if isinstance(gate.angle, Param) else gate.angle
+            terms = tuple((scale * s, qubits) for s, qubits in gate.terms)
             if terms not in diagonals:
                 # unique then searchsorted: half the time of return_inverse
                 # at Q=23, same indices.
                 weights = _parity_sums(n, 0.0, terms)
                 levels = np.unique(weights)
                 diagonals[terms] = levels, np.searchsorted(levels, weights)
-            fused = Gate("diagonal", (), 1.0 if literal else Param(key[1]))
-            ops.append(("diagonal", fused, diagonals[terms]))
-            continue
-        for gate in group:
+            ops.append(("diagonal", gate, diagonals[terms]))
+        elif gate.name == "rx" and n > 1:
             # An rx on every qubit (Q = 1) stays with apply_gate, which
             # multiplies single elements there: numpy rounds those
             # differently from an array multiply.
-            if gate.name != "rx" or n == 1:
-                ops.append(("gate", gate, None))
-                continue
             q = gate.qubits[0]
             ops.append(("rx", gate, (1 << q, 2, 1 << (n - 1 - q))))
+        else:
+            ops.append(("gate", gate, None))
     return _DenseProgram(uniform, tuple(ops))
 
 
@@ -525,13 +530,11 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
-    bad = [
-        f"{g.name}({g.angle}) on {g.qubits}"
-        for g in circuit.gates
-        if g.angle is not None and not isinstance(g.angle, Param) and not isfinite(g.angle)
-    ]
-    if bad:
+    literal = [g for g in circuit.gates if g.angle is not None and not isinstance(g.angle, Param)]
+    if bad := [f"{g.name}({g.angle}) on {g.qubits}" for g in literal if not isfinite(g.angle)]:
         raise ArithmeticError(f"non-finite literal angles: {', '.join(bad)}")
+    if bad := [f"{s} on {qubits}" for g in circuit.gates for s, qubits in g.terms if not isfinite(s)]:
+        raise ArithmeticError(f"non-finite cost-term scales: {', '.join(bad)}")
     if all(g.name in _REAL_GATES for g in circuit.gates):
         return _compile_support(circuit)
     return _compile_dense(circuit)
@@ -545,6 +548,11 @@ def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) 
     if not all(map(isfinite, binding.values())):
         bad = ", ".join(f"{name}={value}" for name, value in binding.items() if not isfinite(value))
         raise ArithmeticError(f"non-finite parameter values: {bad}")
+    resolved = [(g, _resolve_angle(g, binding)) for g in circuit.gates if isinstance(g.angle, Param)]
+    bad = [(g, a) for g, a in resolved if not isfinite(a)]
+    if bad:
+        text = ", ".join(f"{g.name}({g.angle.scale} * {g.angle.name} = {a}) on {g.qubits}" for g, a in bad)
+        raise ArithmeticError(f"non-finite resolved angles: {text}")
     program = circuit._program
     # Every amplitude, or a support program's amplitudes at its support,
     # outside which every amplitude is +0.
@@ -589,11 +597,10 @@ def _parity_sums(qubit_count: int, start: float, terms) -> np.ndarray:
 
 def diagonal_energies(model: IsingModel) -> np.ndarray:
     """Energy of every basis state, ordered by basis index: the constant,
-    then the linear terms, then the pairwise ones in dict order, added by
-    _parity_sums."""
-    terms = [(float(coeff), (i,)) for i, coeff in enumerate(model.linear) if coeff]
-    terms += [(float(coeff), pair) for pair, coeff in model.pairwise.items()]
-    return _parity_sums(model.qubit_count, float(model.constant), terms)
+    then the other terms in to_terms order, added by _parity_sums."""
+    (_, constant), *terms = to_terms(model)
+    terms = [(float(coeff), qubits) for qubits, coeff in terms]
+    return _parity_sums(model.qubit_count, float(constant), terms)
 
 
 def energies_at(model: IsingModel, indices) -> np.ndarray:
@@ -607,12 +614,13 @@ def energies_at(model: IsingModel, indices) -> np.ndarray:
     q = model.qubit_count
     shifts = np.arange(q - 1, -1, -1, dtype=np.int64)[:, None]
     spins = 1.0 - 2.0 * ((indices >> shifts) & 1)
-    energies = np.full(len(indices), float(model.constant))
-    for i, coeff in enumerate(model.linear):
-        if coeff:
-            energies += float(coeff) * spins[i]
-    for (i, j), coeff in model.pairwise.items():
-        energies += float(coeff) * spins[i] * spins[j]
+    (_, constant), *terms = to_terms(model)
+    energies = np.full(len(indices), float(constant))
+    for qubits, coeff in terms:
+        value = float(coeff)
+        for i in qubits:
+            value = value * spins[i]
+        energies += value
     return energies
 
 

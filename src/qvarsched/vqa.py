@@ -40,7 +40,7 @@ from math import isfinite, pi
 import numpy as np
 
 from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
-from .encoder import encode
+from .encoder import encode, to_terms
 from .errors import InstanceMismatchError, NonFiniteObjectiveError, check_qubit_count
 from .problem import AssignmentProblem, build_layout
 from .simulator import (
@@ -181,8 +181,7 @@ class Instance:
         self.max_qubits = max_qubits
         self.layout = layout
         self.model = encode(layout)
-        terms = (self.model.constant, *self.model.linear, *self.model.pairwise.values())
-        self.energy_bound = sum(map(abs, terms))
+        self.energy_bound = sum(abs(coeff) for _, coeff in to_terms(self.model))
         _check_float64(2 * self.energy_bound, "twice the Ising model's energy bound")
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.views: dict[Circuit, np.ndarray] = {}

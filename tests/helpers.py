@@ -10,10 +10,13 @@ one of the (N + c)^P target tuples. reference_run and reference_energies
 are the slow counterparts of simulator.run and simulator.diagonal_energies:
 the gate-by-gate complex128 loop and the per-term energy sum, whose results
 the fast paths must equal bit for bit (run: within 1e-12 once a circuit has
-an rz or rzz gate). fused_run is that loop with each run of rz/rzz gates
-applied as the dense program's one diagonal multiply, which run must equal
-bit for bit. reference_sample is the dense counterpart of simulator.sample:
-a multinomial over every one of the 2^Q indices.
+a cost gate). expand_cost_gates writes each cost gate as the rz/rzz gates it
+stands for, and fused_run is the gate-by-gate loop with each run of rz/rzz
+gates applied as one diagonal multiply: run of a circuit whose cost gates
+are each followed by another kind of gate equals fused_run of its expansion
+bit for bit.
+reference_sample is the dense counterpart of simulator.sample: a
+multinomial over every one of the 2^Q indices.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from qvarsched import (
 )
 from qvarsched.encoder import IsingModel, penalty_weight
 from qvarsched.problem import CLOUD, Assignment, assignment_index, parse_bits
-from qvarsched.simulator import Circuit, Param, _bind, _resolve_angle, apply_gate
+from qvarsched.simulator import Circuit, Gate, Param, _bind, _resolve_angle, apply_gate
 
 REFERENCE_WEIGHTS = (2, 1, 1)
 REFERENCE_VALUES = ((2, 1), (3, 1), (2, 1))
@@ -242,6 +245,26 @@ def reference_run(circuit: Circuit, params=None) -> np.ndarray:
         angle = _resolve_angle(gate, binding) if gate.angle is not None else None
         apply_gate(amplitudes, gate, n, angle)
     return amplitudes
+
+
+def expand_cost_gates(circuit: Circuit) -> Circuit:
+    """circuit with each cost gate replaced by one rz (one qubit) or rzz (two)
+    per term (scale, qubits), in term order: at angle Param(name, p * scale)
+    for a cost angle Param(name, p), at the literal angle times scale
+    otherwise."""
+    gates = []
+    for gate in circuit.gates:
+        if gate.name != "cost":
+            gates.append(gate)
+            continue
+        for scale, qubits in gate.terms:
+            angle = gate.angle
+            if isinstance(angle, Param):
+                angle = Param(angle.name, angle.scale * scale)
+            else:
+                angle = angle * scale
+            gates.append(Gate("rz" if len(qubits) == 1 else "rzz", qubits, angle))
+    return Circuit(circuit.qubit_count, tuple(gates), circuit.parameters)
 
 
 def _fusion_key(gate):

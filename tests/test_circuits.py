@@ -17,9 +17,9 @@ from qvarsched import (
 from qvarsched.circuits import CircuitMetrics, a1_basis_angles
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, bits_to_index, diagonal_energies, index_to_bits
+from qvarsched.simulator import Circuit, Param, bits_to_index, diagonal_energies, index_to_bits
 
-from helpers import random_problem, reference_problem
+from helpers import expand_cost_gates, random_problem, reference_problem
 
 REFERENCE_METRICS = {
     "a1": (10, 12, 4),
@@ -169,11 +169,13 @@ def test_qaoa_example_structure():
         Fraction(1),
     )
     circuit = build_qaoa(model, 1)
-    names = [g.name for g in circuit.gates]
-    assert names.count("h") == 3
+    assert [g.name for g in circuit.gates] == ["h"] * 3 + ["cost"] + ["rx"] * 3
+    cost = circuit.gates[3]
+    assert cost.angle == Param("g0")
+    assert cost.terms == ((2.0, (0,)), (4.0, (2,)), (-8.0, (0, 1)), (-4.0, (1, 2)))
+    names = [g.name for g in expand_cost_gates(circuit).gates]
     assert names.count("rz") == 2
     assert names.count("rzz") == 2
-    assert names.count("rx") == 3
     assert circuit.parameters == ("g0", "b0")
     with pytest.raises(ValueError):
         build_qaoa(model, 0)

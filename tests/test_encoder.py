@@ -159,6 +159,14 @@ def test_example_hamiltonian_terms_and_text():
     )
 
 
+def test_a_model_keeps_its_pair_terms_in_ascending_order():
+    pairs = {(1, 2): Fraction(-2), (0, 2): Fraction(0), (0, 1): Fraction(-4)}
+    model = IsingModel(3, Fraction(1), (Fraction(0), Fraction(5), Fraction(0)), pairs, Fraction(1))
+    assert list(model.pairwise) == [(0, 1), (0, 2), (1, 2)]
+    # Every pair term is listed, a zero one too; a zero linear term is not.
+    assert to_terms(model) == [((), 1), ((1,), 5), ((0, 1), -4), ((0, 2), 0), ((1, 2), -2)]
+
+
 def test_model_text_reference_matches_golden_lines():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)

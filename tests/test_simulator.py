@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -38,6 +39,7 @@ from qvarsched.simulator import (
 from qvarsched.vqa import Instance, build_circuit
 
 from helpers import (
+    expand_cost_gates,
     fused_run,
     reference_energies,
     reference_problem,
@@ -52,10 +54,23 @@ def _random_state(rng, n):
     return amps / np.linalg.norm(amps)
 
 
+def _random_terms(rng, n):
+    """1-6 cost-gate terms (scale, qubits) on one or two of n qubits, about a
+    quarter of them with scale 0."""
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        qubits = rng.permutation(n)[: int(rng.integers(1, min(n, 2) + 1))]
+        scale = 0.0 if rng.random() < 0.25 else float(rng.uniform(-3, 3))
+        terms.append((scale, tuple(sorted(int(q) for q in qubits))))
+    return tuple(terms)
+
+
 def _random_gate(rng, n, kinds=GATE_NAMES):
     kind = rng.choice(kinds)
     qubits = rng.permutation(n)
     angle = float(rng.uniform(0, 2 * pi))
+    if kind == "cost":
+        return Gate(kind, tuple(range(n)), angle, terms=_random_terms(rng, n))
     if kind in ("x", "h"):
         return Gate(kind, (int(qubits[0]),))
     if kind in ("rx", "ry", "rz"):
@@ -116,7 +131,7 @@ def test_every_gate_kind_matches_dense_matrix_on_random_states():
         fast = apply_gate(state.copy(), gate, n)
         dense = gate_unitary(gate, n) @ state
         assert np.max(np.abs(fast - dense)) < 1e-9, gate
-    assert seen == {"x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub"}
+    assert seen == set(GATE_NAMES)
 
 
 @pytest.mark.parametrize(
@@ -278,37 +293,66 @@ def test_a_non_finite_parameter_value_raises_arithmetic_error(algorithm, bad):
             run(circuit, values)
 
 
-@pytest.mark.parametrize("kind", ["rx", "rz", "ry"])
-def test_a_nan_state_fails_the_norm_check(kind):
-    # A NaN parameter scale reaches the gates: rx and rz keep the circuit
-    # dense, ry makes it a support program.
-    gate = Gate(kind, (1,), Param("t", float("nan")))
-    circuit = Circuit(2, (Gate("h", (0,)), gate), ("t",))
-    assert (circuit.support is None) == (kind != "ry")
-    with pytest.raises(ArithmeticError, match="norm drifted to nan"):
-        run(circuit, [0.3])
+@pytest.mark.parametrize("angle", [Param("t"), 10.0], ids=["param", "literal"])
+def test_a_nan_state_fails_the_norm_check(angle):
+    # Every angle and scale is finite, but 10 times the term scale 1e308
+    # overflows to an infinite phase, whose exp is NaN. Only a cost gate
+    # multiplies a scale by an angle in the 2^Q work.
+    cost = Gate("cost", (0, 1), angle, terms=((1e308, (1,)),))
+    parameters = ("t",) if isinstance(angle, Param) else ()
+    circuit = Circuit(2, (Gate("h", (0,)), cost), parameters)
+    with pytest.warns(RuntimeWarning), pytest.raises(ArithmeticError, match="norm drifted to nan"):
+        run(circuit, [10.0] if parameters else None)
 
 
-@pytest.mark.parametrize("kind", ["rx", "ry", "cry", "rz", "rzz"])
+def _angled_circuits(kind, angle):
+    """2-qubit circuits with one kind gate at angle, with the program each
+    runs as: a dense one, and for ry and cry also a support one."""
+    qubits = (0, 1) if kind in ("cry", "rzz", "cost") else (1,)
+    gate = Gate(kind, qubits, angle, terms=((0.5, qubits),) if kind == "cost" else ())
+    parameters = (angle.name,) if isinstance(angle, Param) else ()
+    # The trailing rz keeps ry and cry dense.
+    gates = (Gate("h", (0,)), Gate("h", (1,)), gate, Gate("rz", (0,), 0.2))
+    circuits = [(Circuit(2, gates, parameters), _DenseProgram)]
+    if kind in ("ry", "cry"):
+        circuits.append((Circuit(2, (Gate("h", (0,)), gate), parameters), _SupportProgram))
+    return circuits
+
+
+_ANGLED_KINDS = ["rx", "ry", "cry", "rz", "rzz", "cost"]
+
+
+@pytest.mark.parametrize("kind", _ANGLED_KINDS)
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_a_non_finite_literal_angle_raises_arithmetic_error(kind, bad):
-    qubits = (0, 1) if kind in ("cry", "rzz") else (1,)
-
-    def dense(angle):
-        # The trailing rz keeps ry and cry dense.
-        gates = (Gate("h", (0,)), Gate("h", (1,)), Gate(kind, qubits, angle), Gate("rz", (0,), 0.2))
-        return Circuit(2, gates, ())
-
-    def support(angle):
-        return Circuit(2, (Gate("h", (0,)), Gate(kind, qubits, angle)), ())
-
-    builds = [(dense, _DenseProgram)]
-    if kind in ("ry", "cry"):
-        builds.append((support, _SupportProgram))
-    for build, program in builds:
-        assert isinstance(build(0.3)._program, program)
+    for circuit, program in _angled_circuits(kind, 0.3):
+        assert isinstance(circuit._program, program)
+    for circuit, _ in _angled_circuits(kind, bad):
         with pytest.raises(ArithmeticError, match=rf"non-finite literal angles: {kind}\("):
-            run(build(bad))
+            run(circuit)
+
+
+@pytest.mark.parametrize("kind", _ANGLED_KINDS)
+@pytest.mark.parametrize(
+    "scale, value",
+    [(1e308, 10.0), (-1e308, 10.0), (float("nan"), 0.3), (float("inf"), 0.3), (float("-inf"), 0.0)],
+)
+def test_a_non_finite_resolved_angle_raises_before_the_program_runs(monkeypatch, kind, scale, value):
+    def execute(*args):
+        raise AssertionError("the program ran")
+
+    for circuit, program in _angled_circuits(kind, Param("t", scale)):
+        monkeypatch.setattr(program, "execute", execute)
+        with pytest.raises(ArithmeticError, match=re.escape(f"non-finite resolved angles: {kind}({scale} * t = ")):
+            run(circuit, [value])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_cost_term_scale_raises_arithmetic_error(bad):
+    cost = Gate("cost", (0, 1), Param("g"), terms=((0.5, (0,)), (bad, (0, 1))))
+    circuit = Circuit(2, (Gate("h", (0,)), cost), ("g",))
+    with pytest.raises(ArithmeticError, match=rf"non-finite cost-term scales: {bad} on \(0, 1\)$"):
+        run(circuit, [0.3])
 
 
 def test_param_scale():
@@ -324,16 +368,18 @@ def test_qubit_count_cap():
     run(Circuit(4, (), ()), max_qubits=4)
 
 
+_HAND_KINDS = tuple(kind for kind in GATE_NAMES if kind != "cost")
 _REAL_KINDS = ("x", "h", "ry", "cx", "cry", "mcx", "csub")
 _PERMUTATION_KINDS = ("x", "cx", "mcx", "csub")
 
 
 @st.composite
 def _circuits(draw):
-    """A random circuit: an optional leading x run or full or partial h
-    layer, then single gates mixed with runs of permutation gates."""
+    """A random circuit of every gate kind but cost: an optional leading x
+    run or full or partial h layer, then single gates mixed with runs of
+    permutation gates."""
     n = draw(st.integers(2, 8))
-    kinds = draw(st.sampled_from((GATE_NAMES, _REAL_KINDS)))
+    kinds = draw(st.sampled_from((_HAND_KINDS, _REAL_KINDS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = [int(q) for q in rng.permutation(n)]
     prefix = draw(st.sampled_from(("none", "x", "full h", "short h", "repeated h")))
@@ -360,10 +406,6 @@ def _circuits(draw):
 def test_run_equals_the_gate_by_gate_loop_bit_for_bit(circuit):
     state = run(circuit)
     reference = reference_run(circuit)
-    if any(g.name in ("rz", "rzz") for g in circuit.gates):
-        # A fused diagonal rounds differently from its gates one by one.
-        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
-        reference = fused_run(circuit)
     assert state.probabilities().tobytes() == (np.abs(reference) ** 2).tobytes()
     assert np.max(np.abs(state.amplitudes - dense_state(circuit, max_qubits=8))) < 1e-12
 
@@ -386,20 +428,23 @@ def test_only_a_leading_h_on_every_qubit_folds_into_the_uniform_state(layer):
         assert np.max(np.abs(state.amplitudes - dense_state(circuit))) < 1e-12
 
 
-def test_phase_gates_on_every_qubit_equal_the_fused_loop_bit_for_bit():
-    # On 1 and 2 qubits the phase gates act on every qubit and still fuse;
-    # the rx on every qubit (Q = 1) stays with apply_gate.
+def test_phase_and_cost_gates_on_every_qubit_equal_their_loops_bit_for_bit():
+    # On 1 and 2 qubits the phase gates, and the cost gate made of them, act
+    # on every qubit, where apply_gate multiplies single elements; the rx on
+    # every qubit (Q = 1) stays with apply_gate.
     rng = np.random.default_rng(23)
     for _ in range(50):
         a, b, c = (float(t) for t in rng.uniform(0, 2 * pi, 3))
         mix = [Gate(kind, (q,), a) for q in (0, 1) for kind in ("rx", "ry")]
-        for circuit in (
-            Circuit(1, (*mix[:2], Gate("rz", (0,), b), Gate("rx", (0,), c)), ()),
-            Circuit(2, (*mix, Gate("rzz", (0, 1), b), Gate("rz", (1,), c), Gate("rx", (0,), c)), ()),
-        ):
-            state = run(circuit)
-            assert state.amplitudes.tobytes() == fused_run(circuit).tobytes()
-            assert np.max(np.abs(state.amplitudes - reference_run(circuit))) < 1e-12
+        for n, phases in ((1, [Gate("rz", (0,), b)]), (2, [Gate("rzz", (0, 1), b), Gate("rz", (1,), c)])):
+            head, tail = mix[: 2 * n], Gate("rx", (0,), c)
+            circuit = Circuit(n, (*head, *phases, tail), ())
+            assert run(circuit).amplitudes.tobytes() == reference_run(circuit).tobytes()
+            cost = Gate("cost", tuple(range(n)), 1.0, terms=tuple((g.angle, g.qubits) for g in phases))
+            layer = Circuit(n, (*head, cost, tail), ())
+            state = run(layer)
+            assert state.amplitudes.tobytes() == fused_run(expand_cost_gates(layer)).tobytes()
+            assert np.max(np.abs(state.amplitudes - reference_run(layer))) < 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -465,21 +510,21 @@ def test_real_gate_circuits_take_the_support_path_up_to_the_full_basis(count):
     assert run(circuit).probabilities().tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["rx", "rz", "rzz"])
+@pytest.mark.parametrize("kind", ["rx", "rz", "rzz", "cost"])
 def test_a_complex_gate_sends_the_circuit_to_the_dense_program(kind):
-    qubits = (0, 1) if kind == "rzz" else (0,)
-    circuit = Circuit(2, (Gate("h", (1,)), Gate(kind, qubits, 0.3)), ())
+    qubits = (0, 1) if kind in ("rzz", "cost") else (0,)
+    gate = Gate(kind, qubits, 0.3, terms=((1.0, (0,)),) if kind == "cost" else ())
+    circuit = Circuit(2, (Gate("h", (1,)), gate), ())
     assert isinstance(circuit._program, _DenseProgram)
 
 
 @st.composite
 def _dense_circuits(draw):
-    """A circuit with a complex gate on 1-14 qubits and values for its
-    parameters g and b: an optional h on every qubit, then runs of
+    """A circuit with a hand-built complex gate on 1-14 qubits and values for
+    its parameters g and b: an optional h on every qubit, then runs of
     rx/rz/rzz gates, some a whole rx layer, each maybe followed by an h, cx
     or ry gate, which the program runs through apply_gate. Each rx/rz/rzz
-    angle is literal or scales g or b, so a run of phase gates splits where
-    that choice changes."""
+    angle is literal or scales g or b."""
     n = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     complex_kinds = ("rx", "rz", "rzz") if n > 1 else ("rx", "rz")
@@ -505,35 +550,75 @@ def _dense_circuits(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_dense_circuits())
-def test_dense_program_equals_the_fused_loop_bit_for_bit(drawn):
+def test_dense_program_equals_the_gate_by_gate_loop_bit_for_bit(drawn):
     circuit, values = drawn
     assert isinstance(circuit._program, _DenseProgram)
     state = run(circuit, values)
-    fused = fused_run(circuit, values)
-    assert state.amplitudes.tobytes() == fused.tobytes()
-    assert state.probabilities().tobytes() == (np.abs(fused) ** 2).tobytes()
-    assert np.max(np.abs(state.amplitudes - reference_run(circuit, values))) < 1e-12
+    reference = reference_run(circuit, values)
+    assert state.amplitudes.tobytes() == reference.tobytes()
     if circuit.qubit_count <= 8:
         dense = dense_state(circuit, values, max_qubits=8)
         assert np.max(np.abs(state.amplitudes - dense)) < 1e-12
 
 
-def test_each_run_of_phase_gates_with_one_parameter_is_one_diagonal():
+@st.composite
+def _cost_circuits(draw):
+    """Cost gates on 1-14 qubits and values for their parameters g and b: an
+    optional h on every qubit, then cost gates with 1-6 terms, each followed,
+    as a QAOA mixer follows it, by an rx layer or one h, cx, ry or rx gate.
+    Each cost angle is literal or scales g or b by 1 or a random scale."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    other_kinds = ("h", "cx", "ry", "rx") if n > 1 else ("h", "ry", "rx")
+    gates = [Gate("h", (q,)) for q in range(n)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 4))):
+        name = ("g", "b", None)[int(rng.integers(3))]
+        if name is None:
+            angle = float(rng.uniform(0, 2 * pi))
+        else:
+            angle = Param(name, float(rng.uniform(-3, 3)) if draw(st.booleans()) else 1.0)
+        gates.append(Gate("cost", tuple(range(n)), angle, terms=_random_terms(rng, n)))
+        if draw(st.booleans()):
+            gates += [Gate("rx", (q,), float(rng.uniform(0, 2 * pi))) for q in range(n)]
+        else:
+            gates.append(_random_gate(rng, n, other_kinds))
+    return Circuit(n, tuple(gates), ("g", "b")), rng.uniform(0, 2 * pi, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cost_circuits())
+def test_a_cost_gate_equals_the_fused_loop_of_its_phase_gates_bit_for_bit(drawn):
+    circuit, values = drawn
+    assert isinstance(circuit._program, _DenseProgram)
+    state = run(circuit, values)
+    expanded = expand_cost_gates(circuit)
+    assert state.amplitudes.tobytes() == fused_run(expanded, values).tobytes()
+    # A cost gate rounds differently from its phase gates one by one.
+    for reference in (reference_run(circuit, values), reference_run(expanded, values)):
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+    if circuit.qubit_count <= 8:
+        dense = dense_state(circuit, values, max_qubits=8)
+        assert np.max(np.abs(state.amplitudes - dense)) < 1e-12
+    assert metrics(circuit) == metrics(expanded)
+
+
+def test_each_cost_gate_is_one_diagonal_and_each_phase_gate_one_apply_gate():
     literal = [Gate("rz", (0,), 0.3), Gate("rzz", (0, 1), 0.5)]
-    g = [Gate("rz", (1,), Param("g", 2.0)), Gate("rzz", (1, 2), Param("g", -1.0))]
-    b = [Gate("rz", (2,), Param("b"))]
-    cases = [
-        (literal + g + b, 3),
-        (g + literal + g, 3),
-        (g + [Gate("rx", (0,), 0.4)] + g, 2),
-        (literal + literal + g + g, 2),
-    ]
-    for gates, diagonals in cases:
-        circuit = Circuit(3, tuple(gates), ("g", "b"))
-        kernels = [kernel for kernel, _, _ in circuit._program.ops]
-        assert kernels.count("diagonal") == diagonals
-        values = [0.7, -1.9]
-        assert run(circuit, values).amplitudes.tobytes() == fused_run(circuit, values).tobytes()
+    terms = ((2.0, (1,)), (-1.0, (1, 2)))
+    g = Gate("cost", (0, 1, 2), Param("g"), terms=terms)
+    b = Gate("cost", (0, 1, 2), Param("b", 0.5), terms=terms)
+    gates = (*literal, g, b, g, *literal, Gate("rx", (0,), 0.4), g)
+    circuit = Circuit(3, gates, ("g", "b"))
+    ops = circuit._program.ops
+    kernels = ["gate", "gate", "diagonal", "diagonal", "diagonal", "gate", "gate", "rx", "diagonal"]
+    assert [kernel for kernel, _, _ in ops] == kernels
+    assert [gate for _, gate, _ in ops] == list(gates)
+    # The cost gates at one angle scale share one (levels, inverse); b's
+    # scale 0.5 is in its levels.
+    diagonals = [data for kernel, _, data in ops if kernel == "diagonal"]
+    assert diagonals[0] is diagonals[2] is diagonals[3] is not diagonals[1]
+    values = [0.7, -1.9]
+    assert np.max(np.abs(run(circuit, values).amplitudes - reference_run(circuit, values))) < 1e-12
 
 
 _PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -566,15 +651,35 @@ def _qaoa_cases():
     yield pytest.param(scaling_instance(5), 1, id="scaling-p5-qaoa1")
 
 
+def _rz_rzz_qaoa(model, reps):
+    """The QAOA circuit as rz and rzz gates: RZ(2 g coeff) per nonzero linear
+    term and RZZ(2 g coeff) per pair term in ascending pair order, then RX(2 b)
+    on every qubit."""
+    n = model.qubit_count
+    gates = [Gate("h", (q,)) for q in range(n)]
+    for r in range(reps):
+        g = f"g{r}"
+        gates += [Gate("rz", (i,), Param(g, 2.0 * float(c))) for i, c in enumerate(model.linear) if c]
+        gates += [Gate("rzz", pair, Param(g, 2.0 * float(c))) for pair, c in sorted(model.pairwise.items())]
+        gates += [Gate("rx", (q,), Param(f"b{r}", 2.0)) for q in range(n)]
+    return tuple(gates)
+
+
 @pytest.mark.parametrize("problem, reps", _qaoa_cases())
 def test_qaoa_circuits_equal_the_fused_loop_bit_for_bit(problem, reps):
     instance = Instance(problem)
     circuit = build_circuit("qaoa", instance, reps)
     kernels = [kernel for kernel, _, _ in circuit._program.ops]
     assert kernels == (["diagonal"] + ["rx"] * circuit.qubit_count) * reps
+    # Expanded, the cost gates are the rz/rzz layers QAOA was built from
+    # before the cost gate, so fused_run of the expansion gives those bytes,
+    # and the accounting charges the same gates.
+    expanded = expand_cost_gates(circuit)
+    assert expanded.gates == _rz_rzz_qaoa(instance.model, reps)
+    assert metrics(circuit) == metrics(expanded)
     values = np.random.default_rng(reps).uniform(0, 2 * pi, len(circuit.parameters))
     state = run(circuit, values)
-    fused = fused_run(circuit, values)
+    fused = fused_run(expanded, values)
     assert state.amplitudes.tobytes() == fused.tobytes()
     expected = np.abs(fused) ** 2
     assert state.probabilities().tobytes() == expected.tobytes()
@@ -583,9 +688,9 @@ def test_qaoa_circuits_equal_the_fused_loop_bit_for_bit(problem, reps):
     assert np.max(np.abs(state.amplitudes - reference_run(circuit, values))) < 1e-12
 
 
-def test_qaoa_phase_and_rx_gates_bypass_apply_gate(monkeypatch):
+def test_qaoa_cost_and_rx_gates_bypass_apply_gate(monkeypatch):
     circuit = build_circuit("qaoa", Instance(reference_problem("ECFL")), 2)
-    assert {g.name for g in circuit.gates} == {"h", "rz", "rzz", "rx"}
+    assert {g.name for g in circuit.gates} == {"h", "cost", "rx"}
     calls = spy_calls(monkeypatch, simulator, "apply_gate")
     run(circuit, [0.3, 1.1, 2.0, 0.7])
     assert calls == []
@@ -762,7 +867,6 @@ def _ising_models(draw):
     q = draw(st.integers(0, 10))
     linear = tuple(draw(st.lists(_COEFFICIENTS, min_size=q, max_size=q)))
     pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
-    # Drawn in shuffled order: the energies add the terms in dict order.
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     pairwise = {pair: draw(_COEFFICIENTS) for pair in chosen}
     return IsingModel(q, draw(_COEFFICIENTS), linear, pairwise, Fraction(1))
@@ -788,7 +892,6 @@ def _wide_ising_models(draw):
         kind = [p for p in pairs if sum(i >= top for i in p) == inside]
         if not set(kind) & set(chosen):
             chosen.append(draw(st.sampled_from(kind)))
-    # Drawn in shuffled order: the energies add the terms in dict order.
     pairwise = {pair: draw(_COEFFICIENTS) for pair in draw(st.permutations(chosen))}
     return IsingModel(q, draw(_COEFFICIENTS), linear, pairwise, Fraction(1))
 
