@@ -41,7 +41,7 @@ from .circuits import (
     build_qaoa,
     metrics,
 )
-from .oracle import OracleReport, dense_state, enumerate_solutions
+from .oracle import OracleReport, enumerate_solutions
 from .vqa import (
     Instance,
     Objective,

@@ -31,7 +31,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _write_output(text: str, out: str | None):
+def _write_output(text: str, out: str | Path | None):
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -99,12 +99,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = replace(config, **_given(args, "mode", "shots", "runs", "seed"))
     report = bench.run_experiment(Instance(problem, args.max_qubits), config)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     # Appended, not swapped in: --out exp-0.5 must not write exp-0.csv.
-    csv_path = out.with_name(out.name + ".csv")
-    summary_path = out.with_name(out.name + ".txt")
-    csv_path.write_text(bench.report_csv(report))
-    summary_path.write_text(_summary_text(report, config.mode, config.shots))
+    csv_path, summary_path = (out.with_name(out.name + suffix) for suffix in (".csv", ".txt"))
+    _write_output(bench.report_csv(report), csv_path)
+    _write_output(_summary_text(report, config.mode, config.shots), summary_path)
     print(f"wrote {csv_path} and {summary_path}")
     return 0
 
@@ -141,6 +139,19 @@ def _at_least(minimum: int, maximum: int | None = None):
 _COUNT = _at_least(1, COUNT_LIMIT)  # shots, runs, restarts, max_iterations
 
 
+def _out_path(directory_ok: bool = False):
+    """argparse type for --out: a file name, not an existing directory unless directory_ok."""
+
+    def path(text: str) -> str:
+        if not Path(text).name:
+            raise argparse.ArgumentTypeError(f"{text!r} has no file name")
+        if not directory_ok and Path(text).is_dir():
+            raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+        return text
+
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qvarsched",
@@ -150,18 +161,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     encode_p = sub.add_parser("encode", help="dump the Ising model of a problem file")
     encode_p.add_argument("problem")
-    encode_p.add_argument("--out")
+    encode_p.add_argument("--out", type=_out_path())
     encode_p.set_defaults(func=cmd_encode)
 
     oracle_p = sub.add_parser("oracle", help="exact optima and feasibility counts")
     oracle_p.add_argument("problem")
-    oracle_p.add_argument("--out")
+    oracle_p.add_argument("--out", type=_out_path())
     oracle_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
     oracle_p.set_defaults(func=cmd_oracle)
 
     solve_p = sub.add_parser("solve", help="run an experiment spec file")
     solve_p.add_argument("spec")
-    solve_p.add_argument("--out", default="results")
+    solve_p.add_argument("--out", type=_out_path(directory_ok=True), default="results")
     solve_p.add_argument("--seed", type=_at_least(0))
     solve_p.add_argument("--runs", type=_COUNT)
     solve_p.add_argument("--shots", type=_COUNT)
@@ -182,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--shots", type=_COUNT)
     sweep_p.add_argument("--mode", type=str.lower, choices=MODES)
     sweep_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
-    sweep_p.add_argument("--out")
+    sweep_p.add_argument("--out", type=_out_path())
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 

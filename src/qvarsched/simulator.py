@@ -319,7 +319,7 @@ def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: floa
     """
     nd = amplitudes.reshape((2,) * qubit_count)
     name = gate.name
-    if angle is None:
+    if angle is None and gate.angle is not None:
         angle = _resolve_angle(gate, {})
 
     if name == "cost":
@@ -392,20 +392,20 @@ class _SupportProgram:
     """A real-gate circuit run on the basis states it can reach from |0...0>.
 
     Slot 0 starts as |0...0> with amplitude 1; support[k] is the basis index
-    slot order[k] holds at the end. Each op is an h, ry or cry gate with the
-    slot arrays (lo, hi) of the amplitude pairs it mixes.
+    slot order[k] holds at the end. Each op is an h, ry or cry gate, its
+    position and the slot arrays (lo, hi) of the amplitude pairs it mixes.
     """
 
     order: np.ndarray
     support: np.ndarray
-    ops: tuple[tuple[Gate, np.ndarray, np.ndarray], ...]
+    ops: tuple[tuple[Gate, int, np.ndarray, np.ndarray], ...]
 
-    def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
+    def execute(self, qubit_count: int, binding: Mapping[str, float], angles: list) -> np.ndarray:
         """The amplitudes at the support, in its order."""
         slots = np.zeros(len(self.order))
         slots[0] = 1.0
-        for gate, lo, hi in self.ops:
-            matrix = _matrix(gate.name, _resolve_angle(gate, binding))
+        for gate, position, lo, hi in self.ops:
+            matrix = _matrix(gate.name, angles[position])
             # The expression _apply_matrix evaluates, on the slots.
             a0, a1 = slots[lo], slots[hi]
             slots[lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
@@ -418,8 +418,8 @@ class _DenseProgram:
     """A circuit run on all 2^Q complex128 amplitudes (see the module docstring).
 
     uniform marks a circuit whose leading h on every qubit is folded into
-    the uniform state. ops are (kernel, gate, data), one per gate after that
-    prefix:
+    the uniform state. ops are (kernel, gate, position, data), one per gate
+    after that prefix, position being the gate's index in the circuit:
       - ("diagonal", cost, (levels, inverse)): a cost gate; levels are the
         distinct values of its w, which holds its angle's scale or literal
         value, and inverse each amplitude's level;
@@ -429,10 +429,10 @@ class _DenseProgram:
     """
 
     uniform: bool
-    ops: tuple[tuple[str, Gate | None, object], ...]
+    ops: tuple[tuple[str, Gate, int, object], ...]
     support = None
 
-    def execute(self, qubit_count: int, binding: Mapping[str, float]) -> np.ndarray:
+    def execute(self, qubit_count: int, binding: Mapping[str, float], angles: list) -> np.ndarray:
         if self.uniform:
             # What h on each qubit of |0...0> computes: every amplitude is
             # multiplied by 1/sqrt(2) once per gate (the other term adds zero).
@@ -445,7 +445,7 @@ class _DenseProgram:
             amplitudes[0] = 1.0
         # A butterfly's swapped products and a diagonal's phases.
         spare = np.empty_like(amplitudes)
-        for kernel, gate, data in self.ops:
+        for kernel, gate, position, data in self.ops:
             if kernel == "diagonal":
                 # exp(-0.5j * value * w) at every amplitude; mode="clip" lets
                 # take write into spare, where "raise" buffers its output.
@@ -454,7 +454,7 @@ class _DenseProgram:
                 np.take(np.exp(-0.5j * (value * levels)), inverse, out=spare, mode="clip")
                 np.multiply(amplitudes, spare, out=amplitudes)
                 continue
-            angle = _resolve_angle(gate, binding)
+            angle = angles[position]
             if kernel == "rx":
                 # spare gets m01 * a1 at a0 and m10 * a0 at a1, the state
                 # m00 * a0 and m11 * a1 in place.
@@ -472,12 +472,11 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
     n, gates = circuit.qubit_count, circuit.gates
     prefix = {(g.name, g.qubits) for g in gates[:n]}
     uniform = n > 0 and prefix == {("h", (q,)) for q in range(n)}
-    if uniform:
-        gates = gates[n:]
+    start = n if uniform else 0
     ops: list = []
     # (levels, inverse) per cost gate's w terms: every QAOA layer shares one.
     diagonals: dict = {}
-    for gate in gates:
+    for position, gate in enumerate(gates[start:], start):
         if gate.name == "cost":
             # The angle scales of its phase_gates; run multiplies by the value.
             scale = gate.angle.scale if isinstance(gate.angle, Param) else gate.angle
@@ -488,15 +487,15 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
                 weights = _parity_sums(n, 0.0, terms)
                 levels = np.unique(weights)
                 diagonals[terms] = levels, np.searchsorted(levels, weights)
-            ops.append(("diagonal", gate, diagonals[terms]))
+            ops.append(("diagonal", gate, position, diagonals[terms]))
         elif gate.name == "rx" and n > 1:
             # An rx on every qubit (Q = 1) stays with apply_gate, which
             # multiplies single elements there: numpy rounds those
             # differently from an array multiply.
             q = gate.qubits[0]
-            ops.append(("rx", gate, (1 << q, 2, 1 << (n - 1 - q))))
+            ops.append(("rx", gate, position, (1 << q, 2, 1 << (n - 1 - q))))
         else:
-            ops.append(("gate", gate, None))
+            ops.append(("gate", gate, position, None))
     return _DenseProgram(uniform, tuple(ops))
 
 
@@ -504,7 +503,7 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
     n = circuit.qubit_count
     labels = np.zeros(1, dtype=np.int64)
     ops = []
-    for gate in circuit.gates:
+    for position, gate in enumerate(circuit.gates):
         if gate.name in _PERMUTATION_GATES:
             labels = _relabel(labels, gate, n)
             continue
@@ -524,7 +523,7 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
         pairs = low | missing
         lo = np.where(low, slots, partner_slots)[pairs]
         hi = np.where(low, partner_slots, slots)[pairs]
-        ops.append((gate, lo, hi))
+        ops.append((gate, position, lo, hi))
     order = np.argsort(labels)
     return _SupportProgram(order, labels[order], tuple(ops))
 
@@ -548,15 +547,16 @@ def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) 
     if not all(map(isfinite, binding.values())):
         bad = ", ".join(f"{name}={value}" for name, value in binding.items() if not isfinite(value))
         raise ArithmeticError(f"non-finite parameter values: {bad}")
-    resolved = [(g, _resolve_angle(g, binding)) for g in circuit.gates if isinstance(g.angle, Param)]
-    bad = [(g, a) for g, a in resolved if not isfinite(a)]
+    # Each gate's angle, resolved once; every op reads its own by position.
+    angles = [None if g.angle is None else _resolve_angle(g, binding) for g in circuit.gates]
+    bad = [(g, a) for g, a in zip(circuit.gates, angles) if isinstance(g.angle, Param) and not isfinite(a)]
     if bad:
         text = ", ".join(f"{g.name}({g.angle.scale} * {g.angle.name} = {a}) on {g.qubits}" for g, a in bad)
         raise ArithmeticError(f"non-finite resolved angles: {text}")
     program = circuit._program
     # Every amplitude, or a support program's amplitudes at its support,
     # outside which every amplitude is +0.
-    held = program.execute(n, binding)
+    held = program.execute(n, binding, angles)
     norm = float(np.vdot(held, held).real)
     # Written so that a NaN norm fails it too.
     if not abs(norm - 1.0) <= NORM_TOLERANCE:

@@ -27,7 +27,7 @@ from qvarsched import (
 from qvarsched.bench import SWEEP_CONFIG, scaling_sweep, sweep_csv
 from qvarsched.circuits import CircuitMetrics
 from qvarsched.encoder import IsingModel
-from qvarsched.oracle import dense_state, enumerate_solutions
+from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies
 
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     GOLDEN_LINEAR,
     GOLDEN_PAIRS,
     REFERENCE_COUNTS,
+    dense_state,
     feasible_mask,
     random_problem,
     reference_problem,

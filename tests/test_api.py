@@ -1,12 +1,18 @@
-"""API shape: each fact reaches a call once.
+"""API shape: each fact reaches a call once, and modules meet only in
+public names.
 
 A VariableLayout carries its problem and an Instance carries its problem and
 its qubit cap, so a public function that takes both can only be handed two
-that disagree.
+that disagree. No qvarsched module imports another one's _-prefixed names,
+the package exports no test-only reference, and every qvarsched name that
+README.md puts in backticks resolves.
 """
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +42,49 @@ def restated_facts(module) -> list[str]:
 @pytest.mark.parametrize("name", [*MODULES, "helpers"])
 def test_no_function_takes_a_fact_and_its_carrier(name):
     assert restated_facts(importlib.import_module(name)) == []
+
+
+def private_imports(name: str) -> list[str]:
+    """The _-prefixed names that module name imports from other qvarsched modules."""
+    module = importlib.import_module(name)
+    found = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == "qvarsched":
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_another_modules_private_names(name):
+    assert private_imports(name) == []
+
+
+def test_the_package_exports_no_dense_matrix_reference():
+    assert not hasattr(qvarsched, "dense_state")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_names() -> list[str]:
+    """Every qv.<name> and qvarsched.<module>.<name> in README.md's inline
+    code spans (fenced blocks left out)."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    names = []
+    for span in re.findall(r"`([^`]+)`", text):
+        names += re.findall(r"\b(?:qv|qvarsched\.\w+)\.\w+", span)
+    return names
+
+
+def resolves(name: str) -> bool:
+    owner, attribute = name.rsplit(".", 1)
+    module = qvarsched if owner == "qv" else importlib.import_module(owner)
+    return hasattr(module, attribute)
+
+
+def test_every_qvarsched_name_in_the_readme_resolves():
+    names = readme_names()
+    assert names
+    assert [name for name in names if not resolves(name)] == []

@@ -677,3 +677,58 @@ def test_cmd_sweep_out_creates_missing_directories(tmp_path):
     out = tmp_path / "missing" / "x.csv"
     assert main(["sweep", "--pmin", "3", "--pmax", "3", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0].startswith("processes,qubits,sim_seconds")
+
+
+def _fail_on_any_work(monkeypatch):
+    """Make the work of every command raise, so that reaching it fails the test."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in (
+        (bench, "run_experiment"),
+        (bench, "scaling_sweep"),
+        (cli, "encode"),
+        (cli, "enumerate_solutions"),
+    ):
+        monkeypatch.setattr(module, name, work)
+
+
+def _command_inputs(tmp_path) -> dict:
+    spec_path = _solve_files(tmp_path)
+    problem = str(tmp_path / "eohl.problem")
+    return {"encode": [problem], "oracle": [problem], "solve": [str(spec_path)], "sweep": []}
+
+
+@pytest.mark.parametrize("out", ["", ".", "/"])
+@pytest.mark.parametrize("command", ["encode", "oracle", "solve", "sweep"])
+def test_cmd_out_without_a_file_name_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, out
+):
+    inputs = _command_inputs(tmp_path)
+    _fail_on_any_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], "--out", out])
+    assert exc.value.code == 2
+    assert f"argument --out: {out!r} has no file name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "oracle", "sweep"])
+def test_cmd_out_naming_a_directory_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command
+):
+    inputs = _command_inputs(tmp_path)
+    _fail_on_any_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument --out: {str(tmp_path)!r} is a directory" in capsys.readouterr().err
+
+
+def test_cmd_solve_out_naming_a_directory_writes_beside_it(tmp_path):
+    spec_path = _solve_files(tmp_path, runs=1)
+    out = tmp_path / "results"
+    out.mkdir()
+    assert main(["solve", str(spec_path), "--out", str(out)]) == 0
+    assert (tmp_path / "results.csv").is_file() and (tmp_path / "results.txt").is_file()
+    assert list(out.iterdir()) == []

@@ -16,12 +16,13 @@ from qvarsched import (
 )
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import QubitCountExceededError
-from qvarsched.oracle import dense_state, enumerate_solutions
+from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies, index_to_bits
 
 from helpers import (
     REFERENCE_COUNTS,
     brute_force_oracle,
+    dense_state,
     feasible_mask,
     product_walk_oracle,
     random_problem,

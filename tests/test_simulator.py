@@ -19,7 +19,6 @@ from qvarsched.errors import (
     UnboundParameterError,
 )
 from qvarsched.files import parse_problem
-from qvarsched.oracle import dense_state, gate_unitary
 from qvarsched.simulator import (
     _ROW_QUBITS,
     GATE_NAMES,
@@ -39,8 +38,10 @@ from qvarsched.simulator import (
 from qvarsched.vqa import Instance, build_circuit
 
 from helpers import (
+    dense_state,
     expand_cost_gates,
     fused_run,
+    gate_unitary,
     reference_energies,
     reference_problem,
     reference_run,
@@ -611,11 +612,12 @@ def test_each_cost_gate_is_one_diagonal_and_each_phase_gate_one_apply_gate():
     circuit = Circuit(3, gates, ("g", "b"))
     ops = circuit._program.ops
     kernels = ["gate", "gate", "diagonal", "diagonal", "diagonal", "gate", "gate", "rx", "diagonal"]
-    assert [kernel for kernel, _, _ in ops] == kernels
-    assert [gate for _, gate, _ in ops] == list(gates)
+    assert [kernel for kernel, _, _, _ in ops] == kernels
+    assert [gate for _, gate, _, _ in ops] == list(gates)
+    assert [position for _, _, position, _ in ops] == list(range(len(gates)))
     # The cost gates at one angle scale share one (levels, inverse); b's
     # scale 0.5 is in its levels.
-    diagonals = [data for kernel, _, data in ops if kernel == "diagonal"]
+    diagonals = [data for kernel, _, _, data in ops if kernel == "diagonal"]
     assert diagonals[0] is diagonals[2] is diagonals[3] is not diagonals[1]
     values = [0.7, -1.9]
     assert np.max(np.abs(run(circuit, values).amplitudes - reference_run(circuit, values))) < 1e-12
@@ -669,8 +671,10 @@ def _rz_rzz_qaoa(model, reps):
 def test_qaoa_circuits_equal_the_fused_loop_bit_for_bit(problem, reps):
     instance = Instance(problem)
     circuit = build_circuit("qaoa", instance, reps)
-    kernels = [kernel for kernel, _, _ in circuit._program.ops]
-    assert kernels == (["diagonal"] + ["rx"] * circuit.qubit_count) * reps
+    ops = circuit._program.ops
+    assert [kernel for kernel, _, _, _ in ops] == (["diagonal"] + ["rx"] * circuit.qubit_count) * reps
+    # The leading h on every qubit is folded into the uniform state.
+    assert [position for _, _, position, _ in ops] == list(range(circuit.qubit_count, len(circuit.gates)))
     # Expanded, the cost gates are the rz/rzz layers QAOA was built from
     # before the cost gate, so fused_run of the expansion gives those bytes,
     # and the accounting charges the same gates.
@@ -694,6 +698,42 @@ def test_qaoa_cost_and_rx_gates_bypass_apply_gate(monkeypatch):
     calls = spy_calls(monkeypatch, simulator, "apply_gate")
     run(circuit, [0.3, 1.1, 2.0, 0.7])
     assert calls == []
+
+
+def _mixed_dense_circuit():
+    """A dense circuit with literal and parameter angles, gates without an
+    angle and a cost gate."""
+    terms = ((1.5, (0,)), (-0.5, (1, 2)))
+    gates = (
+        Gate("x", (0,)),
+        Gate("h", (1,)),
+        Gate("rz", (0,), 0.3),
+        Gate("cx", (0, 2)),
+        Gate("rzz", (1, 2), Param("a", 2.0)),
+        Gate("cost", (0, 1, 2), 0.7, terms=terms),
+        Gate("rx", (1,), Param("b")),
+        Gate("ry", (2,), Param("a", -0.5)),
+        Gate("csub", (0, 1, 2), constant=1),
+    )
+    return Circuit(3, gates, ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        build_circuit("qaoa", Instance(reference_problem("ECFL")), 2),
+        build_circuit("a4", Instance(reference_problem("EOHL"))),
+        _mixed_dense_circuit(),
+    ],
+    ids=["ecfl-qaoa2", "eohl-a4", "mixed-dense"],
+)
+def test_run_resolves_each_angle_once(monkeypatch, circuit):
+    values = np.linspace(0.3, 1.7, len(circuit.parameters))
+    calls = spy_calls(monkeypatch, simulator, "_resolve_angle")
+    for _ in range(2):
+        calls.clear()
+        run(circuit, values)
+        assert [gate for gate, _ in calls] == [g for g in circuit.gates if g.angle is not None]
 
 
 def test_the_dense_program_needs_two_state_buffers():

@@ -21,11 +21,11 @@ from qvarsched.errors import (
     NonFiniteObjectiveError,
     QubitCountExceededError,
 )
-from qvarsched.oracle import dense_state, enumerate_solutions
+from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import bits_to_index, diagonal_energies, run, sample
 from qvarsched.vqa import COUNT_LIMIT, minimize
 
-from helpers import reference_problem, spy_calls
+from helpers import dense_state, reference_problem, spy_calls
 
 
 def test_minimize_quadratic():
