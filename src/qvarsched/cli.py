@@ -140,13 +140,16 @@ _COUNT = _at_least(1, COUNT_LIMIT)  # shots, runs, restarts, max_iterations
 
 
 def _out_path(directory_ok: bool = False):
-    """argparse type for --out: a file name, not an existing directory unless directory_ok."""
+    """argparse type for --out: a file name, not an existing directory unless
+    directory_ok, under no existing file."""
 
     def path(text: str) -> str:
-        if not Path(text).name:
+        if Path(text).name in ("", ".."):
             raise argparse.ArgumentTypeError(f"{text!r} has no file name")
         if not directory_ok and Path(text).is_dir():
             raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+        if parent := next((p for p in Path(text).parents if p.exists() and not p.is_dir()), None):
+            raise argparse.ArgumentTypeError(f"{str(parent)!r} is not a directory")
         return text
 
     return path

@@ -27,8 +27,9 @@ being the basis index slot k holds, by bit arithmetic on the labels alone:
     holding 0.
 Run evaluates m00*a0 + m01*a1 and m10*a0 + m11*a1 on the slots, the
 expression _apply_matrix evaluates, and hands the slots, in the order of the
-sorted labels, to the StateVector it returns. That scatters them into a
-dense float64 vector only when its amplitudes are read. Outside the support
+sorted labels, to the StateVector it returns, with those labels as its
+support: every amplitude outside it is +0. The state scatters the slots into
+a dense float64 vector only when its amplitudes are read. Outside the support
 the dense loop holds +0 or -0 where a new slot holds +0, so each amplitude
 agrees with the dense loop's up to the sign of a zero: a zero term
 m*(+-0) = +-0 leaves a nonzero sum unchanged, and a sum of zeros is a zero.
@@ -73,20 +74,17 @@ ArithmeticError before any gate. run() checks the norm after every run, on
 the support for a support program: a norm that is not finite, as when a
 finite value times a cost gate's w overflows, fails that check too.
 
-run() hands a support program's labels, sorted, to the state as
-StateVector.support; every amplitude outside it is +0. probabilities_into
-then squares only the support and writes it into a vector that is +0
-elsewhere, which is |a|^2 of every amplitude bit for bit; the exact
-objective keeps one such vector for all its evaluations, and probabilities()
-writes into new zeros. sample, which returns the basis indices hit and the
-hits on each (the package's one form of a sample), draws its multinomial
-over the support in ascending order instead of over all 2^Q indices, with
-one trailing category of probability 0 for index 2^Q - 1 when the support
-lacks it. The draws are the same: numpy's Generator.multinomial draws a
-binomial for every category but the last, and for p = 0 that binomial uses
-no random numbers, returns 0 and leaves the remaining probability as it was;
-the draws left after the loop go to the last category, which the trailing
-zero keeps at index 2^Q - 1.
+A support state's probabilities_into squares only the support and writes
+it into a vector that is +0 elsewhere, which is |a|^2 of every amplitude bit
+for bit; the exact objective keeps one such vector for all its evaluations,
+and probabilities() writes into new zeros. sample, which returns the basis
+indices hit and the hits on each (the package's one form of a sample),
+draws one multinomial over ascending basis indices, the support of a
+support state, up to the last with p > 0. Generator.multinomial draws a
+binomial for every category but the last, which gets the draws left over;
+for p = 0 that binomial returns 0 and uses no random numbers. So every hit
+has p > 0, and every index before the last gets the draws of one
+multinomial over all 2^Q indices.
 
 _parity_sums, which builds diagonal_energies and each diagonal op's w,
 views the 2^Q sums as rows of 2^k contiguous entries (k = _ROW_QUBITS, or Q
@@ -170,17 +168,15 @@ class StateVector:
 
     support, when set, holds ascending basis indices outside which every
     amplitude is +0, and held the amplitudes at them; otherwise held is every
-    amplitude. amplitudes is the dense vector: given, or, for a support
-    program's run, which passes held alone, scattered when first read.
+    amplitude. amplitudes is the dense vector: held, or, for a support state,
+    held scattered when first read.
     """
 
     def __init__(self, qubit_count: int, amplitudes: np.ndarray, support: np.ndarray | None = None):
-        self.qubit_count, self.support = qubit_count, support
-        if support is None or len(amplitudes) == len(support):
-            self.held = amplitudes
-        else:
-            self.held = amplitudes[support]
-            self.amplitudes = amplitudes
+        size = 1 << qubit_count if support is None else len(support)
+        if len(amplitudes) != size:
+            raise ValueError(f"{len(amplitudes)} amplitudes for {size} basis states")
+        self.qubit_count, self.support, self.held = qubit_count, support, amplitudes
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -624,13 +620,6 @@ def energies_at(model: IsingModel, indices) -> np.ndarray:
     return energies
 
 
-def sampled_indices(support: np.ndarray, qubit_count: int) -> np.ndarray:
-    """The categories sample draws over for a support: the support, with
-    2^Q - 1 appended when it lacks that index."""
-    last = (1 << qubit_count) - 1
-    return support if support[-1] == last else np.append(support, last)
-
-
 @dataclass(frozen=True, eq=False)
 class Counts:
     """A measurement sample: the ascending basis indices hit and the hits on each."""
@@ -647,21 +636,17 @@ class Counts:
 def sample(state: StateVector, shots: int, seed: int, out: np.ndarray | None = None) -> Counts:
     """Multinomial measurement sample; deterministic for a given seed.
 
-    A state with a support draws over the support (see the module docstring)
-    and gets the draws of a state without one. Given out, the probabilities
-    are written into it by state.probabilities_into.
+    Every index hit has p > 0 (see the module docstring). Given out, the
+    probabilities are written into it by state.probabilities_into.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = state.probabilities() if out is None else state.probabilities_into(out)
     total = probs.sum()
-    categories = state.support
-    if categories is None:
-        probs = probs / total
-    else:
-        categories = sampled_indices(categories, state.qubit_count)
-        probs = probs[categories] / total
-    draws = np.random.default_rng(seed).multinomial(shots, probs)
+    if state.support is not None:
+        probs = probs[state.support]
+    probs = probs[: len(probs) - np.argmax(probs[::-1] != 0)]
+    draws = np.random.default_rng(seed).multinomial(shots, probs / total)
     hit = np.nonzero(draws)[0]
-    indices = hit if categories is None else categories[hit]
+    indices = hit if state.support is None else state.support[hit]
     return Counts(state.qubit_count, indices, draws[hit])

@@ -14,8 +14,8 @@ error never need it.
 
 The objective reads each circuit's energy view (Instance.energy_view): all
 2^Q energies for a dense program (QAOA); for a support program (a1-a4),
-zeros except at the basis states sample draws over, which hold the true
-energies. So the sampled objective reads a true energy at every hit. One
+zeros except at its support, which holds the true energies. sample hits only
+the support, so the sampled objective reads a true energy at every hit. One
 Objective serves every run of an experiment and keeps one 2^Q probability
 vector, which every evaluation and final sample of every run fills in place
 (probabilities_into): wholly for a dense program; for a support program only
@@ -24,9 +24,9 @@ way it equals probabilities() at every point, whatever ran before, so a run
 on a shared Objective gives the bytes of a run on a fresh one. The exact
 objective keeps its bytes too: the vector is +0 outside the support, so
 every product its ddot adds there is an exact +-0, whatever energy it meets.
-Adding an exact zero leaves a nonzero lane sum unchanged, and a lane sum that
-starts at +0 never becomes -0, so vector @ view equals probabilities() @
-energies bit for bit, whatever the BLAS kernel.
+Adding an exact zero leaves a nonzero lane sum unchanged, and a lane sum
+that starts at +0 never becomes -0, so vector @ view equals probabilities()
+@ energies bit for bit, whatever the BLAS kernel.
 """
 from __future__ import annotations
 
@@ -43,16 +43,8 @@ from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
 from .encoder import encode, to_terms
 from .errors import InstanceMismatchError, NonFiniteObjectiveError, check_qubit_count
 from .problem import AssignmentProblem, build_layout
-from .simulator import (
-    DEFAULT_MAX_QUBITS,
-    Circuit,
-    Counts,
-    diagonal_energies,
-    energies_at,
-    run,
-    sample,
-    sampled_indices,
-)
+from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, diagonal_energies
+from .simulator import energies_at, run, sample
 
 SEED_RANGE = 2**31  # every seed drawn from a master seed is below this
 _COBYLA_RHOBEG = 1.0
@@ -194,15 +186,14 @@ class Instance:
     def energy_view(self, circuit: Circuit) -> np.ndarray:
         """The energies the objective reads for circuit, built once per circuit:
         all of them for a dense program; for a support program, 2^Q zeros
-        holding the energies at the basis states sample draws over."""
+        holding the energies at its support."""
         view = self.views.get(circuit)
         if view is None:
             if circuit.support is None:
                 view = self.energies
             else:
-                indices = sampled_indices(circuit.support, self.layout.qubit_count)
                 view = np.zeros(1 << self.layout.qubit_count)
-                view[indices] = energies_at(self.model, indices)
+                view[circuit.support] = energies_at(self.model, circuit.support)
             self.views[circuit] = view
         return view
 
@@ -228,8 +219,9 @@ class Objective:
     shared by every run, restart and final sample on them: called with
     (theta, rng), it reads the circuit's energy view, and sampled mode seeds
     each measurement from rng. Every evaluation and sample writes its
-    probabilities into one vector, +0 off the circuit's support. In sampled
-    mode shots * instance.energy_bound must fit a float64 (ValueError)."""
+    probabilities into one vector, +0 off the circuit's support. shots must
+    be at least 1, and in sampled mode shots * instance.energy_bound must
+    fit a float64 (ValueError)."""
 
     def __init__(
         self, instance: Instance, circuit: Circuit, mode: str = DEFAULT_MODE, shots: int = DEFAULT_SHOTS
@@ -239,6 +231,7 @@ class Objective:
         q = instance.layout.qubit_count
         if circuit.qubit_count != q:
             raise InstanceMismatchError(f"circuit has {circuit.qubit_count} qubits, instance has {q}")
+        check_count("shots", shots)
         if mode == "sampled":  # its sum of hits times energies reaches shots * |E|
             _check_float64(shots * instance.energy_bound, f"{shots} shots times the energy bound")
         self.circuit, self.mode, self.shots = circuit, mode, shots

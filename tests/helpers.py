@@ -22,7 +22,9 @@ by those matrices in gate order (up to DENSE_MAX_QUBITS qubits unless told
 otherwise). They share no kernel code with the simulator; they read
 phase_gates only for the gates a cost gate stands for.
 reference_sample is the dense counterpart of simulator.sample: a
-multinomial over every one of the 2^Q indices.
+multinomial over every one of the 2^Q indices, which hands the draws left
+after its last category with p > 0 to index 2^Q - 1 even at p = 0, where
+sample gives them to that last category.
 """
 from __future__ import annotations
 

@@ -700,7 +700,7 @@ def _command_inputs(tmp_path) -> dict:
     return {"encode": [problem], "oracle": [problem], "solve": [str(spec_path)], "sweep": []}
 
 
-@pytest.mark.parametrize("out", ["", ".", "/"])
+@pytest.mark.parametrize("out", ["", ".", "/", ".."])
 @pytest.mark.parametrize("command", ["encode", "oracle", "solve", "sweep"])
 def test_cmd_out_without_a_file_name_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys, command, out
@@ -723,6 +723,21 @@ def test_cmd_out_naming_a_directory_exits_2_before_any_work(
         main([command, *inputs[command], "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"argument --out: {str(tmp_path)!r} is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["x.csv", "sub/x.csv"])
+@pytest.mark.parametrize("command", ["encode", "oracle", "solve", "sweep"])
+def test_cmd_out_under_an_existing_file_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command, below
+):
+    inputs = _command_inputs(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    _fail_on_any_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], "--out", str(afile / below)])
+    assert exc.value.code == 2
+    assert f"argument --out: {str(afile)!r} is not a directory" in capsys.readouterr().err
 
 
 def test_cmd_solve_out_naming_a_directory_writes_beside_it(tmp_path):

@@ -816,6 +816,22 @@ def test_the_objective_squares_the_support_to_the_dense_probabilities_bit_for_bi
     assert (probs @ instance.energies).tobytes() == (dense @ instance.energies).tobytes()
 
 
+def _reference_sample_moved(amplitudes: np.ndarray, shots: int, seed: int):
+    """reference_sample with the hits on p = 0 indices moved to the last
+    index with p > 0."""
+    probs = np.abs(amplitudes) ** 2
+    indices, hits = reference_sample(amplitudes, shots, seed)
+    held = probs[indices] > 0
+    moved = int(hits[~held].sum())
+    indices, hits = indices[held], hits[held]
+    last = np.flatnonzero(probs)[-1]
+    if moved and indices[-1] == last:
+        hits[-1] += moved
+    elif moved:
+        indices, hits = np.append(indices, last), np.append(hits, moved)
+    return indices, hits
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_support_circuits(), st.booleans(), st.data())
 def test_support_sampling_equals_the_dense_multinomial_bit_for_bit(drawn, last_held, data):
@@ -835,16 +851,19 @@ def test_support_sampling_equals_the_dense_multinomial_bit_for_bit(drawn, last_h
     assert (state.support[-1] == last) == last_held
     shots = data.draw(st.integers(1, 10**5))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    counts = sample(state, shots, seed)
-    expected_indices, expected_hits = reference_sample(state.amplitudes, shots, seed)
-    assert counts.indices.dtype == expected_indices.dtype
-    assert counts.indices.tobytes() == expected_indices.tobytes()
-    assert counts.counts.tobytes() == expected_hits.tobytes()
+    expected_indices, expected_hits = _reference_sample_moved(state.amplitudes, shots, seed)
+    # The same draws from the support state and from its dense vector.
+    for source in (state, StateVector(n, state.amplitudes)):
+        counts = sample(source, shots, seed)
+        assert counts.indices.dtype == expected_indices.dtype
+        assert counts.indices.tobytes() == expected_indices.tobytes()
+        assert counts.counts.tobytes() == expected_hits.tobytes()
+        assert (state.probabilities()[counts.indices] > 0).all()
 
 
 # With a tiny last probability and 10^15 shots, the multinomial has draws
-# left after its last nonzero category, and hands them to index 2^Q - 1,
-# whose probability is 0.
+# left after its last category, which one over all 2^Q indices hands to
+# index 2^Q - 1, of probability 0.
 _LEFTOVER_AMPLITUDES = (
     0.24373561805389007, 0.6243061961662504, 0.7421824047498687, 1.3198061729297087e-07
 )
@@ -853,32 +872,53 @@ _LEFTOVER_AMPLITUDES = (
 def test_support_sampling_keeps_the_leftover_draws_at_the_last_index():
     amplitudes = np.zeros(8)
     amplitudes[:4] = _LEFTOVER_AMPLITUDES
-    state = StateVector(3, amplitudes, np.arange(4))
-    expected_indices, expected_hits = reference_sample(amplitudes, 10**15, 0)
-    assert expected_indices[-1] == 7 and expected_hits[-1] > 0
-    counts = sample(state, 10**15, 0)
-    assert counts.indices.tobytes() == expected_indices.tobytes()
-    assert counts.counts.tobytes() == expected_hits.tobytes()
+    reference_indices, reference_hits = reference_sample(amplitudes, 10**15, 0)
+    assert reference_indices[-1] == 7 and reference_hits[-1] > 0
+    expected_indices, expected_hits = _reference_sample_moved(amplitudes, 10**15, 0)
+    assert expected_indices.tolist() == [0, 1, 2, 3] and expected_hits[-1] == 21
+    # Index 3, the last with p > 0, takes the leftover draws, dense or support.
+    for state in (StateVector(3, amplitudes), StateVector(3, amplitudes[:4], np.arange(4))):
+        counts = sample(state, 10**15, 0)
+        assert counts.indices.tobytes() == expected_indices.tobytes()
+        assert counts.counts.tobytes() == expected_hits.tobytes()
 
 
 def test_the_sampled_objective_reads_the_true_energy_of_the_leftover_draws(monkeypatch):
     # The leftover case on the 8-qubit EOHL instance: a circuit whose support
-    # is the first 4 indices, so its energy view holds energies at 0..3 and 255.
+    # is the first 4 indices, so its energy view holds energies at 0..3 only.
     instance = Instance(reference_problem("EOHL"))
     circuit = Circuit(8, (Gate("h", (6,)), Gate("h", (7,))), ())
     assert circuit.support.tolist() == [0, 1, 2, 3]
-    amplitudes = np.zeros(256)
-    amplitudes[:4] = _LEFTOVER_AMPLITUDES
-    state = StateVector(8, amplitudes, np.arange(4))
+    state = StateVector(8, np.array(_LEFTOVER_AMPLITUDES), np.arange(4))
     monkeypatch.setattr(vqa, "run", lambda *args, **kwargs: state)
-    # The measurement seed that rng 56 draws leaves 2 draws over.
+    # The measurement seed that rng 56 draws leaves 2 draws over, which a
+    # multinomial over all 256 indices hands to index 255.
     shots, seed = 10**15, int(np.random.default_rng(56).integers(2**31))
+    assert reference_sample(state.amplitudes, shots, seed)[0][-1] == 255
     value = vqa.Objective(instance, circuit, "sampled", shots)((), np.random.default_rng(56))
-    indices, hits = reference_sample(amplitudes, shots, seed)
+    counts = sample(state, shots, seed)
     energies = diagonal_energies(instance.model)
-    assert indices[-1] == 255 and hits[-1] > 0 and energies[255] != 0
-    plain = sum(int(h) * energies[i] for i, h in zip(indices.tolist(), hits.tolist())) / shots
+    assert 255 not in counts.indices and energies[255] != 0
+    pairs = zip(counts.indices.tolist(), counts.counts.tolist())
+    plain = sum(int(h) * energies[i] for i, h in pairs) / shots
     assert value == plain
+
+
+@pytest.mark.parametrize("problem, kind", _ansatz_cases())
+def test_a_support_energy_view_is_nonzero_only_on_the_support(problem, kind):
+    instance = Instance(problem)
+    circuit = build_circuit(kind, instance)
+    view = instance.energy_view(circuit)
+    assert np.isin(np.flatnonzero(view), circuit.support).all()
+    expected = diagonal_energies(instance.model)[circuit.support]
+    assert view[circuit.support].tobytes() == expected.tobytes()
+
+
+def test_a_state_rejects_amplitudes_of_the_wrong_length():
+    with pytest.raises(ValueError, match="3 amplitudes for 4 basis states"):
+        StateVector(2, np.zeros(3))
+    with pytest.raises(ValueError, match="8 amplitudes for 4 basis states"):
+        StateVector(3, np.zeros(8), np.arange(4))
 
 
 def test_compiling_the_support_program_does_no_full_basis_work():

@@ -277,3 +277,12 @@ def test_an_objective_rejects_a_circuit_of_another_instance_width(monkeypatch, a
     with pytest.raises(InstanceMismatchError, match="circuit has 8 qubits, instance has 11"):
         vqa.Objective(instance, circuit)
     assert runs == []
+
+
+@pytest.mark.parametrize("mode", vqa.MODES)
+def test_an_objective_rejects_zero_shots_before_any_run(monkeypatch, mode):
+    runs = spy_calls(monkeypatch, vqa, "run")
+    instance = vqa.Instance(reference_problem("EOHL"))
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        vqa.Objective(instance, vqa.build_circuit("a4", instance), mode, 0)
+    assert runs == []
