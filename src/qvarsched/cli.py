@@ -7,7 +7,7 @@ Commands:
   sweep    run the synthetic scaling family and write its CSV
 
 Exit codes: 0 success, 2 parse error, 3 capability exceeded, 4 runtime
-failure.
+failure, out of memory included (one line, "error: out of memory: ...").
 """
 from __future__ import annotations
 
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
         return 3
     except (QvarschedError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 4
 
 

@@ -50,13 +50,18 @@ complex128 amplitudes:
     cost gates with the same terms, as QAOA layers are. Run exponentiates
     the levels, gathers them into a spare buffer and multiplies the state
     by it;
-  - each rx on qubit q is a butterfly on the (2^q, 2, 2^(Q-1-q)) view of
-    the state, which pairs the amplitudes a0, a1 the gate mixes: m01 times
-    the state with a0 and a1 swapped into the spare buffer, m00 times the
-    state in place, then the sum of the two. As rx has m10 = m01 and
-    m11 = m00, that is the m00*a0 + m01*a1 and m10*a0 + m11*a1 of
-    _apply_matrix, the second sum with its terms in the other order, which
-    IEEE addition does not round differently;
+  - each maximal run of consecutive rx gates at one angle (one Param name
+    and scale, or one literal) is one mixer op, as a QAOA mixer layer is.
+    Run builds its rx matrix once and, for each gate's qubit q in turn,
+    copies the partner of every amplitude (a1 at a0, a0 at a1, on the
+    (2^q, 2, 2^(Q-1-q)) view that pairs them) into the spare buffer with
+    np.take, multiplies it by m01 and the state by m00, both in place and
+    contiguous, and adds the two. As rx has m10 = m01 and m11 = m00, that
+    is the m00*a0 + m01*a1 and m10*a0 + m11*a1 of _apply_matrix, the second
+    sum with its terms in the other order, which IEEE addition does not
+    round differently. The copy moves bytes, and numpy's array multiply
+    rounds alike in contiguous and strided loops, so a mixer op gives the
+    bytes of its rx gates applied one by one with apply_gate;
   - every other gate, rz and rzz included, goes through apply_gate, and so
     does an rx on every qubit (Q = 1), where apply_gate multiplies single
     elements, which numpy rounds differently from an array multiply.
@@ -102,7 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from math import cos, isfinite, sin
 from typing import Mapping, Sequence
 
@@ -243,6 +248,7 @@ def _bind(circuit: Circuit, params) -> dict[str, float]:
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_SWAP = np.array([1, 0])  # a mixer's swap takes the halves in this order
 
 
 def phase_gates(cost: Gate) -> list[Gate]:
@@ -419,8 +425,9 @@ class _DenseProgram:
       - ("diagonal", cost, (levels, inverse)): a cost gate; levels are the
         distinct values of its w, which holds its angle's scale or literal
         value, and inverse each amplitude's level;
-      - ("rx", rx, shape): the (2^q, 2, 2^(Q-1-q)) shape of the butterfly
-        for an rx on qubit q;
+      - ("mixer", rx, shapes): a run of rx gates at one angle, rx the
+        first; shapes holds, per gate on qubit q, the (2^q, 2, 2^(Q-1-q))
+        view that pairs the amplitudes it mixes;
       - ("gate", gate, None): a call to apply_gate.
     """
 
@@ -439,7 +446,7 @@ class _DenseProgram:
         else:
             amplitudes = np.zeros(1 << qubit_count, dtype=np.complex128)
             amplitudes[0] = 1.0
-        # A butterfly's swapped products and a diagonal's phases.
+        # A mixer's partner products and a diagonal's phases.
         spare = np.empty_like(amplitudes)
         for kernel, gate, position, data in self.ops:
             if kernel == "diagonal":
@@ -449,19 +456,33 @@ class _DenseProgram:
                 levels, inverse = data
                 np.take(np.exp(-0.5j * (value * levels)), inverse, out=spare, mode="clip")
                 np.multiply(amplitudes, spare, out=amplitudes)
-                continue
-            angle = angles[position]
-            if kernel == "rx":
-                # spare gets m01 * a1 at a0 and m10 * a0 at a1, the state
-                # m00 * a0 and m11 * a1 in place.
-                matrix = _matrix("rx", angle)
-                swapped = amplitudes.reshape(data)[:, ::-1]
-                np.multiply(matrix[0, 1], swapped, out=spare.reshape(data))
-                np.multiply(matrix[0, 0], amplitudes, out=amplitudes)
-                np.add(amplitudes, spare, out=amplitudes)
+            elif kernel == "mixer":
+                # Per qubit, spare gets a1 at a0 and a0 at a1, then times
+                # m01; the state m00 * a0 and m11 * a1 in place.
+                # 0-d views: numpy would convert scalars on every call.
+                matrix = _matrix("rx", angles[position])
+                m00, m01 = matrix[0, 0, ...], matrix[0, 1, ...]
+                for shape in data:
+                    swapped = spare.reshape(shape)
+                    np.take(amplitudes.reshape(shape), _SWAP, axis=1, out=swapped, mode="clip")
+                    np.multiply(m01, spare, out=spare)
+                    np.multiply(m00, amplitudes, out=amplitudes)
+                    np.add(amplitudes, spare, out=amplitudes)
             else:
-                apply_gate(amplitudes, gate, qubit_count, angle)
+                apply_gate(amplitudes, gate, qubit_count, angles[position])
         return amplitudes
+
+
+def _mixer_key(gate: Gate, n: int):
+    """Equal for consecutive rx gates that share a mixer op: their Param's
+    name and scale, or their literal, to the bit; None for any other gate,
+    and for rx on a single qubit, which stays with apply_gate."""
+    if gate.name != "rx" or n == 1:
+        return None
+    angle = gate.angle
+    if isinstance(angle, Param):
+        return "param", angle.name, float(angle.scale).hex()
+    return "literal", float(angle).hex()
 
 
 def _compile_dense(circuit: Circuit) -> _DenseProgram:
@@ -472,8 +493,17 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
     ops: list = []
     # (levels, inverse) per cost gate's w terms: every QAOA layer shares one.
     diagonals: dict = {}
-    for position, gate in enumerate(gates[start:], start):
-        if gate.name == "cost":
+    for key, group in groupby(enumerate(gates[start:], start), lambda item: _mixer_key(item[1], n)):
+        group = list(group)
+        if key is not None:
+            position, gate = group[0]
+            shapes = tuple((1 << g.qubits[0], 2, 1 << (n - 1 - g.qubits[0])) for _, g in group)
+            ops.append(("mixer", gate, position, shapes))
+            continue
+        for position, gate in group:
+            if gate.name != "cost":
+                ops.append(("gate", gate, position, None))
+                continue
             # The angle scales of its phase_gates; run multiplies by the value.
             scale = gate.angle.scale if isinstance(gate.angle, Param) else gate.angle
             terms = tuple((scale * s, qubits) for s, qubits in gate.terms)
@@ -484,14 +514,6 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
                 levels = np.unique(weights)
                 diagonals[terms] = levels, np.searchsorted(levels, weights)
             ops.append(("diagonal", gate, position, diagonals[terms]))
-        elif gate.name == "rx" and n > 1:
-            # An rx on every qubit (Q = 1) stays with apply_gate, which
-            # multiplies single elements there: numpy rounds those
-            # differently from an array multiply.
-            q = gate.qubits[0]
-            ops.append(("rx", gate, position, (1 << q, 2, 1 << (n - 1 - q))))
-        else:
-            ops.append(("gate", gate, position, None))
     return _DenseProgram(uniform, tuple(ops))
 
 

@@ -601,6 +601,24 @@ def test_cmd_non_positive_max_qubits_exits_2_before_running(
     assert oracles == [] and energies == []
 
 
+# numpy's allocation error is a MemoryError subclass with such a message.
+@pytest.mark.parametrize(
+    "message, shown",
+    [("Unable to allocate 8.00 TiB for an array", "Unable to allocate 8.00 TiB"), ("", "allocation failed")],
+    ids=["message", "empty"],
+)
+def test_cmd_solve_out_of_memory_exits_4_with_one_line(tmp_path, monkeypatch, capsys, message, shown):
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(vqa, "diagonal_energies", allocate)
+    spec_path = _solve_files(tmp_path, runs=1, algorithm="qaoa")
+    assert main(["solve", str(spec_path), "--out", str(tmp_path / "r")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and shown in err
+
+
 def test_readme_quickstart_runs(capsys):
     text = (ROOT / "README.md").read_text()
     start = text.index("```python\n", text.index("## Library quickstart")) + len("```python\n")

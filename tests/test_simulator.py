@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -611,7 +612,7 @@ def test_each_cost_gate_is_one_diagonal_and_each_phase_gate_one_apply_gate():
     gates = (*literal, g, b, g, *literal, Gate("rx", (0,), 0.4), g)
     circuit = Circuit(3, gates, ("g", "b"))
     ops = circuit._program.ops
-    kernels = ["gate", "gate", "diagonal", "diagonal", "diagonal", "gate", "gate", "rx", "diagonal"]
+    kernels = ["gate", "gate", "diagonal", "diagonal", "diagonal", "gate", "gate", "mixer", "diagonal"]
     assert [kernel for kernel, _, _, _ in ops] == kernels
     assert [gate for _, gate, _, _ in ops] == list(gates)
     assert [position for _, _, position, _ in ops] == list(range(len(gates)))
@@ -672,9 +673,12 @@ def test_qaoa_circuits_equal_the_fused_loop_bit_for_bit(problem, reps):
     instance = Instance(problem)
     circuit = build_circuit("qaoa", instance, reps)
     ops = circuit._program.ops
-    assert [kernel for kernel, _, _, _ in ops] == (["diagonal"] + ["rx"] * circuit.qubit_count) * reps
-    # The leading h on every qubit is folded into the uniform state.
-    assert [position for _, _, position, _ in ops] == list(range(circuit.qubit_count, len(circuit.gates)))
+    # Each layer is one diagonal and one mixer op over every qubit; the
+    # leading h on every qubit is folded into the uniform state.
+    n = circuit.qubit_count
+    assert [kernel for kernel, _, _, _ in ops] == ["diagonal", "mixer"] * reps
+    assert [position for _, _, position, _ in ops] == [n + k * (n + 1) + i for k in range(reps) for i in (0, 1)]
+    assert [len(data) for kernel, _, _, data in ops if kernel == "mixer"] == [n] * reps
     # Expanded, the cost gates are the rz/rzz layers QAOA was built from
     # before the cost gate, so fused_run of the expansion gives those bytes,
     # and the accounting charges the same gates.
@@ -698,6 +702,78 @@ def test_qaoa_cost_and_rx_gates_bypass_apply_gate(monkeypatch):
     calls = spy_calls(monkeypatch, simulator, "apply_gate")
     run(circuit, [0.3, 1.1, 2.0, 0.7])
     assert calls == []
+
+
+@pytest.mark.parametrize("uniform", [False, True], ids=["zero", "uniform"])
+@pytest.mark.parametrize("n", [*range(2, 15), 17])
+def test_rx_runs_on_every_qubit_equal_the_gate_by_gate_loop_bit_for_bit(n, uniform):
+    # From |0...0> each rx layer leaves a product state whose amplitudes
+    # have an exact real or imaginary zero, with a sign the loop also gives;
+    # a literal 0 has m01 = -0j.
+    layers = (
+        [Gate("rx", (q,), Param("b")) for q in range(n)],
+        [Gate("rx", (q,), Param("b", -2.0)) for q in reversed(range(n))],
+        [Gate("rx", (q,), 0.0) for q in range(n)],
+    )
+    prefix = [Gate("h", (q,)) for q in range(n)] if uniform else []
+    circuit = Circuit(n, (*prefix, *(g for layer in layers for g in layer)), ("b",))
+    ops = circuit._program.ops
+    assert [kernel for kernel, _, _, _ in ops] == ["mixer"] * 3
+    shapes = [[(1 << g.qubits[0], 2, 1 << (n - 1 - g.qubits[0])) for g in layer] for layer in layers]
+    assert [list(data) for _, _, _, data in ops] == shapes
+    for value in np.random.default_rng(n).uniform(-2 * pi, 2 * pi, 3):
+        state = run(circuit, [value])
+        assert state.amplitudes.tobytes() == reference_run(circuit, [value]).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 8, 13])
+def test_rx_gates_at_other_angles_split_into_separate_mixer_ops(n):
+    b = Param("b")
+    angles = [b, b, Param("b", 2.0), Param("c"), 0.3, 0.3, b, 0.0, -0.0, b]
+    gates = (Gate("h", (0,)), *(Gate("rx", (k % n,), a) for k, a in enumerate(angles)))
+    circuit = Circuit(n, gates, ("b", "c"))
+    ops = circuit._program.ops
+    assert [kernel for kernel, _, _, _ in ops] == ["gate"] + ["mixer"] * 8
+    assert [position for _, _, position, _ in ops] == [0, 1, 3, 4, 5, 7, 8, 9, 10]
+    assert [len(data) for kernel, _, _, data in ops if kernel == "mixer"] == [2, 1, 1, 2, 1, 1, 1, 1]
+    values = np.random.default_rng(n).uniform(-2 * pi, 2 * pi, 2)
+    assert run(circuit, values).amplitudes.tobytes() == reference_run(circuit, values).tobytes()
+
+
+# The first 16 hex digits of the sha256 of run(...).amplitudes.tobytes() at
+# default_rng(reps).uniform(0, 2 pi) per parameter, recorded with each rx
+# run as its own butterfly, numpy 2.4.6 on x86-64.
+_QAOA_AMPLITUDE_HASHES = {
+    ("ecfl", 1): "fe764d7686063730",
+    ("ecfl", 2): "1d79077f4baa6960",
+    ("ecfl", 3): "fb305a00794aac72",
+    ("echl", 1): "7deca94258224be5",
+    ("echl", 2): "c13b6391a896d6e9",
+    ("echl", 3): "019646b736c059ef",
+    ("eofl", 1): "678278689a690395",
+    ("eofl", 2): "be93a4bb8bee753a",
+    ("eofl", 3): "41e6d51c99f4426c",
+    ("eohl", 1): "130422971c6220e1",
+    ("eohl", 2): "ec202a73dbc0a0c4",
+    ("eohl", 3): "5a8128e1719b069b",
+    ("scaling-p4", 1): "4c032510700aeb29",
+    ("scaling-p5", 1): "916711bb2d9b6789",
+    ("scaling-p6", 1): "0854b065fd751aa3",
+    ("scaling-p7", 1): "cca8ce9ee7b9ad12",
+}
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="hashes recorded with numpy 2.4.6")
+@pytest.mark.parametrize("name, reps", sorted(_QAOA_AMPLITUDE_HASHES))
+def test_qaoa_amplitudes_keep_their_recorded_bytes(name, reps):
+    if name.startswith("scaling-p"):
+        problem = scaling_instance(int(name.removeprefix("scaling-p")))
+    else:
+        problem = parse_problem((_PROBLEMS / f"{name}.problem").read_text())
+    circuit = build_circuit("qaoa", Instance(problem), reps)
+    values = np.random.default_rng(reps).uniform(0, 2 * pi, len(circuit.parameters))
+    digest = hashlib.sha256(run(circuit, values).amplitudes.tobytes()).hexdigest()
+    assert digest[:16] == _QAOA_AMPLITUDE_HASHES[name, reps]
 
 
 def _mixed_dense_circuit():
