@@ -3,11 +3,11 @@
 P_best / P_feas are the shot fractions landing on optimal / feasible
 basis states; C_best / C_feas divide them by the random-guess probability
 N_x / 2^Q, so a uniform sampler scores C = 1. An experiment is an Instance,
-which carries the problem's layout, Ising model and qubit cap, and an
-ExperimentConfig, which says how to run it: R independent seeded repetitions
-of one algorithm, all on one Objective, aggregated with mean and sample
-standard deviation. Timing columns are wall-clock and are the
-only non-reproducible output fields.
+which carries the problem's layout and Ising model and checked its qubit
+cap when it was built, and an ExperimentConfig, which says how to run it: R
+independent seeded repetitions of one algorithm, all on one Objective,
+aggregated with mean and sample standard deviation. Timing columns are
+wall-clock and are the only non-reproducible output fields.
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ import numpy as np
 from .errors import InstanceMismatchError
 from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
-from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, run
-from .vqa import ALGORITHMS, MODES, SEED_RANGE, Instance, Objective, OptimizerConfig
-from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, build_circuit, check_count, optimize
+from .simulator import Circuit, Counts, run
+from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES, SEED_RANGE, Instance, Objective
+from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, OptimizerConfig, build_circuit, check_count, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -141,12 +141,11 @@ def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[s
 
 def run_experiment(instance: Instance, config: ExperimentConfig) -> ExperimentReport:
     """Execute R seeded runs on one Objective, score each at the configured
-    shot count. The instance's cap applies, and its circuits and energy views
-    are shared."""
+    shot count. The instance's circuits and energy views are shared."""
     circuit = build_circuit(config.algorithm, instance, config.reps)
     # Built first, so its checks fail before the oracle runs.
     objective = Objective(instance, circuit, config.mode, config.shots)
-    report = enumerate_solutions(instance.layout, max_qubits=instance.max_qubits)
+    report = enumerate_solutions(instance.layout)
     run_seeds = np.random.default_rng(config.seed).integers(SEED_RANGE, size=config.runs)
     records: list[RunRecord] = []
     for raw_seed in run_seeds:
@@ -226,7 +225,7 @@ def _time_statevector(instance: Instance, circuit: Circuit) -> float:
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
-        state = run(circuit, theta, max_qubits=instance.max_qubits)
+        state = run(circuit, theta)
         # Reading amplitudes scatters a support state into all 2^Q entries,
         # which are then squared and summed, unlike optimize's objective,
         # which squares the support alone into its kept vector: sim_seconds

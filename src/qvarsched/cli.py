@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bench
 from .encoder import encode, format_fraction, model_to_text
-from .errors import ParseError, QubitCountExceededError, QvarschedError
+from .errors import ParseError, QubitCountExceededError, QvarschedError, check_qubit_count
 from .files import parse_experiment, parse_problem, read_text
 from .oracle import enumerate_solutions
 from .problem import VARIANTS, build_layout
@@ -50,7 +50,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     problem = parse_problem(read_text(args.problem))
     layout = build_layout(problem)
-    report = enumerate_solutions(layout, max_qubits=args.max_qubits)
+    # Not through an Instance: the walk sums exact Fractions and needs no float64 bound.
+    check_qubit_count(layout.qubit_count, args.max_qubits)
+    report = enumerate_solutions(layout)
     lines = [
         f"variant {problem.variant.name}",
         f"qubits {layout.qubit_count}",

@@ -18,10 +18,10 @@ class QubitCountExceededError(QvarschedError):
     """Requested register is larger than the configured maximum."""
 
 
-def check_qubit_count(qubit_count: int, max_qubits: int) -> None:
-    """Raise QubitCountExceededError when qubit_count is above max_qubits."""
-    if qubit_count > max_qubits:
-        raise QubitCountExceededError(f"{qubit_count} qubits exceeds the maximum of {max_qubits}")
+def check_qubit_count(qubit_count: int, maximum: int) -> None:
+    """Raise QubitCountExceededError when qubit_count is above maximum."""
+    if qubit_count > maximum:
+        raise QubitCountExceededError(f"{qubit_count} qubits exceeds the maximum of {maximum}")
 
 
 class NonFiniteObjectiveError(QvarschedError):

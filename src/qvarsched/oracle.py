@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import check_qubit_count
 from .problem import CLOUD, Assignment, VariableLayout, assignment_index, gain
-from .simulator import DEFAULT_MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -44,16 +42,14 @@ class OracleReport:
         return not self.feasible
 
 
-def enumerate_solutions(
-    layout: VariableLayout, *, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> OracleReport:
+def enumerate_solutions(layout: VariableLayout) -> OracleReport:
     """Exact optima and feasibility counts of layout.problem from a walk over
     target tuples.
 
     Each process goes to one of the N nodes or, where allowed, the Cloud, so
-    there are (N + c)^P tuples (c = 1 with a Cloud, else 0): at most
-    3^8 = 6,561 under the default 24-qubit cap, against 2^Q strings for a
-    full scan. Weights are positive, so a node's load only grows along a
+    there are (N + c)^P tuples (c = 1 with a Cloud, else 0). That bounds the
+    walk, whatever Q, against 2^Q strings for a full scan; it checks no
+    qubit cap. Weights are positive, so a node's load only grows along a
     tuple and the walk drops a prefix at the first node it loads past its
     capacity. A tuple is feasible exactly when every residual capacity fits
     its slack register, in which case the register value is unique, so each
@@ -61,7 +57,6 @@ def enumerate_solutions(
     Fractions.
     """
     problem, q = layout.problem, layout.qubit_count
-    check_qubit_count(q, max_qubits)
     options = list(range(problem.num_nodes))
     if problem.variant.cloud_allowed:
         options.append(CLOUD)

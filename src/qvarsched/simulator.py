@@ -73,11 +73,13 @@ cost gate rounds differently from its phase gates one by one (at most
 points each); it equals bit for bit one multiply by
 exp(-0.5j * (value * w)), w summed per basis state in term order.
 
-Compile rejects a non-finite literal angle or cost-term scale, and run() a
-non-finite parameter value or resolved angle (Param scale times value), with
-ArithmeticError before any gate. run() checks the norm after every run, on
-the support for a support program: a norm that is not finite, as when a
-finite value times a cost gate's w overflows, fails that check too.
+Compile rejects a gate of a kind that takes an angle (rx, ry, rz, cry, rzz,
+cost) but has none with ValueError. It rejects a non-finite literal angle or
+cost-term scale, and run() a non-finite parameter value or resolved angle
+(Param scale times value), with ArithmeticError before any gate. run() checks
+the norm after every run, on the support for a support program: a norm that
+is not finite, as when a finite value times a cost gate's w overflows, fails
+that check too.
 
 A support state's probabilities_into squares only the support and writes
 it into a vector that is +0 elsewhere, which is |a|^2 of every amplitude bit
@@ -114,14 +116,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import IsingModel, to_terms
-from .errors import UnboundParameterError, check_qubit_count
+from .errors import UnboundParameterError
 
-DEFAULT_MAX_QUBITS = 24
 NORM_TOLERANCE = 1e-9
 
 GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub", "cost")
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
+_ANGLE_GATES = frozenset({"rx", "ry", "rz", "cry", "rzz", "cost"})
 # diagonal_energies adds rows of 2^_ROW_QUBITS entries (32 KiB of float64).
 _ROW_QUBITS = 12
 
@@ -205,10 +207,6 @@ class StateVector:
         else:
             out[self.support] = np.abs(self.held) ** 2
         return out
-
-
-def bits_to_index(bits: str) -> int:
-    return int(bits, 2)
 
 
 def index_to_bits(index: int, qubit_count: int) -> str:
@@ -547,6 +545,9 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
+    unset = [(i, g) for i, g in enumerate(circuit.gates) if g.angle is None]
+    if bad := [f"{g.name} on {g.qubits} at gate {i}" for i, g in unset if g.name in _ANGLE_GATES]:
+        raise ValueError(f"gates without an angle: {', '.join(bad)}")
     literal = [g for g in circuit.gates if g.angle is not None and not isinstance(g.angle, Param)]
     if bad := [f"{g.name}({g.angle}) on {g.qubits}" for g in literal if not isfinite(g.angle)]:
         raise ArithmeticError(f"non-finite literal angles: {', '.join(bad)}")
@@ -557,10 +558,11 @@ def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
     return _compile_dense(circuit)
 
 
-def run(circuit: Circuit, params=None, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Execute a circuit on |0...0> and return the final state."""
+def run(circuit: Circuit, params=None) -> StateVector:
+    """Execute a circuit on |0...0> and return the final state. No width is
+    checked: a dense program allocates two 2^Q complex128 vectors, and the
+    caller is responsible for the circuit's size."""
     n = circuit.qubit_count
-    check_qubit_count(n, max_qubits)
     binding = _bind(circuit, params)
     if not all(map(isfinite, binding.values())):
         bad = ", ".join(f"{name}={value}" for name, value in binding.items() if not isfinite(value))

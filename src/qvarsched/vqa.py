@@ -47,7 +47,7 @@ from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
 from .encoder import encode, to_terms
 from .errors import InstanceMismatchError, NonFiniteObjectiveError, check_qubit_count
 from .problem import AssignmentProblem, build_layout
-from .simulator import DEFAULT_MAX_QUBITS, Circuit, Counts, diagonal_energies
+from .simulator import Circuit, Counts, diagonal_energies
 from .simulator import energies_at, run, sample
 
 SEED_RANGE = 2**31  # every seed drawn from a master seed is below this
@@ -58,6 +58,7 @@ MODES = (DEFAULT_MODE, "sampled")  # the objectives optimize evaluates
 DEFAULT_SHOTS = 4096  # of the final measurement, and of each sampled evaluation
 # The largest shots, runs, restarts or max_iterations: numpy takes them as C longs.
 COUNT_LIMIT = 2**63 - 1
+DEFAULT_MAX_QUBITS = 24  # the widest problem an Instance accepts by default
 
 
 def check_count(name: str, value: int):
@@ -163,7 +164,9 @@ class Instance:
     built for it (see build_circuit) and their energy views, shared by every
     run and restart on it.
 
-    max_qubits caps every run on it and is checked before any 2^Q work.
+    It is the library's one qubit cap: past max_qubits it raises
+    QubitCountExceededError before encoding, and keeps no cap; a caller that
+    needs another cap builds its Instance with it.
     energy_bound, the exact sum of every Ising coefficient's magnitude, bounds
     |E(z)| for every basis state z. Twice it must fit a float64, the type the
     simulator reads the model in, so that no energy and no QAOA gate scale
@@ -174,7 +177,6 @@ class Instance:
         layout = build_layout(problem)
         check_qubit_count(layout.qubit_count, max_qubits)
         self.problem = problem
-        self.max_qubits = max_qubits
         self.layout = layout
         self.model = encode(layout)
         self.energy_bound = sum(abs(coeff) for _, coeff in to_terms(self.model))
@@ -223,9 +225,10 @@ class Objective:
     shared by every run, restart and final sample on them: called with
     (theta, rng), it reads the circuit's energy view, and sampled mode seeds
     each measurement from rng. Every evaluation and sample writes its
-    probabilities into one vector, +0 off the circuit's support. shots must
-    be at least 1, and in sampled mode shots * instance.energy_bound must
-    fit a float64 (ValueError)."""
+    probabilities into one vector, +0 off the circuit's support. The circuit
+    must have the instance's width (InstanceMismatchError); no cap is checked
+    here. shots must be at least 1, and in sampled mode
+    shots * instance.energy_bound must fit a float64 (ValueError)."""
 
     def __init__(
         self, instance: Instance, circuit: Circuit, mode: str = DEFAULT_MODE, shots: int = DEFAULT_SHOTS
@@ -239,12 +242,12 @@ class Objective:
         if mode == "sampled":  # its sum of hits times energies reaches shots * |E|
             _check_float64(shots * instance.energy_bound, f"{shots} shots times the energy bound")
         self.circuit, self.mode, self.shots = circuit, mode, shots
-        self.max_qubits, self.energies = instance.max_qubits, instance.energy_view(circuit)
+        self.energies = instance.energy_view(circuit)
         self.probabilities = np.zeros(len(self.energies))
 
     def __call__(self, theta: np.ndarray, rng: np.random.Generator) -> float:
         if self.mode != "sampled":
-            state = run(self.circuit, theta, max_qubits=self.max_qubits)
+            state = run(self.circuit, theta)
             return float(state.probabilities_into(self.probabilities) @ self.energies)
         counts = self.sample(theta, int(rng.integers(SEED_RANGE)))
         # Summed strictly left to right in ascending index order, so the value is
@@ -254,7 +257,7 @@ class Objective:
 
     def sample(self, theta, seed: int) -> Counts:
         """A measurement of shots at theta, drawn with seed."""
-        state = run(self.circuit, theta, max_qubits=self.max_qubits)
+        state = run(self.circuit, theta)
         return sample(state, self.shots, seed, self.probabilities)
 
 
@@ -291,10 +294,9 @@ def run_vqe(
     config: OptimizerConfig,
     mode: str = DEFAULT_MODE,
     shots: int = DEFAULT_SHOTS,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
-    instance = Instance(problem, max_qubits)
+    instance = Instance(problem)
     return optimize(Objective(instance, build_circuit(ansatz, instance), mode, shots), config)
 
 
@@ -304,8 +306,7 @@ def run_qaoa(
     config: OptimizerConfig,
     mode: str = DEFAULT_MODE,
     shots: int = DEFAULT_SHOTS,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""
-    instance = Instance(problem, max_qubits)
+    instance = Instance(problem)
     return optimize(Objective(instance, build_circuit("qaoa", instance, reps), mode, shots), config)

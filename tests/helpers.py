@@ -241,6 +241,11 @@ def random_problem(
             return problem
 
 
+def bits_to_index(bits: str) -> int:
+    """The basis index of a bitstring, qubit 0 its leftmost character."""
+    return int(bits, 2)
+
+
 def spy_calls(monkeypatch, module, name: str) -> list:
     """Replace module.name with a pass-through wrapper; returns its call list."""
     calls = []

@@ -28,13 +28,14 @@ from qvarsched.bench import SWEEP_CONFIG, scaling_sweep, sweep_csv
 from qvarsched.circuits import CircuitMetrics
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies
+from qvarsched.simulator import Circuit, Gate, diagonal_energies
 
 from helpers import (
     GOLDEN_CONSTANT,
     GOLDEN_LINEAR,
     GOLDEN_PAIRS,
     REFERENCE_COUNTS,
+    bits_to_index,
     dense_state,
     feasible_mask,
     random_problem,

@@ -1,10 +1,12 @@
 """API shape: each fact reaches a call once, and modules meet only in
 public names.
 
-A VariableLayout carries its problem and an Instance carries its problem and
-its qubit cap, so a public function that takes both can only be handed two
-that disagree. No qvarsched module imports another one's _-prefixed names,
-the package exports no test-only reference, and every qvarsched name that
+A VariableLayout and an Instance each carry their problem, so a public
+function that takes both can only be handed two that disagree. The qubit cap
+has one owner: the Instance checks it when it is built and keeps no copy, so
+only Instance, and scaling_sweep, which builds one per point, take
+max_qubits. No qvarsched module imports another one's _-prefixed names, the
+package exports no test-only reference, and every qvarsched name that
 README.md puts in backticks resolves.
 """
 import ast
@@ -19,7 +21,7 @@ import pytest
 import qvarsched
 
 # (carried, carrier): a function that takes the carrier reads the carried fact from it.
-CARRIED = (("problem", "layout"), ("problem", "instance"), ("max_qubits", "instance"))
+CARRIED = (("problem", "layout"), ("problem", "instance"))
 
 MODULES = [f"qvarsched.{info.name}" for info in pkgutil.iter_modules(qvarsched.__path__)]
 
@@ -42,6 +44,31 @@ def restated_facts(module) -> list[str]:
 @pytest.mark.parametrize("name", [*MODULES, "helpers"])
 def test_no_function_takes_a_fact_and_its_carrier(name):
     assert restated_facts(importlib.import_module(name)) == []
+
+
+def _has_signature(member) -> bool:
+    """A function, or a class other than an exception (which has none)."""
+    if inspect.isclass(member):
+        return not issubclass(member, BaseException)
+    return inspect.isfunction(member)
+
+
+def cap_takers() -> list[str]:
+    """Every public function and class defined in a qvarsched module whose
+    signature has max_qubits."""
+    found = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for member_name, member in inspect.getmembers(module, _has_signature):
+            if member_name.startswith("_") or member.__module__ != name:
+                continue
+            if "max_qubits" in inspect.signature(member).parameters:
+                found.append(f"{name}.{member_name}")
+    return sorted(found)
+
+
+def test_only_the_instance_and_the_sweep_take_a_qubit_cap():
+    assert cap_takers() == ["qvarsched.bench.scaling_sweep", "qvarsched.vqa.Instance"]
 
 
 def private_imports(name: str) -> list[str]:

@@ -29,9 +29,9 @@ from qvarsched.bench import (
 )
 from qvarsched.errors import InstanceMismatchError
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, Counts, Gate, bits_to_index, index_to_bits, run, sample
+from qvarsched.simulator import Circuit, Counts, Gate, index_to_bits, run, sample
 
-from helpers import brute_force_oracle, random_problem, reference_problem, spy_calls
+from helpers import bits_to_index, brute_force_oracle, random_problem, reference_problem, spy_calls
 
 
 @pytest.fixture(scope="module")

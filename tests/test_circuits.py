@@ -17,9 +17,9 @@ from qvarsched import (
 from qvarsched.circuits import CircuitMetrics, a1_basis_angles
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, Param, bits_to_index, diagonal_energies, index_to_bits
+from qvarsched.simulator import Circuit, Param, diagonal_energies, index_to_bits
 
-from helpers import expand_cost_gates, random_problem, reference_problem
+from helpers import bits_to_index, expand_cost_gates, random_problem, reference_problem
 
 REFERENCE_METRICS = {
     "a1": (10, 12, 4),

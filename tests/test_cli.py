@@ -1,5 +1,7 @@
 import csv
+import importlib
 import io
+import pkgutil
 import shutil
 import warnings
 from dataclasses import replace
@@ -9,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvarsched import bench, cli, files, make_problem, vqa
+import qvarsched
+from qvarsched import bench, cli, errors, files, make_problem, vqa
 from qvarsched.cli import main
 from qvarsched.encoder import encode, model_to_text
 from qvarsched.errors import ParseError
 from qvarsched.files import format_problem, parse_experiment, parse_problem
 from qvarsched.problem import EOFL, build_layout
-from qvarsched.simulator import DEFAULT_MAX_QUBITS, Circuit
+from qvarsched.simulator import Circuit
+from qvarsched.vqa import DEFAULT_MAX_QUBITS
 
 from helpers import reference_problem, spy_calls
 
@@ -583,6 +587,38 @@ def test_cmd_sweep_checks_every_point_against_the_cap_before_running(tmp_path, m
     assert "17 qubits exceeds the maximum of 14" in capsys.readouterr().err
     assert optimizations == []
     assert list(tmp_path.iterdir()) == []
+
+
+def _cap_events(monkeypatch) -> list[str]:
+    """Spy on check_qubit_count wherever a qvarsched module binds it, and on
+    the oracle walk the CLI calls; returns the calls in order."""
+    events = []
+    original = errors.check_qubit_count
+
+    def check(*args):
+        events.append("check")
+        return original(*args)
+
+    for info in pkgutil.iter_modules(qvarsched.__path__):
+        module = importlib.import_module(f"qvarsched.{info.name}")
+        if getattr(module, "check_qubit_count", None) is original:
+            monkeypatch.setattr(module, "check_qubit_count", check)
+    walk = cli.enumerate_solutions
+    monkeypatch.setattr(cli, "enumerate_solutions", lambda *a: events.append("walk") or walk(*a))
+    return events
+
+
+def test_each_command_checks_the_cap_once_per_instance(tmp_path, monkeypatch, capsys):
+    events = _cap_events(monkeypatch)
+    assert main(["oracle", str(_problem_dir(tmp_path) / "eohl.problem")]) == 0
+    assert events == ["check", "walk"]
+    events.clear()
+    spec_path = _solve_files(tmp_path, runs=1)  # one run of one restart
+    assert main(["solve", str(spec_path), "--out", str(tmp_path / "r")]) == 0
+    assert events == ["check"]
+    events.clear()
+    assert main(["sweep", "--pmin", "3", "--pmax", "4", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert events == ["check", "check"]
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -17,10 +17,11 @@ from qvarsched import (
 from qvarsched.encoder import IsingModel
 from qvarsched.errors import QubitCountExceededError
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, Gate, bits_to_index, diagonal_energies, index_to_bits
+from qvarsched.simulator import Circuit, Gate, diagonal_energies, index_to_bits
 
 from helpers import (
     REFERENCE_COUNTS,
+    bits_to_index,
     brute_force_oracle,
     dense_state,
     feasible_mask,
@@ -136,7 +137,7 @@ def walk_problems(draw):
 @given(walk_problems())
 def test_the_pruned_walk_equals_the_product_walk(problem):
     layout = build_layout(problem)
-    assert enumerate_solutions(layout, max_qubits=64) == product_walk_oracle(layout)
+    assert enumerate_solutions(layout) == product_walk_oracle(layout)
 
 
 def test_optimum_matches_energy_argmin():
@@ -150,13 +151,6 @@ def test_optimum_matches_energy_argmin():
         energies = diagonal_energies(encode(layout))
         assert set(np.nonzero(energies == energies.min())[0].tolist()) == report.optimal
         assert abs(energies.min() + float(report.optimal_gain)) < 1e-9
-
-
-def test_qubit_cap():
-    problem = reference_problem("ECFL")
-    layout = build_layout(problem)
-    with pytest.raises(QubitCountExceededError):
-        enumerate_solutions(layout, max_qubits=10)
 
 
 def test_dense_single_gates_match_simulator():

@@ -15,10 +15,7 @@ from qvarsched import build_layout, encode, run, sample, simulator, vqa
 from qvarsched.bench import scaling_instance
 from qvarsched.circuits import ANSATZ_BUILDERS, CircuitMetrics, metrics
 from qvarsched.encoder import IsingModel
-from qvarsched.errors import (
-    QubitCountExceededError,
-    UnboundParameterError,
-)
+from qvarsched.errors import UnboundParameterError
 from qvarsched.files import parse_problem
 from qvarsched.simulator import (
     _ROW_QUBITS,
@@ -28,7 +25,6 @@ from qvarsched.simulator import (
     Param,
     StateVector,
     apply_gate,
-    bits_to_index,
     diagonal_energies,
     energies_at,
     index_to_bits,
@@ -39,6 +35,7 @@ from qvarsched.simulator import (
 from qvarsched.vqa import Instance, build_circuit
 
 from helpers import (
+    bits_to_index,
     dense_state,
     expand_cost_gates,
     fused_run,
@@ -357,17 +354,53 @@ def test_a_non_finite_cost_term_scale_raises_arithmetic_error(bad):
         run(circuit, [0.3])
 
 
+@pytest.mark.parametrize("kind", _ANGLED_KINDS)
+def test_a_gate_that_takes_an_angle_but_has_none_raises_before_any_gate(monkeypatch, kind):
+    def execute(*args):
+        raise AssertionError("the program ran")
+
+    qubits = (0, 1) if kind in ("cry", "rzz", "cost") else (1,)
+    for circuit, program in _angled_circuits(kind, None):
+        monkeypatch.setattr(program, "execute", execute)
+        position = 2 if program is _DenseProgram else 1
+        message = f"gates without an angle: {kind} on {qubits} at gate {position}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            run(circuit)
+
+
+def test_an_rx_without_an_angle_raises_on_one_qubit_and_in_a_mixer(monkeypatch):
+    applied = spy_calls(monkeypatch, simulator, "apply_gate")
+    with pytest.raises(ValueError, match=re.escape("gates without an angle: rx on (0,) at gate 0") + "$"):
+        run(Circuit(1, (Gate("rx", (0,)),), ()))
+    gates = (Gate("h", (0,)), Gate("rx", (1,)), Gate("rx", (2,), 0.4), Gate("rx", (0,)))
+    message = "gates without an angle: rx on (1,) at gate 1, rx on (0,) at gate 3"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        run(Circuit(3, gates, ()))
+    assert applied == []
+
+
 def test_param_scale():
     circuit = Circuit(1, (Gate("ry", (0,), Param("t", 0.5)),), ("t",))
     state = run(circuit, {"t": pi})  # effective angle pi/2
     assert abs(state.amplitudes[0] - cos(pi / 4)) < 1e-12
 
 
-def test_qubit_count_cap():
-    circuit = Circuit(25, (), ())
-    with pytest.raises(QubitCountExceededError):
-        run(circuit)
-    run(Circuit(4, (), ()), max_qubits=4)
+def test_a_40_qubit_support_circuit_runs_on_its_slots_alone():
+    # x, h, cx and cry make a support program, which holds its three slots,
+    # not 2^40 amplitudes: run checks no width, and the state is never scattered.
+    gates = (Gate("x", (0,)), Gate("h", (1,)), Gate("cx", (0, 39)), Gate("cry", (1, 20), Param("t")))
+    circuit = Circuit(40, gates, ("t",))
+    tracemalloc.start()
+    try:
+        state = run(circuit, [0.6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    low, high = bits_to_index("10" + "0" * 37 + "1"), bits_to_index("11" + "0" * 37 + "1")
+    assert state.support.tolist() == [low, high, high | 1 << 19]
+    expected = np.array([1.0, cos(0.3), sin(0.3)]) / np.sqrt(2)
+    assert np.allclose(state.held, expected, rtol=0, atol=1e-15)
 
 
 _HAND_KINDS = tuple(kind for kind in GATE_NAMES if kind != "cost")

@@ -22,10 +22,10 @@ from qvarsched.errors import (
     QubitCountExceededError,
 )
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import bits_to_index, diagonal_energies, run, sample
+from qvarsched.simulator import diagonal_energies, run, sample
 from qvarsched.vqa import COUNT_LIMIT, minimize
 
-from helpers import dense_state, reference_problem, spy_calls
+from helpers import bits_to_index, dense_state, reference_problem, spy_calls
 
 
 def test_minimize_quadratic():
@@ -263,10 +263,13 @@ def test_the_final_counts_equal_a_sample_of_a_fresh_run_bit_for_bit(algorithm, m
 def test_qubit_cap_is_checked_before_any_encoding(monkeypatch):
     encoded = spy_calls(monkeypatch, vqa, "encode")
     energies = spy_calls(monkeypatch, vqa, "diagonal_energies")
-    config = OptimizerConfig(seed=0, restarts=1, max_iterations=5)
     with pytest.raises(QubitCountExceededError, match="11 qubits"):
-        run_vqe(scaling_instance(3), "a4", config, max_qubits=8)
+        vqa.Instance(scaling_instance(3), max_qubits=8)
     assert encoded == [] and energies == []
+    # The cap is checked once, so nothing keeps it.
+    instance = vqa.Instance(scaling_instance(3), max_qubits=11)
+    objective = vqa.Objective(instance, vqa.build_circuit("a4", instance))
+    assert "max_qubits" not in vars(instance) and "max_qubits" not in vars(objective)
 
 
 @pytest.mark.parametrize("algorithm", ["a4", "qaoa"])
