@@ -73,13 +73,12 @@ cost gate rounds differently from its phase gates one by one (at most
 points each); it equals bit for bit one multiply by
 exp(-0.5j * (value * w)), w summed per basis state in term order.
 
-Compile rejects a gate of a kind that takes an angle (rx, ry, rz, cry, rzz,
-cost) but has none with ValueError. It rejects a non-finite literal angle or
-cost-term scale, and run() a non-finite parameter value or resolved angle
-(Param scale times value), with ArithmeticError before any gate. run() checks
-the norm after every run, on the support for a support program: a norm that
-is not finite, as when a finite value times a cost gate's w overflows, fails
-that check too.
+Gate and Circuit check a circuit once, when it is built (see their
+docstrings); compile and the kernels trust it. run() rejects a non-finite
+parameter value or resolved angle (Param scale times value) with
+ArithmeticError before any gate, and checks the norm after every run, on the
+support for a support program: a norm that is not finite, as when a finite
+value times a cost gate's w overflows, fails that check too.
 
 A support state's probabilities_into squares only the support and writes
 it into a vector that is +0 elsewhere, which is |a|^2 of every amplitude bit
@@ -107,6 +106,7 @@ bit for bit.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import groupby, product
@@ -120,7 +120,15 @@ from .errors import UnboundParameterError
 
 NORM_TOLERANCE = 1e-9
 
-GATE_NAMES = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz", "mcx", "csub", "cost")
+# Each kind's operand count: (fewest, most), most None for no limit.
+_OPERANDS = {
+    **dict.fromkeys(("x", "h", "rx", "ry", "rz"), (1, 1)),
+    **dict.fromkeys(("cx", "cry", "rzz"), (2, 2)),
+    "mcx": (1, None),
+    "csub": (2, None),
+    "cost": (1, None),
+}
+GATE_NAMES = tuple(_OPERANDS)
 _PERMUTATION_GATES = frozenset({"x", "cx", "mcx", "csub"})
 _REAL_GATES = _PERMUTATION_GATES | {"h", "ry", "cry"}
 _ANGLE_GATES = frozenset({"rx", "ry", "rz", "cry", "rzz", "cost"})
@@ -144,6 +152,12 @@ class Gate:
     (*controls, target) for mcx, (control, *register) for csub.
     terms: a cost gate's (scale, qubits) pairs, each one rz or rzz gate at
     angle times scale (see phase_gates).
+
+    Built, it checks (ValueError naming the gate) its name and operand
+    count, distinct integer operands >= 0 (kept as a tuple), an angle just
+    for rx/ry/rz/cry/rzz/cost, an integer constant just for csub, and terms
+    just for cost, each on one or two of its qubits; and (ArithmeticError)
+    that a literal angle and every term scale are finite.
     """
 
     name: str
@@ -152,12 +166,66 @@ class Gate:
     constant: int | None = None
     terms: tuple[tuple[float, tuple[int, ...]], ...] = ()
 
+    def __post_init__(self):
+        gate = f"gate {self.name!r} on {self.qubits!r}"
+        if self.name not in _OPERANDS:
+            raise ValueError(f"unknown {gate}")
+        qubits, (fewest, most) = _integers(self.qubits, f"{gate}: operands"), _OPERANDS[self.name]
+        distinct = set(qubits)
+        if min(qubits, default=0) < 0 or len(distinct) < len(qubits):
+            raise ValueError(f"{gate}: operands must be distinct and >= 0")
+        if not fewest <= len(qubits) <= (most or len(qubits)):
+            raise ValueError(f"{gate}: takes {fewest if most else f'at least {fewest}'} operands")
+        exactly = (("angle", self.angle, _ANGLE_GATES), ("constant", self.constant, {"csub"}))
+        for field, value, kinds in exactly:
+            if (value is None) == (self.name in kinds):
+                raise ValueError(f"{gate}: {field} is {'missing' if value is None else 'not allowed'}")
+        terms = tuple((scale, _integers(term, f"{gate}: term qubits")) for scale, term in self.terms)
+        if terms and self.name != "cost":
+            raise ValueError(f"{gate}: terms are not allowed")
+        if not all(1 <= len(set(t)) == len(t) <= 2 and set(t) <= distinct for _, t in terms):
+            raise ValueError(f"{gate}: a term is not on one or two of its qubits")
+        if self.angle is not None and not isinstance(self.angle, Param) and not isfinite(self.angle):
+            raise ArithmeticError(f"{gate}: non-finite literal angle {self.angle}")
+        if bad := [(scale, t) for scale, t in terms if not isfinite(scale)]:
+            raise ArithmeticError(f"{gate}: non-finite term scales {bad}")
+        constant = None if self.constant is None else _integers((self.constant,), f"{gate}: constant")[0]
+        for field, value in (("qubits", qubits), ("constant", constant), ("terms", terms)):
+            object.__setattr__(self, field, value)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on qubit_count qubits, and the Param names values bind, in order.
+    Built, it checks (ValueError naming the gate's index) that qubit_count is
+    an integer >= 0 above every operand, and that the parameter names are
+    unique and name every Param; gates and parameters are kept as tuples."""
+
     qubit_count: int
     gates: tuple[Gate, ...]
     parameters: tuple[str, ...]
+
+    def __post_init__(self):
+        (n,) = _integers((self.qubit_count,), "qubit_count")
+        gates, parameters = tuple(self.gates), tuple(self.parameters)
+        if n < 0:
+            raise ValueError(f"qubit_count must be >= 0, got {n}")
+        if len(set(parameters)) < len(parameters):
+            raise ValueError(f"parameter names repeat in {parameters}")
+        for i, g in enumerate(gates):
+            if max(g.qubits) >= n:
+                raise ValueError(f"gate {i} ({g.name} on {g.qubits}) acts on a qubit >= {n}")
+            if isinstance(g.angle, Param) and g.angle.name not in parameters:
+                raise ValueError(f"gate {i} ({g.name} on {g.qubits}): {g.angle.name!r} is not a parameter")
+        for field, value in (("qubit_count", n), ("gates", gates), ("parameters", parameters)):
+            object.__setattr__(self, field, value)
 
     @cached_property
     def _program(self) -> _DenseProgram | _SupportProgram:
@@ -334,15 +402,13 @@ def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: floa
     elif name == "csub":
         control, *register = gate.qubits
         _apply_csub(nd, control, register, gate.constant)
-    elif name in GATE_NAMES:
+    else:
         *controls, target = gate.qubits
         view, adjust = _control_view(nd, controls)
         if name in _PERMUTATION_GATES:
             _flip(view, adjust(target))
         else:
             _apply_matrix(view, _matrix(name, angle), adjust(target))
-    else:
-        raise ValueError(f"unknown gate {name!r}")
     return amplitudes
 
 
@@ -545,14 +611,6 @@ def _compile_support(circuit: Circuit) -> _SupportProgram:
 
 
 def _compile(circuit: Circuit) -> _DenseProgram | _SupportProgram:
-    unset = [(i, g) for i, g in enumerate(circuit.gates) if g.angle is None]
-    if bad := [f"{g.name} on {g.qubits} at gate {i}" for i, g in unset if g.name in _ANGLE_GATES]:
-        raise ValueError(f"gates without an angle: {', '.join(bad)}")
-    literal = [g for g in circuit.gates if g.angle is not None and not isinstance(g.angle, Param)]
-    if bad := [f"{g.name}({g.angle}) on {g.qubits}" for g in literal if not isfinite(g.angle)]:
-        raise ArithmeticError(f"non-finite literal angles: {', '.join(bad)}")
-    if bad := [f"{s} on {qubits}" for g in circuit.gates for s, qubits in g.terms if not isfinite(s)]:
-        raise ArithmeticError(f"non-finite cost-term scales: {', '.join(bad)}")
     if all(g.name in _REAL_GATES for g in circuit.gates):
         return _compile_support(circuit)
     return _compile_dense(circuit)

@@ -205,11 +205,14 @@ class Instance:
 
 
 def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
-    """The circuit of an algorithm name: an "a1".."a4" ansatz, or "qaoa" with reps layers.
+    """The circuit of a name in ALGORITHMS: an "a1".."a4" ansatz, or "qaoa"
+    with reps layers; any other name, "A4" included, is a ValueError.
 
     Built once per instance and kept on it: every call with the same instance
     returns the same Circuit object, so its program is compiled only once.
     """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     key = (algorithm, reps if algorithm == "qaoa" else 1)
     if key not in instance.circuits:
         if algorithm == "qaoa":

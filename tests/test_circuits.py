@@ -1,4 +1,5 @@
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from qvarsched import (
     metrics,
     run,
 )
-from qvarsched.circuits import CircuitMetrics, a1_basis_angles
+from qvarsched.bench import scaling_instance
+from qvarsched.circuits import ANSATZ_BUILDERS, CircuitMetrics, a1_basis_angles
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
-from qvarsched.simulator import Circuit, Param, diagonal_energies, index_to_bits
+from qvarsched.files import parse_problem
+from qvarsched.simulator import Circuit, Gate, Param, diagonal_energies, index_to_bits
 
 from helpers import bits_to_index, expand_cost_gates, random_problem, reference_problem
 
@@ -222,8 +225,6 @@ def test_empty_circuit_metrics():
 
 
 def test_a4_accounting_grows_polynomially():
-    from qvarsched.bench import scaling_instance
-
     rows = []
     for processes in range(2, 9):
         problem = scaling_instance(processes)
@@ -252,3 +253,26 @@ def test_unknown_ansatz_kind():
     layout = build_layout(problem)
     with pytest.raises(ValueError):
         build_ansatz("a9", layout)
+
+
+def _builder_circuits():
+    """Every a1-a4 and QAOA (1 and 2 layers) circuit of problems/*.problem and
+    of the scaling family at P = 3..7."""
+    paths = sorted((Path(__file__).parents[1] / "problems").glob("*.problem"))
+    problems = [parse_problem(path.read_text()) for path in paths]
+    for problem in problems + [scaling_instance(processes) for processes in range(3, 8)]:
+        layout = build_layout(problem)
+        yield from (build(layout) for build in ANSATZ_BUILDERS.values())
+        yield from (build_qaoa(encode(layout), reps) for reps in (1, 2))
+
+
+def test_every_builder_circuit_constructs_unchanged_from_lists():
+    # Construction checks and keeps a well-formed circuit as it is; operands,
+    # terms, gates and parameters given as lists are kept as the same tuples.
+    for circuit in _builder_circuits():
+        gates = [
+            Gate(g.name, list(g.qubits), g.angle, g.constant, [(s, list(q)) for s, q in g.terms])
+            for g in circuit.gates
+        ]
+        rebuilt = Circuit(circuit.qubit_count, gates, list(circuit.parameters))
+        assert rebuilt == circuit and hash(rebuilt) == hash(circuit)

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import cos, pi, sin
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,19 +135,16 @@ def test_every_gate_kind_matches_dense_matrix_on_random_states():
 
 
 @pytest.mark.parametrize(
-    "gate", [Gate("cz", (0, 1)), Gate("X", (0,)), Gate("ryy", (0, 1), 0.3)], ids=str
+    "name, qubits, angle", [("cz", (0, 1), None), ("X", (0,), None), ("ryy", (0, 1), 0.3)], ids=["cz", "X", "ryy"]
 )
-def test_unknown_gate_names_fail_in_every_kernel(gate):
-    # No misspelled name may fall into a gate family's branch.
-    state = np.zeros(4, dtype=np.complex128)
-    state[0] = 1.0
-    for kernel in (
-        lambda: apply_gate(state, gate, 2),
-        lambda: gate_unitary(gate, 2),
-        lambda: run(Circuit(2, (gate,), ())),
-    ):
-        with pytest.raises(ValueError, match="unknown gate"):
-            kernel()
+def test_unknown_gate_names_fail_in_every_kernel(name, qubits, angle):
+    # No misspelled name may fall into a gate family's branch: construction
+    # rejects it, so no kernel can meet it. The reference keeps its own check,
+    # shown on an unchecked stand-in for the gate.
+    with pytest.raises(ValueError, match=re.escape(f"unknown gate {name!r} on {qubits}") + "$"):
+        Gate(name, qubits, angle)
+    with pytest.raises(ValueError, match="unknown gate"):
+        gate_unitary(SimpleNamespace(name=name, qubits=qubits, angle=angle), 2)
 
 
 def test_mcx_with_one_or_no_controls_equals_cx_or_x_bit_for_bit():
@@ -326,9 +324,10 @@ _ANGLED_KINDS = ["rx", "ry", "cry", "rz", "rzz", "cost"]
 def test_a_non_finite_literal_angle_raises_arithmetic_error(kind, bad):
     for circuit, program in _angled_circuits(kind, 0.3):
         assert isinstance(circuit._program, program)
-    for circuit, _ in _angled_circuits(kind, bad):
-        with pytest.raises(ArithmeticError, match=rf"non-finite literal angles: {kind}\("):
-            run(circuit)
+    qubits = (0, 1) if kind in ("cry", "rzz", "cost") else (1,)
+    message = f"gate {kind!r} on {qubits}: non-finite literal angle {bad}"
+    with pytest.raises(ArithmeticError, match=re.escape(message) + "$"):
+        _angled_circuits(kind, bad)
 
 
 @pytest.mark.parametrize("kind", _ANGLED_KINDS)
@@ -348,35 +347,92 @@ def test_a_non_finite_resolved_angle_raises_before_the_program_runs(monkeypatch,
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_a_non_finite_cost_term_scale_raises_arithmetic_error(bad):
-    cost = Gate("cost", (0, 1), Param("g"), terms=((0.5, (0,)), (bad, (0, 1))))
-    circuit = Circuit(2, (Gate("h", (0,)), cost), ("g",))
-    with pytest.raises(ArithmeticError, match=rf"non-finite cost-term scales: {bad} on \(0, 1\)$"):
-        run(circuit, [0.3])
+    message = f"gate 'cost' on (0, 1): non-finite term scales [({bad}, (0, 1))]"
+    with pytest.raises(ArithmeticError, match=re.escape(message) + "$"):
+        Gate("cost", (0, 1), Param("g"), terms=((0.5, (0,)), (bad, (0, 1))))
 
 
 @pytest.mark.parametrize("kind", _ANGLED_KINDS)
-def test_a_gate_that_takes_an_angle_but_has_none_raises_before_any_gate(monkeypatch, kind):
-    def execute(*args):
-        raise AssertionError("the program ran")
-
+def test_a_gate_that_takes_an_angle_but_has_none_raises_before_any_gate(kind):
+    # Raised where the gate is built, so no circuit, and no program, holds it.
     qubits = (0, 1) if kind in ("cry", "rzz", "cost") else (1,)
-    for circuit, program in _angled_circuits(kind, None):
-        monkeypatch.setattr(program, "execute", execute)
-        position = 2 if program is _DenseProgram else 1
-        message = f"gates without an angle: {kind} on {qubits} at gate {position}"
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            run(circuit)
+    with pytest.raises(ValueError, match=re.escape(f"gate {kind!r} on {qubits}: angle is missing") + "$"):
+        _angled_circuits(kind, None)
 
 
-def test_an_rx_without_an_angle_raises_on_one_qubit_and_in_a_mixer(monkeypatch):
-    applied = spy_calls(monkeypatch, simulator, "apply_gate")
-    with pytest.raises(ValueError, match=re.escape("gates without an angle: rx on (0,) at gate 0") + "$"):
-        run(Circuit(1, (Gate("rx", (0,)),), ()))
-    gates = (Gate("h", (0,)), Gate("rx", (1,)), Gate("rx", (2,), 0.4), Gate("rx", (0,)))
-    message = "gates without an angle: rx on (1,) at gate 1, rx on (0,) at gate 3"
-    with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        run(Circuit(3, gates, ()))
-    assert applied == []
+def test_an_rx_without_an_angle_raises_on_one_qubit_and_in_a_mixer():
+    # Neither apply_gate (Q = 1) nor a mixer op can meet one: it fails where it is built.
+    with pytest.raises(ValueError, match=re.escape("gate 'rx' on (0,): angle is missing") + "$"):
+        Circuit(1, (Gate("rx", (0,)),), ())
+    with pytest.raises(ValueError, match=re.escape("gate 'rx' on (1,): angle is missing") + "$"):
+        Circuit(3, (Gate("h", (0,)), Gate("rx", (1,)), Gate("rx", (2,), 0.4), Gate("rx", (0,))), ())
+
+
+_FIXED_KINDS = ("x", "h", "rx", "ry", "rz", "cx", "cry", "rzz")
+
+
+def _others(*kinds):
+    return tuple(kind for kind in GATE_NAMES if kind not in kinds)
+
+
+def _changed(fields, qubit_count, **changes):
+    return {**fields, **changes}, qubit_count
+
+
+# Each defect: the kinds it applies to, and a change of (gate fields, Q, draw)
+# to the fields and Q of a circuit with that defect.
+_DEFECTS = {
+    "a qubit >= Q": (GATE_NAMES, lambda f, q, draw: (f, max(f["qubits"]))),
+    "a negative qubit": (GATE_NAMES, lambda f, q, draw: _changed(
+        f, q, qubits=(-draw(st.integers(1, 3)), *f["qubits"][1:]))),
+    "a repeated operand": (GATE_NAMES, lambda f, q, draw: _changed(f, q, qubits=(*f["qubits"], f["qubits"][0]))),
+    "an extra operand": (_FIXED_KINDS, lambda f, q, draw: _changed(f, q + 1, qubits=(*f["qubits"], q))),
+    "too few operands": (GATE_NAMES, lambda f, q, draw: _changed(
+        f, q, qubits=f["qubits"][: (2 if f["name"] in ("cx", "cry", "rzz", "csub") else 1) - 1])),
+    "an unknown name": (GATE_NAMES, lambda f, q, draw: _changed(
+        f, q, name=draw(st.text(max_size=4).filter(lambda name: name not in GATE_NAMES)))),
+    "a wrong-case name": (GATE_NAMES, lambda f, q, draw: _changed(f, q, name=f["name"].upper())),
+    "a missing angle": (_ANGLED_KINDS, lambda f, q, draw: _changed(f, q, angle=None)),
+    "an extra angle": (_others(*_ANGLED_KINDS), lambda f, q, draw: _changed(
+        f, q, angle=draw(st.floats(-4, 4) | st.just(Param("t"))))),
+    "csub without a constant": (("csub",), lambda f, q, draw: _changed(f, q, constant=None)),
+    "csub with a float constant": (("csub",), lambda f, q, draw: _changed(f, q, constant=float(f["constant"]))),
+    "a constant on another kind": (_others("csub"), lambda f, q, draw: _changed(
+        f, q, constant=draw(st.integers(-3, 9)))),
+    "terms on another kind": (_others("cost"), lambda f, q, draw: _changed(
+        f, q, terms=((1.0, f["qubits"][:1]),))),
+    "a 3-qubit term": (("cost",), lambda f, q, draw: _changed(f, q, terms=(*f["terms"], (1.0, f["qubits"][:3])))),
+    "a term off the gate": (("cost",), lambda f, q, draw: _changed(f, q + 1, terms=(*f["terms"], (1.0, (q,))))),
+    "a float operand": (GATE_NAMES, lambda f, q, draw: _changed(
+        f, q, qubits=(float(f["qubits"][0]), *f["qubits"][1:]))),
+    "a negative qubit_count": (GATE_NAMES, lambda f, q, draw: (f, -draw(st.integers(1, 3)))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_malformed_gate_or_circuit_is_rejected_where_it_is_built(data):
+    # A well-formed gate with one defect: its Gate or its Circuit raises, so
+    # no kernel and no metrics can meet it.
+    defect = data.draw(st.sampled_from(sorted(_DEFECTS)), label="defect")
+    kinds, change = _DEFECTS[defect]
+    q = data.draw(st.integers(3, 5), label="Q")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gate = _random_gate(rng, q, kinds=(data.draw(st.sampled_from(kinds), label="kind"),))
+    fields = {name: getattr(gate, name) for name in ("name", "qubits", "angle", "constant", "terms")}
+    assert Circuit(q, (Gate(**fields),), ()).gates == (gate,)
+    fields, qubit_count = change(fields, q, data.draw)
+    with pytest.raises(ValueError):
+        Circuit(qubit_count, (Gate(**fields),), ())
+
+
+def test_a_circuit_names_the_gate_index_of_a_bad_qubit_or_param():
+    with pytest.raises(ValueError, match=re.escape("gate 1 (cx on (0, 2)) acts on a qubit >= 2") + "$"):
+        Circuit(2, (Gate("x", (0,)), Gate("cx", (0, 2))), ())
+    with pytest.raises(ValueError, match=re.escape("gate 1 (ry on (0,)): 'u' is not a parameter") + "$"):
+        Circuit(1, (Gate("ry", (0,), Param("t")), Gate("ry", (0,), Param("u"))), ("t",))
+    with pytest.raises(ValueError, match=re.escape("parameter names repeat in ('t', 't')") + "$"):
+        Circuit(1, (Gate("ry", (0,), Param("t")),), ("t", "t"))
 
 
 def test_param_scale():

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -289,3 +290,12 @@ def test_an_objective_rejects_zero_shots_before_any_run(monkeypatch, mode):
     with pytest.raises(ValueError, match="shots must be >= 1"):
         vqa.Objective(instance, vqa.build_circuit("a4", instance), mode, 0)
     assert runs == []
+
+
+@pytest.mark.parametrize("name", ["A4", "QAOA", "a5"])
+def test_build_circuit_rejects_a_name_outside_algorithms_before_caching(name):
+    instance = vqa.Instance(reference_problem("EOHL"))
+    message = re.escape(f"unknown algorithm {name!r}, expected one of {vqa.ALGORITHMS}") + "$"
+    with pytest.raises(ValueError, match=message):
+        vqa.build_circuit(name, instance)
+    assert instance.circuits == {} and instance.views == {}
