@@ -19,12 +19,13 @@ from statistics import mean, stdev
 
 import numpy as np
 
-from .errors import InstanceMismatchError
+from .circuits import check_algorithm
+from .errors import InstanceMismatchError, check_count
 from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
 from .simulator import Circuit, Counts, run
-from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES, SEED_RANGE, Instance, Objective
-from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, OptimizerConfig, build_circuit, check_count, optimize
+from .vqa import DEFAULT_MAX_QUBITS, MODES, SEED_RANGE, Instance, Objective
+from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, OptimizerConfig, build_circuit, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
 # on this module.
@@ -73,7 +74,7 @@ def score(counts: Counts, report: OracleReport) -> Metrics:
 class ExperimentConfig:
     """How to run an experiment on an Instance; the problem is the instance's."""
 
-    algorithm: str  # one of vqa.ALGORITHMS
+    algorithm: str  # one of circuits.ALGORITHMS
     optimizer: OptimizerConfig
     reps: int = 1
     mode: str = DEFAULT_MODE
@@ -85,14 +86,9 @@ class ExperimentConfig:
     def __post_init__(self):
         check_count("runs", self.runs)
         check_count("shots", self.shots)
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
+        check_algorithm(self.algorithm, self.reps)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.reps != 1 and self.algorithm != "qaoa":
-            raise ValueError(f"reps applies to qaoa only, got reps {self.reps} for {self.algorithm}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

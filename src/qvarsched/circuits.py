@@ -1,4 +1,4 @@
-"""Ansatz and QAOA circuit builders, plus two-qubit gate accounting.
+"""Ansatz and QAOA builders, the algorithm names that select them, and gate accounting.
 
 All four variational ansatzes share the same one-hot preparation per process
 block of K = N - 1 + c + 1 qubits: an X on the first qubit, a chain of K - 1
@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .encoder import IsingModel, to_terms
 from .problem import VariableLayout, parse_bits
-from .simulator import Circuit, Gate, Param, phase_gates
+from .simulator import Circuit, Gate, Param
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,23 @@ def build_a4(layout: VariableLayout) -> Circuit:
 
 
 ANSATZ_BUILDERS = {"a1": build_a1, "a2": build_a2, "a3": build_a3, "a4": build_a4}
+ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names vqa.build_circuit takes
+
+
+def check_algorithm(algorithm: str, reps: int = 1):
+    """Raise ValueError unless algorithm is in ALGORITHMS as written and reps fits it."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if reps != 1 and algorithm != "qaoa":
+        raise ValueError(f"reps applies to qaoa only, got reps {reps} for {algorithm}")
 
 
 def build_ansatz(kind: str, layout: VariableLayout) -> Circuit:
-    try:
-        builder = ANSATZ_BUILDERS[kind.lower()]
-    except KeyError:
+    if kind not in ANSATZ_BUILDERS:
         raise ValueError(f"unknown ansatz {kind!r}, expected one of {sorted(ANSATZ_BUILDERS)}")
-    return builder(layout)
+    return ANSATZ_BUILDERS[kind](layout)
 
 
 def build_qaoa(model: IsingModel, reps: int) -> Circuit:
@@ -169,8 +178,7 @@ def build_qaoa(model: IsingModel, reps: int) -> Circuit:
     linear and pair term of to_terms, so RZ(2 g coeff) and RZZ(2 g coeff);
     mixer: RX(2 b) on every qubit. Parameters are (g0, b0, g1, b1, ...).
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_algorithm("qaoa", reps)
     n = model.qubit_count
     terms = tuple((2.0 * float(coeff), qubits) for qubits, coeff in to_terms(model)[1:])
     gates = [Gate("h", (q,)) for q in range(n)]
@@ -214,9 +222,10 @@ def _mcx_cost(controls: int) -> tuple[int, int]:
 
 def _accounting_units(circuit: Circuit) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(qubits, gate cost, depth cost) per two-qubit unit, cost and csub expanded."""
-    units = [phase_gates(g) if g.name == "cost" else (g,) for g in circuit.gates]
-    for gate in (g for unit in units for g in unit):
-        if gate.name in ("cx", "cry", "rzz", "mcx"):
+    for gate in circuit.gates:
+        if gate.name == "cost":  # an rzz per pair term, as in its phase_gates
+            yield from ((qubits, *_mcx_cost(1)) for _, qubits in gate.terms if len(qubits) == 2)
+        elif gate.name in ("cx", "cry", "rzz", "mcx"):
             cost, duration = _mcx_cost(len(gate.qubits) - 1)
             yield gate.qubits, cost, duration
         elif gate.name == "csub":

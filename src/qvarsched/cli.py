@@ -18,12 +18,12 @@ from pathlib import Path
 
 from . import bench
 from .encoder import encode, format_fraction, model_to_text
-from .errors import ParseError, QubitCountExceededError, QvarschedError, check_qubit_count
+from .errors import COUNT_LIMIT, ParseError, QubitCountExceededError, QvarschedError, check_qubit_count
 from .files import parse_experiment, parse_problem, read_text
 from .oracle import enumerate_solutions
 from .problem import VARIANTS, build_layout
 from .simulator import index_to_bits
-from .vqa import ALGORITHMS, COUNT_LIMIT, DEFAULT_MAX_QUBITS, MODES, Instance
+from .vqa import ALGORITHMS, DEFAULT_MAX_QUBITS, MODES, Instance
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and input checks shared across the package."""
+
+COUNT_LIMIT = 2**63 - 1  # the largest shots, runs, restarts or max_iterations: a C long
+
+
+def check_count(name: str, value: int):
+    """Raise ValueError unless 1 <= value <= COUNT_LIMIT."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if value > COUNT_LIMIT:
+        raise ValueError(f"{name} must be <= {COUNT_LIMIT}, got {value}")
 
 
 class QvarschedError(Exception):

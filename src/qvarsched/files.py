@@ -17,7 +17,7 @@ Experiment file::
 
     qvarsched-v1 experiment
     problem eohl.problem          # path, relative to the spec file; required
-    algorithm qaoa                # one of vqa.ALGORITHMS; required
+    algorithm qaoa                # one of circuits.ALGORITHMS; required
     reps 3                        # qaoa layers; a1-a4 take only 1
     optimizer cobyla              # the only method; any case
     max_iterations 1000

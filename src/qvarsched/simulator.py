@@ -116,7 +116,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import IsingModel, to_terms
-from .errors import UnboundParameterError
+from .errors import UnboundParameterError, check_count
 
 NORM_TOLERANCE = 1e-9
 
@@ -153,11 +153,11 @@ class Gate:
     terms: a cost gate's (scale, qubits) pairs, each one rz or rzz gate at
     angle times scale (see phase_gates).
 
-    Built, it checks (ValueError naming the gate) its name and operand
-    count, distinct integer operands >= 0 (kept as a tuple), an angle just
-    for rx/ry/rz/cry/rzz/cost, an integer constant just for csub, and terms
-    just for cost, each on one or two of its qubits; and (ArithmeticError)
-    that a literal angle and every term scale are finite.
+    Built, it checks (ValueError naming the gate) its name (a str in
+    GATE_NAMES) and operand count, distinct integer operands >= 0 (kept as a
+    tuple), an angle just for rx/ry/rz/cry/rzz/cost, an integer constant just
+    for csub, and terms just for cost, each on one or two of its qubits; and
+    (ArithmeticError) that a literal angle and every term scale are finite.
     """
 
     name: str
@@ -168,7 +168,7 @@ class Gate:
 
     def __post_init__(self):
         gate = f"gate {self.name!r} on {self.qubits!r}"
-        if self.name not in _OPERANDS:
+        if not isinstance(self.name, str) or self.name not in _OPERANDS:
             raise ValueError(f"unknown {gate}")
         qubits, (fewest, most) = _integers(self.qubits, f"{gate}: operands"), _OPERANDS[self.name]
         distinct = set(qubits)
@@ -204,9 +204,10 @@ def _integers(values, what: str) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class Circuit:
     """Gates on qubit_count qubits, and the Param names values bind, in order.
-    Built, it checks (ValueError naming the gate's index) that qubit_count is
-    an integer >= 0 above every operand, and that the parameter names are
-    unique and name every Param; gates and parameters are kept as tuples."""
+    Built, it checks (ValueError naming the gate's index) that each gate is a
+    Gate, that qubit_count is an integer >= 0 above every operand, and that
+    the parameter names are unique and name every Param; gates and
+    parameters are kept as tuples."""
 
     qubit_count: int
     gates: tuple[Gate, ...]
@@ -220,6 +221,8 @@ class Circuit:
         if len(set(parameters)) < len(parameters):
             raise ValueError(f"parameter names repeat in {parameters}")
         for i, g in enumerate(gates):
+            if not isinstance(g, Gate):
+                raise ValueError(f"gate {i} is not a Gate: {g!r}")
             if max(g.qubits) >= n:
                 raise ValueError(f"gate {i} ({g.name} on {g.qubits}) acts on a qubit >= {n}")
             if isinstance(g.angle, Param) and g.angle.name not in parameters:
@@ -383,22 +386,21 @@ def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: floa
         where every control is 1, all of it for no controls;
       - controlled 2x2 mixers (h, rx, ry, cry) apply _matrix to the target
         on that view;
-      - a cost gate applies its phase_gates one by one.
+      - a cost gate applies each term's parity phase at angle * scale, as
+        its phase_gates do; an rz or rzz is one term of scale 1.0.
     """
     nd = amplitudes.reshape((2,) * qubit_count)
     name = gate.name
     if angle is None and gate.angle is not None:
         angle = _resolve_angle(gate, {})
 
-    if name == "cost":
-        for phase in phase_gates(replace(gate, angle=angle)):
-            apply_gate(amplitudes, phase, qubit_count)
-    elif name in ("rz", "rzz"):
-        for bits in product((0, 1), repeat=len(gate.qubits)):
-            key: list = [slice(None)] * qubit_count
-            for q, bit in zip(gate.qubits, bits):
-                key[q] = bit
-            nd[tuple(key)] *= np.exp((0.5j if sum(bits) % 2 else -0.5j) * angle)
+    if name in ("rz", "rzz", "cost"):
+        for scale, qubits in gate.terms if name == "cost" else ((1.0, gate.qubits),):
+            for bits in product((0, 1), repeat=len(qubits)):
+                key: list = [slice(None)] * qubit_count
+                for q, bit in zip(qubits, bits):
+                    key[q] = bit
+                nd[tuple(key)] *= np.exp((0.5j if sum(bits) % 2 else -0.5j) * (angle * scale))
     elif name == "csub":
         control, *register = gate.qubits
         _apply_csub(nd, control, register, gate.constant)
@@ -721,8 +723,7 @@ def sample(state: StateVector, shots: int, seed: int, out: np.ndarray | None = N
     Every index hit has p > 0 (see the module docstring). Given out, the
     probabilities are written into it by state.probabilities_into.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_count("shots", shots)
     probs = state.probabilities() if out is None else state.probabilities_into(out)
     total = probs.sum()
     if state.support is not None:

@@ -43,30 +43,20 @@ from math import isfinite, pi
 
 import numpy as np
 
-from .circuits import ANSATZ_BUILDERS, build_ansatz, build_qaoa
+from .circuits import ALGORITHMS, build_ansatz, build_qaoa, check_algorithm  # noqa: F401 (re-exported)
 from .encoder import encode, to_terms
-from .errors import InstanceMismatchError, NonFiniteObjectiveError, check_qubit_count
+from .errors import COUNT_LIMIT, InstanceMismatchError, NonFiniteObjectiveError  # noqa: F401 (re-exported)
+from .errors import check_count, check_qubit_count
 from .problem import AssignmentProblem, build_layout
 from .simulator import Circuit, Counts, diagonal_energies
 from .simulator import energies_at, run, sample
 
 SEED_RANGE = 2**31  # every seed drawn from a master seed is below this
 _COBYLA_RHOBEG = 1.0
-ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names build_circuit takes
 DEFAULT_MODE = "exact"
 MODES = (DEFAULT_MODE, "sampled")  # the objectives optimize evaluates
 DEFAULT_SHOTS = 4096  # of the final measurement, and of each sampled evaluation
-# The largest shots, runs, restarts or max_iterations: numpy takes them as C longs.
-COUNT_LIMIT = 2**63 - 1
 DEFAULT_MAX_QUBITS = 24  # the widest problem an Instance accepts by default
-
-
-def check_count(name: str, value: int):
-    """Raise ValueError unless 1 <= value <= COUNT_LIMIT."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    if value > COUNT_LIMIT:
-        raise ValueError(f"{name} must be <= {COUNT_LIMIT}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -206,14 +196,13 @@ class Instance:
 
 def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
     """The circuit of a name in ALGORITHMS: an "a1".."a4" ansatz, or "qaoa"
-    with reps layers; any other name, "A4" included, is a ValueError.
+    with reps layers; check_algorithm rejects any other pair before a build.
 
     Built once per instance and kept on it: every call with the same instance
     returns the same Circuit object, so its program is compiled only once.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    key = (algorithm, reps if algorithm == "qaoa" else 1)
+    check_algorithm(algorithm, reps)
+    key = (algorithm, reps)
     if key not in instance.circuits:
         if algorithm == "qaoa":
             circuit = build_qaoa(instance.model, reps)
@@ -298,7 +287,7 @@ def run_vqe(
     mode: str = DEFAULT_MODE,
     shots: int = DEFAULT_SHOTS,
 ) -> VqaResult:
-    """Minimize the problem Hamiltonian over one of the a1..a4 ansatzes."""
+    """Minimize the problem Hamiltonian over any build_circuit name's circuit; qaoa at one layer."""
     instance = Instance(problem)
     return optimize(Objective(instance, build_circuit(ansatz, instance), mode, shots), config)
 

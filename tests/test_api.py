@@ -5,9 +5,10 @@ A VariableLayout and an Instance each carry their problem, so a public
 function that takes both can only be handed two that disagree. The qubit cap
 has one owner: the Instance checks it when it is built and keeps no copy, so
 only Instance, and scaling_sweep, which builds one per point, take
-max_qubits. No qvarsched module imports another one's _-prefixed names, the
-package exports no test-only reference, and every qvarsched name that
-README.md puts in backticks resolves.
+max_qubits. The algorithm names and reps have one owner too: only
+circuits.check_algorithm raises their errors. No qvarsched module imports
+another one's _-prefixed names, the package exports no test-only reference,
+and every qvarsched name that README.md puts in backticks resolves.
 """
 import ast
 import importlib
@@ -69,6 +70,32 @@ def cap_takers() -> list[str]:
 
 def test_only_the_instance_and_the_sweep_take_a_qubit_cap():
     assert cap_takers() == ["qvarsched.bench.scaling_sweep", "qvarsched.vqa.Instance"]
+
+
+def _raises(node, scope: str):
+    """(scope, raise statement) for every raise under node, scope being the
+    dotted name of the function or class that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _raises(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Raise):
+            yield scope, ast.unparse(child)
+        yield from _raises(child, scope)
+
+
+def raisers(phrase: str) -> list[str]:
+    """The scope of every raise in a qvarsched module whose source has phrase."""
+    found = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        found += [scope for scope, text in _raises(tree, name) if phrase in text]
+    return found
+
+
+@pytest.mark.parametrize("phrase", ["unknown algorithm", "reps must be >= 1", "reps applies to qaoa only"])
+def test_only_check_algorithm_rejects_an_algorithm_name_or_reps(phrase):
+    assert raisers(phrase) == ["qvarsched.circuits.check_algorithm"]
 
 
 def private_imports(name: str) -> list[str]:

@@ -249,10 +249,12 @@ def test_a4_accounting_grows_polynomially():
 
 
 def test_unknown_ansatz_kind():
+    # Names are exact: case is folded only where text is read.
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    with pytest.raises(ValueError):
-        build_ansatz("a9", layout)
+    for kind in ("a9", "A4", "qaoa"):
+        with pytest.raises(ValueError, match=f"unknown ansatz {kind!r}"):
+            build_ansatz(kind, layout)
 
 
 def _builder_circuits():

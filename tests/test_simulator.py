@@ -236,6 +236,10 @@ def test_sample_basis_state():
     assert counts.indices.tolist() == [bits_to_index("10")]
     assert counts.counts.tolist() == [100]
     assert counts.shots == 100
+    # shots has the bounds of check_count: past a C long numpy would overflow.
+    for shots, message in ((0, "shots must be >= 1"), (2**63, f"shots must be <= {2**63 - 1}, got {2**63}")):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            sample(StateVector(2, amps), shots, seed=0)
 
 
 def test_sample_uniform_within_5_sigma():
@@ -380,7 +384,8 @@ def _changed(fields, qubit_count, **changes):
 
 
 # Each defect: the kinds it applies to, and a change of (gate fields, Q, draw)
-# to the fields and Q of a circuit with that defect.
+# to the fields and Q of a circuit with that defect; fields that are no dict
+# are the circuit's entry itself.
 _DEFECTS = {
     "a qubit >= Q": (GATE_NAMES, lambda f, q, draw: (f, max(f["qubits"]))),
     "a negative qubit": (GATE_NAMES, lambda f, q, draw: _changed(
@@ -392,6 +397,8 @@ _DEFECTS = {
     "an unknown name": (GATE_NAMES, lambda f, q, draw: _changed(
         f, q, name=draw(st.text(max_size=4).filter(lambda name: name not in GATE_NAMES)))),
     "a wrong-case name": (GATE_NAMES, lambda f, q, draw: _changed(f, q, name=f["name"].upper())),
+    "a name that is no str": (GATE_NAMES, lambda f, q, draw: _changed(f, q, name=[f["name"]])),
+    "an entry that is no Gate": (GATE_NAMES, lambda f, q, draw: ((f["name"], f["qubits"]), q)),
     "a missing angle": (_ANGLED_KINDS, lambda f, q, draw: _changed(f, q, angle=None)),
     "an extra angle": (_others(*_ANGLED_KINDS), lambda f, q, draw: _changed(
         f, q, angle=draw(st.floats(-4, 4) | st.just(Param("t"))))),
@@ -423,7 +430,7 @@ def test_every_malformed_gate_or_circuit_is_rejected_where_it_is_built(data):
     assert Circuit(q, (Gate(**fields),), ()).gates == (gate,)
     fields, qubit_count = change(fields, q, data.draw)
     with pytest.raises(ValueError):
-        Circuit(qubit_count, (Gate(**fields),), ())
+        Circuit(qubit_count, (Gate(**fields) if isinstance(fields, dict) else fields,), ())
 
 
 def test_a_circuit_names_the_gate_index_of_a_bad_qubit_or_param():
@@ -791,6 +798,15 @@ def test_qaoa_cost_and_rx_gates_bypass_apply_gate(monkeypatch):
     calls = spy_calls(monkeypatch, simulator, "apply_gate")
     run(circuit, [0.3, 1.1, 2.0, 0.7])
     assert calls == []
+
+
+def test_apply_gate_and_metrics_construct_no_gate_for_a_cost_gate(monkeypatch):
+    # Both read a cost gate's terms; neither builds its phase_gates.
+    circuit = build_circuit("qaoa", Instance(reference_problem("ECFL")), 2)
+    built = spy_calls(monkeypatch, Gate, "__post_init__")
+    reference_run(circuit, [0.3, 1.1, 2.0, 0.7])
+    metrics(circuit)
+    assert built == []
 
 
 @pytest.mark.parametrize("uniform", [False, True], ids=["zero", "uniform"])

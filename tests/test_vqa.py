@@ -15,7 +15,7 @@ from qvarsched import (
     run_vqe,
     vqa,
 )
-from qvarsched.bench import scaling_instance
+from qvarsched.bench import ExperimentConfig, scaling_instance
 from qvarsched.circuits import a1_basis_angles, build_ansatz, build_qaoa
 from qvarsched.errors import (
     InstanceMismatchError,
@@ -292,10 +292,25 @@ def test_an_objective_rejects_zero_shots_before_any_run(monkeypatch, mode):
     assert runs == []
 
 
-@pytest.mark.parametrize("name", ["A4", "QAOA", "a5"])
-def test_build_circuit_rejects_a_name_outside_algorithms_before_caching(name):
+@pytest.mark.parametrize(
+    "name, reps, message",
+    [
+        *(pytest.param(name, 1, f"unknown algorithm {name!r}, expected one of {vqa.ALGORITHMS}", id=name)
+          for name in ("A4", "QAOA", "a5")),
+        pytest.param("a4", 3, "reps applies to qaoa only, got reps 3 for a4", id="a4-3"),
+        pytest.param("qaoa", 0, "reps must be >= 1", id="qaoa-0"),
+    ],
+)
+def test_build_circuit_rejects_a_name_outside_algorithms_before_caching(name, reps, message):
+    # One rule, circuits.check_algorithm: ExperimentConfig and, for reps,
+    # build_qaoa give build_circuit's message word for word.
     instance = vqa.Instance(reference_problem("EOHL"))
-    message = re.escape(f"unknown algorithm {name!r}, expected one of {vqa.ALGORITHMS}") + "$"
-    with pytest.raises(ValueError, match=message):
-        vqa.build_circuit(name, instance)
+    pattern = re.escape(message) + "$"
+    with pytest.raises(ValueError, match=pattern):
+        vqa.build_circuit(name, instance, reps)
     assert instance.circuits == {} and instance.views == {}
+    with pytest.raises(ValueError, match=pattern):
+        ExperimentConfig(name, OptimizerConfig(), reps=reps)
+    if name == "qaoa":
+        with pytest.raises(ValueError, match=pattern):
+            build_qaoa(instance.model, reps)
