@@ -5,8 +5,9 @@ basis states; C_best / C_feas divide them by the random-guess probability
 N_x / 2^Q, so a uniform sampler scores C = 1. An experiment is an Instance,
 which carries the problem's layout and Ising model and checked its qubit
 cap when it was built, and an ExperimentConfig, which says how to run it: R
-independent seeded repetitions of one algorithm, all on one Objective,
-aggregated with mean and sample standard deviation. Timing columns are
+independent repetitions of one algorithm, all on one Objective, each
+optimized from its own seed, drawn from the config's seed, and aggregated
+with mean and sample standard deviation. Timing columns are
 wall-clock and are the only non-reproducible output fields.
 """
 from __future__ import annotations
@@ -89,8 +90,7 @@ class ExperimentConfig:
         check_algorithm(self.algorithm, self.reps)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, minimum=0, maximum=None)
 
     @property
     def algorithm_label(self) -> str:
@@ -136,8 +136,9 @@ def _aggregate(records: tuple[RunRecord, ...]) -> tuple[dict[str, float], dict[s
 
 
 def run_experiment(instance: Instance, config: ExperimentConfig) -> ExperimentReport:
-    """Execute R seeded runs on one Objective, score each at the configured
-    shot count. The instance's circuits and energy views are shared."""
+    """Execute R runs on one Objective, each optimize given one run seed drawn
+    from config.seed, and score each at the configured shot count. The
+    instance's circuits and energy views are shared."""
     circuit = build_circuit(config.algorithm, instance, config.reps)
     # Built first, so its checks fail before the oracle runs.
     objective = Objective(instance, circuit, config.mode, config.shots)
@@ -146,7 +147,7 @@ def run_experiment(instance: Instance, config: ExperimentConfig) -> ExperimentRe
     records: list[RunRecord] = []
     for raw_seed in run_seeds:
         seed = int(raw_seed)
-        result = optimize(objective, replace(config.optimizer, seed=seed))
+        result = optimize(objective, config.optimizer, seed)
         metrics = score(result.counts, report)
         records.append(
             RunRecord(seed, metrics, result.parameters, result.iterations, result.wall_time)

@@ -33,6 +33,7 @@ from math import pi
 from typing import Iterator
 
 from .encoder import IsingModel, to_terms
+from .errors import check_integer
 from .problem import VariableLayout, parse_bits
 from .simulator import Circuit, Gate, Param
 
@@ -159,6 +160,7 @@ def check_algorithm(algorithm: str, reps: int = 1):
     """Raise ValueError unless algorithm is in ALGORITHMS as written and reps fits it."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    check_integer("reps", reps)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if reps != 1 and algorithm != "qaoa":
@@ -166,7 +168,7 @@ def check_algorithm(algorithm: str, reps: int = 1):
 
 
 def build_ansatz(kind: str, layout: VariableLayout) -> Circuit:
-    if kind not in ANSATZ_BUILDERS:
+    if not isinstance(kind, str) or kind not in ANSATZ_BUILDERS:
         raise ValueError(f"unknown ansatz {kind!r}, expected one of {sorted(ANSATZ_BUILDERS)}")
     return ANSATZ_BUILDERS[kind](layout)
 

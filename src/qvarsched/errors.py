@@ -1,14 +1,24 @@
 """Exception hierarchy and input checks shared across the package."""
+import operator
 
 COUNT_LIMIT = 2**63 - 1  # the largest shots, runs, restarts or max_iterations: a C long
 
 
-def check_count(name: str, value: int):
-    """Raise ValueError unless 1 <= value <= COUNT_LIMIT."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    if value > COUNT_LIMIT:
-        raise ValueError(f"{name} must be <= {COUNT_LIMIT}, got {value}")
+def check_integer(name: str, value) -> int:
+    """value as an int; anything operator.index rejects is a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_count(name: str, value: int, minimum: int = 1, maximum: int | None = COUNT_LIMIT):
+    """Raise ValueError unless value is an integer >= minimum and, if maximum is not None, <= it."""
+    check_integer(name, value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
 
 
 class QvarschedError(Exception):

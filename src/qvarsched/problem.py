@@ -11,12 +11,11 @@ character of a bitstring.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import MalformedBitstringError
+from .errors import MalformedBitstringError, check_integer
 
 #: Sentinel target meaning "process runs on the Cloud".
 CLOUD = -1
@@ -46,14 +45,6 @@ EOHL = ProblemVariant(cloud_allowed=False, high_load=True)
 VARIANTS = {"ECFL": ECFL, "EOFL": EOFL, "ECHL": ECHL, "EOHL": EOHL}
 
 
-def _integer(field: str, value) -> int:
-    """value as an int; anything operator.index rejects is a ValueError naming field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field} must be an integer, got {value!r}") from None
-
-
 def as_fraction(value) -> Fraction:
     """Exact conversion; decimal strings like "0.5" parse exactly."""
     if isinstance(value, float):
@@ -71,7 +62,7 @@ class ProcessSpec:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _integer("process weight", self.weight))
+        object.__setattr__(self, "weight", check_integer("process weight", self.weight))
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
         if self.weight < 1:
             raise ValueError(f"process weight must be >= 1, got {self.weight}")
@@ -87,8 +78,8 @@ class NodeSpec:
     threshold: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "capacity", _integer("node capacity", self.capacity))
-        object.__setattr__(self, "threshold", _integer("node threshold", self.threshold))
+        object.__setattr__(self, "capacity", check_integer("node capacity", self.capacity))
+        object.__setattr__(self, "threshold", check_integer("node threshold", self.threshold))
         if self.capacity < 1:
             raise ValueError(f"node capacity must be >= 1, got {self.capacity}")
         if self.threshold < 0:

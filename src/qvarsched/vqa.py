@@ -4,10 +4,10 @@ The derivative-free minimizer is scipy's COBYLA (initial trust radius 1.0,
 the configured tolerance as the final one), the only method, as in the
 paper. COBYLA needs at least dim + 2 evaluations, so a smaller
 max_iterations is raised to that with a warning, and the budget actually used
-is recorded on the result. Initial points are drawn uniformly from [0, pi)
-per seed and every source of randomness — restart initial points,
-sampled-mode measurement seeds, the final measurement of the configured shot
-count — derives from the config seed, so exact-mode runs are bit-reproducible.
+is recorded on the result. The config says only how COBYLA runs; every
+source of randomness — each restart's start point, drawn uniformly from
+[0, pi), sampled-mode measurement seeds, the final measurement — derives
+from the seed passed to optimize, so exact-mode runs are bit-reproducible.
 minimize imports scipy at its first call, not with this module: that import
 is most of a cold start, and parsing, encode, the oracle and every input
 error never need it.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from math import isfinite, pi
 
@@ -63,9 +63,7 @@ DEFAULT_MAX_QUBITS = 24  # the widest problem an Instance accepts by default
 class OptimizerConfig:
     max_iterations: int = 1000
     tolerance: float = 1e-4
-    seed: int = 0
     restarts: int = 10
-    initial_point: tuple[float, ...] | None = None
 
     def __post_init__(self):
         check_count("max_iterations", self.max_iterations)
@@ -98,14 +96,10 @@ class VqaResult:
     budget: int  # the evaluation budget each restart was given
 
 
-def minimize(objective, dim: int, config: OptimizerConfig) -> MinimizeResult:
-    """Minimize a function of dim variables; returns the best evaluated point."""
-    if config.initial_point is not None:
-        x0 = np.asarray(config.initial_point, dtype=float)
-        if x0.shape != (dim,):
-            raise ValueError(f"initial point has shape {x0.shape}, expected ({dim},)")
-    else:
-        x0 = np.random.default_rng(config.seed).uniform(0.0, pi, dim)
+def minimize(objective, x0, config: OptimizerConfig) -> MinimizeResult:
+    """Minimize a function from the start point x0, drawing nothing; returns the best evaluated point."""
+    x0 = np.asarray(x0, dtype=float)
+    dim = len(x0)
     if dim == 0:
         value = float(objective(np.zeros(0)))
         return MinimizeResult((), value, (value,), 1)
@@ -253,19 +247,22 @@ class Objective:
         return sample(state, self.shots, seed, self.probabilities)
 
 
-def optimize(objective: Objective, config: OptimizerConfig) -> VqaResult:
+def optimize(objective: Objective, config: OptimizerConfig, seed: int) -> VqaResult:
     """Minimize the objective over its circuit's parameters, then measure the
-    best point with the objective's number of shots."""
+    best point with the objective's number of shots. seed, the run's master
+    seed (>= 0), draws the final measurement's seed, then each restart's."""
+    check_count("seed", seed, minimum=0, maximum=None)
     started = time.perf_counter()
     dim = len(objective.circuit.parameters)
-    master = np.random.default_rng(config.seed)
+    master = np.random.default_rng(seed)
     final_seed = int(master.integers(SEED_RANGE))
     restart_seeds = [int(s) for s in master.integers(SEED_RANGE, size=config.restarts)]
 
     best: MinimizeResult | None = None
     for restart_seed in restart_seeds:
+        x0 = np.random.default_rng(restart_seed).uniform(0.0, pi, dim)
         seeded = partial(objective, rng=np.random.default_rng(restart_seed))
-        result = minimize(seeded, dim, replace(config, seed=restart_seed))
+        result = minimize(seeded, x0, config)
         if best is None or result.value < best.value:
             best = result
 
@@ -286,10 +283,11 @@ def run_vqe(
     config: OptimizerConfig,
     mode: str = DEFAULT_MODE,
     shots: int = DEFAULT_SHOTS,
+    seed: int = 0,
 ) -> VqaResult:
     """Minimize the problem Hamiltonian over any build_circuit name's circuit; qaoa at one layer."""
     instance = Instance(problem)
-    return optimize(Objective(instance, build_circuit(ansatz, instance), mode, shots), config)
+    return optimize(Objective(instance, build_circuit(ansatz, instance), mode, shots), config, seed)
 
 
 def run_qaoa(
@@ -298,7 +296,8 @@ def run_qaoa(
     config: OptimizerConfig,
     mode: str = DEFAULT_MODE,
     shots: int = DEFAULT_SHOTS,
+    seed: int = 0,
 ) -> VqaResult:
     """Minimize over the 2*reps QAOA angles."""
     instance = Instance(problem)
-    return optimize(Objective(instance, build_circuit("qaoa", instance, reps), mode, shots), config)
+    return optimize(Objective(instance, build_circuit("qaoa", instance, reps), mode, shots), config, seed)

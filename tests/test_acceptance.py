@@ -220,12 +220,12 @@ def test_criterion_08_vqe_quality():
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
     oracle_report = enumerate_solutions(layout)
-    config = OptimizerConfig(seed=3, restarts=10, max_iterations=400)
-    a4 = run_vqe(problem, "a4", config)
+    config = OptimizerConfig(restarts=10, max_iterations=400)
+    a4 = run_vqe(problem, "a4", config, seed=3)
     a4_metrics = score(a4.counts, oracle_report)
     assert a4_metrics.p_feas >= 0.9
     assert a4_metrics.p_best >= 0.3
-    a1 = run_vqe(problem, "a1", config)
+    a1 = run_vqe(problem, "a1", config, seed=3)
     a1_metrics = score(a1.counts, oracle_report)
     assert a1_metrics.p_feas >= 0.5
     elapsed = time.perf_counter() - started
@@ -247,11 +247,11 @@ def test_criterion_09_qaoa_vs_vqe_ordering():
     def median_p_best(algorithm, reps=None):
         values = []
         for seed in range(20):
-            config = OptimizerConfig(seed=seed, restarts=1, max_iterations=200)
+            config = OptimizerConfig(restarts=1, max_iterations=200)
             if algorithm == "qaoa":
-                result = run_qaoa(problem, reps, config)
+                result = run_qaoa(problem, reps, config, seed=seed)
             else:
-                result = run_vqe(problem, algorithm, config)
+                result = run_vqe(problem, algorithm, config, seed=seed)
             values.append(score(result.counts, oracle_report).p_best)
         return float(np.median(values))
 

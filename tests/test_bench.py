@@ -224,8 +224,8 @@ def test_one_objective_serves_every_run_and_each_equals_a_fresh_optimize(
     objectives = spy_calls(monkeypatch, bench, "Objective")
     runs = []
 
-    def recording(objective, config):
-        result = vqa.optimize(objective, config)
+    def recording(objective, config, seed):
+        result = vqa.optimize(objective, config, seed)
         runs.append((objective, result))
         return result
 
@@ -239,7 +239,8 @@ def test_one_objective_serves_every_run_and_each_equals_a_fresh_optimize(
         instance = _eohl()
         fresh = vqa.optimize(
             vqa.Objective(instance, vqa.build_circuit(algorithm, instance), mode, 256),
-            replace(config.optimizer, seed=record.seed),
+            config.optimizer,
+            record.seed,
         )
         assert shared.parameters == fresh.parameters == record.parameters
         assert shared.counts.indices.tobytes() == fresh.counts.indices.tobytes()
@@ -275,6 +276,9 @@ def test_unknown_algorithm_raises_before_any_energies(monkeypatch):
         ({"seed": -1}, "seed"),
         ({"reps": 0}, "reps"),
         ({"algorithm": "a4", "reps": 3}, "reps"),
+        ({"shots": 2.5}, "shots must be an integer, got 2.5"),
+        ({"runs": 1.5}, "runs must be an integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ],
 )
 def test_bad_settings_raise_before_any_energies(monkeypatch, setting, match):

@@ -1,3 +1,4 @@
+import re
 from math import pi
 from pathlib import Path
 
@@ -252,8 +253,8 @@ def test_unknown_ansatz_kind():
     # Names are exact: case is folded only where text is read.
     problem = reference_problem("EOHL")
     layout = build_layout(problem)
-    for kind in ("a9", "A4", "qaoa"):
-        with pytest.raises(ValueError, match=f"unknown ansatz {kind!r}"):
+    for kind in ("a9", "A4", "qaoa", ["a4"]):
+        with pytest.raises(ValueError, match=re.escape(f"unknown ansatz {kind!r}")):
             build_ansatz(kind, layout)
 
 

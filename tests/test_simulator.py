@@ -237,7 +237,11 @@ def test_sample_basis_state():
     assert counts.counts.tolist() == [100]
     assert counts.shots == 100
     # shots has the bounds of check_count: past a C long numpy would overflow.
-    for shots, message in ((0, "shots must be >= 1"), (2**63, f"shots must be <= {2**63 - 1}, got {2**63}")):
+    for shots, message in (
+        (0, "shots must be >= 1"),
+        (2**63, f"shots must be <= {2**63 - 1}, got {2**63}"),
+        (2.5, "shots must be an integer, got 2.5"),
+    ):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             sample(StateVector(2, amps), shots, seed=0)
 

@@ -1,6 +1,8 @@
 import re
 import warnings
 from dataclasses import replace
+from functools import partial
+from math import pi
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from helpers import bits_to_index, dense_state, reference_problem, spy_calls
 
 
 def test_minimize_quadratic():
-    config = OptimizerConfig(max_iterations=200, initial_point=(0.0,))
-    result = minimize(lambda x: (x[0] - 1.0) ** 2, 1, config)
+    config = OptimizerConfig(max_iterations=200)
+    result = minimize(lambda x: (x[0] - 1.0) ** 2, (0.0,), config)
     assert abs(result.parameters[0] - 1.0) < 1e-3
     assert len(result.trace) <= 200
     assert result.value == min(result.trace)
@@ -40,27 +42,28 @@ def test_minimize_quadratic():
 def test_minimize_rosenbrock():
     # COBYLA at the documented defaults needs ~5000 evaluations to reach the
     # valley floor.
-    config = OptimizerConfig(max_iterations=5000, tolerance=1e-8, initial_point=(-1.0, 1.0))
-    assert minimize(rosen, 2, config).value < 1e-2
+    config = OptimizerConfig(max_iterations=5000, tolerance=1e-8)
+    assert minimize(rosen, (-1.0, 1.0), config).value < 1e-2
 
 
 def test_minimize_constant_function():
-    config = OptimizerConfig(max_iterations=500, initial_point=(0.3, 0.7))
-    result = minimize(lambda x: 1.5, 2, config)
+    config = OptimizerConfig(max_iterations=500)
+    result = minimize(lambda x: 1.5, (0.3, 0.7), config)
     assert result.value == 1.5
     assert len(result.trace) < 500  # tolerance stop, not budget exhaustion
     assert result.parameters == (0.3, 0.7)
 
 
 def test_minimize_rejects_non_finite():
-    config = OptimizerConfig(max_iterations=50, initial_point=(0.0,))
+    config = OptimizerConfig(max_iterations=50)
     with pytest.raises(NonFiniteObjectiveError):
-        minimize(lambda x: float("nan"), 1, config)
+        minimize(lambda x: float("nan"), (0.0,), config)
 
 
 def test_minimize_running_minimum_is_monotone():
-    config = OptimizerConfig(max_iterations=300, seed=9)
-    result = minimize(lambda x: float(np.sum((x - 0.5) ** 2)), 3, config)
+    config = OptimizerConfig(max_iterations=300)
+    x0 = np.random.default_rng(9).uniform(0.0, pi, 3)
+    result = minimize(lambda x: float(np.sum((x - 0.5) ** 2)), x0, config)
     best = np.minimum.accumulate(result.trace)
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
     assert result.value == best[-1]
@@ -73,6 +76,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be <= {COUNT_LIMIT}"):
             OptimizerConfig(**{field: COUNT_LIMIT + 1})
         OptimizerConfig(**{field: COUNT_LIMIT})
+        for value in (1.5, 12.5, "10"):
+            message = f"{field} must be an integer, got {value!r}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                OptimizerConfig(**{field: value})
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
 
@@ -84,20 +91,20 @@ def test_config_rejects_tolerance_cobyla_would_reset(tolerance):
 
 
 def test_cobyla_tolerance_bound_is_the_initial_trust_radius():
-    config = OptimizerConfig(tolerance=1.0, max_iterations=50, initial_point=(0.5, 0.5))
+    config = OptimizerConfig(tolerance=1.0, max_iterations=50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        minimize(lambda x: float(x @ x), 2, config)
+        minimize(lambda x: float(x @ x), (0.5, 0.5), config)
 
 
 def test_cobyla_budget_below_dim_plus_two_is_raised_and_recorded():
-    config = OptimizerConfig(max_iterations=1, initial_point=(0.5, 0.5))
+    config = OptimizerConfig(max_iterations=1)
     with pytest.warns(UserWarning, match="max_iterations 1 raised to 4"):
-        result = minimize(lambda x: float(x @ x), 2, config)
+        result = minimize(lambda x: float(x @ x), (0.5, 0.5), config)
     assert result.budget == 4 and len(result.trace) == 4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert minimize(lambda x: float(x @ x), 2, replace(config, max_iterations=4)).budget == 4
+        assert minimize(lambda x: float(x @ x), (0.5, 0.5), replace(config, max_iterations=4)).budget == 4
     problem = reference_problem("EOHL")
     with pytest.warns(UserWarning, match="raised to 4"):
         assert run_qaoa(problem, 1, replace(config, restarts=2)).budget == 4
@@ -106,9 +113,9 @@ def test_cobyla_budget_below_dim_plus_two_is_raised_and_recorded():
 
 def test_run_vqe_deterministic_in_exact_mode():
     problem = reference_problem("EOHL")
-    config = OptimizerConfig(seed=4, restarts=2, max_iterations=60)
-    first = run_vqe(problem, "a4", config)
-    second = run_vqe(problem, "a4", config)
+    config = OptimizerConfig(restarts=2, max_iterations=60)
+    first = run_vqe(problem, "a4", config, seed=4)
+    second = run_vqe(problem, "a4", config, seed=4)
     assert first.parameters == second.parameters
     assert first.trace == second.trace
     assert first.counts.indices.tobytes() == second.counts.indices.tobytes()
@@ -124,39 +131,31 @@ def test_run_vqe_reaches_optimum_from_closed_form_point():
     angles = a1_basis_angles(layout, "10100101")
     state = run(circuit, angles)
     assert abs(float(state.probabilities() @ diagonal_energies(model)) + 6.0) < 1e-9
-    config = OptimizerConfig(
-        seed=0, restarts=1, max_iterations=50, initial_point=tuple(angles)
-    )
-    result = run_vqe(problem, "a1", config)
+    instance = vqa.Instance(problem)
+    objective = vqa.Objective(instance, vqa.build_circuit("a1", instance))
+    # Exact mode reads no rng.
+    result = minimize(partial(objective, rng=None), angles, OptimizerConfig(max_iterations=50))
     assert result.value <= -6.0 + 1e-9
-    assert result.counts.indices.tolist() == [bits_to_index("10100101")]
-    assert result.counts.counts.tolist() == [4096]
+    counts = objective.sample(result.parameters, 0)
+    assert counts.indices.tolist() == [bits_to_index("10100101")]
+    assert counts.counts.tolist() == [4096]
 
 
 def test_zero_initial_point_is_valid_for_all_ansatzes():
-    problem = reference_problem("EOHL")
-    layout = build_layout(problem)
+    instance = vqa.Instance(reference_problem("EOHL"))
     for kind in ("a1", "a2", "a3", "a4"):
-        circuit = build_ansatz(kind, layout)
-        config = OptimizerConfig(
-            seed=0,
-            restarts=1,
-            max_iterations=5,
-            initial_point=(0.0,) * len(circuit.parameters),
-        )
-        result = run_vqe(problem, kind, config)
+        objective = vqa.Objective(instance, vqa.build_circuit(kind, instance))
+        x0 = (0.0,) * len(objective.circuit.parameters)
+        result = minimize(partial(objective, rng=None), x0, OptimizerConfig(max_iterations=5))
         assert np.isfinite(result.value)
+        assert objective.sample(result.parameters, 0).shots == 4096
 
 
 def test_qaoa_gamma_zero_objective_is_constant():
-    problem = reference_problem("EOHL")
-    layout = build_layout(problem)
-    model = encode(layout)
-    config = OptimizerConfig(
-        seed=1, restarts=1, max_iterations=1, initial_point=(0.0, 0.9)
-    )
-    result = run_qaoa(problem, 1, config)
-    assert abs(result.trace[0] - float(model.constant)) < 1e-9
+    instance = vqa.Instance(reference_problem("EOHL"))
+    objective = vqa.Objective(instance, vqa.build_circuit("qaoa", instance))
+    result = minimize(partial(objective, rng=None), (0.0, 0.9), OptimizerConfig(max_iterations=1))
+    assert abs(result.trace[0] - float(instance.model.constant)) < 1e-9
 
 
 def test_qaoa_expectation_matches_dense_evolution():
@@ -212,8 +211,8 @@ def test_sampled_mode_estimator_is_unbiased():
 
 def test_run_vqe_sampled_mode_runs():
     problem = reference_problem("EOHL")
-    config = OptimizerConfig(seed=2, restarts=1, max_iterations=40)
-    result = run_vqe(problem, "a4", config, mode="sampled", shots=256)
+    config = OptimizerConfig(restarts=1, max_iterations=40)
+    result = run_vqe(problem, "a4", config, mode="sampled", shots=256, seed=2)
     assert result.counts.shots == 256
     assert len(result.trace) == result.iterations
     with pytest.raises(ValueError):
@@ -222,8 +221,8 @@ def test_run_vqe_sampled_mode_runs():
 
 def test_trace_best_value_consistency():
     problem = reference_problem("EOHL")
-    config = OptimizerConfig(seed=6, restarts=3, max_iterations=80)
-    result = run_qaoa(problem, 2, config)
+    config = OptimizerConfig(restarts=3, max_iterations=80)
+    result = run_qaoa(problem, 2, config, seed=6)
     assert result.value == min(result.trace)
     assert result.iterations == len(result.trace)
     assert result.counts.shots == 4096
@@ -253,12 +252,51 @@ def test_sampled_energy_matches_a_plain_sum_bit_for_bit():
 def test_the_final_counts_equal_a_sample_of_a_fresh_run_bit_for_bit(algorithm, mode):
     instance = vqa.Instance(reference_problem("ECHL"))
     circuit = vqa.build_circuit(algorithm, instance)
-    config = OptimizerConfig(max_iterations=40, restarts=2, seed=3)
-    result = vqa.optimize(vqa.Objective(instance, circuit, mode, shots=512), config)
-    final_seed = int(np.random.default_rng(config.seed).integers(vqa.SEED_RANGE))
+    config = OptimizerConfig(max_iterations=40, restarts=2)
+    result = vqa.optimize(vqa.Objective(instance, circuit, mode, shots=512), config, 3)
+    final_seed = int(np.random.default_rng(3).integers(vqa.SEED_RANGE))
     expected = sample(run(circuit, result.parameters), 512, final_seed)
     assert result.counts.indices.tobytes() == expected.indices.tobytes()
     assert result.counts.counts.tobytes() == expected.counts.tobytes()
+
+
+def _eohl_a4_objective():
+    instance = vqa.Instance(reference_problem("EOHL"))
+    return vqa.Objective(instance, vqa.build_circuit("a4", instance))
+
+
+def test_each_restart_starts_from_a_point_its_own_seed_draws(monkeypatch):
+    minimized = spy_calls(monkeypatch, vqa, "minimize")
+    objective = _eohl_a4_objective()
+    vqa.optimize(objective, OptimizerConfig(max_iterations=10, restarts=3), 5)
+    master = np.random.default_rng(5)
+    master.integers(vqa.SEED_RANGE)  # the final measurement's seed comes first
+    restart_seeds = master.integers(vqa.SEED_RANGE, size=3).tolist()
+    dim = len(objective.circuit.parameters)
+    starts = [x0 for _, x0, _ in minimized]
+    for x0, seed in zip(starts, restart_seeds, strict=True):
+        assert x0.tobytes() == np.random.default_rng(seed).uniform(0.0, pi, dim).tobytes()
+    assert len({x0.tobytes() for x0 in starts}) == 3
+
+
+@pytest.mark.parametrize(
+    "seed, message", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer, got 1.5")]
+)
+def test_optimize_and_an_experiment_config_check_a_seed_by_one_rule(monkeypatch, seed, message):
+    minimized = spy_calls(monkeypatch, vqa, "minimize")
+    pattern = re.escape(message) + "$"
+    with pytest.raises(ValueError, match=pattern):
+        vqa.optimize(_eohl_a4_objective(), OptimizerConfig(restarts=1), seed)
+    with pytest.raises(ValueError, match=pattern):
+        ExperimentConfig("a4", OptimizerConfig(), seed=seed)
+    assert minimized == []
+
+
+def test_a_seed_has_no_maximum():
+    config = OptimizerConfig(max_iterations=10, restarts=1)
+    first = vqa.optimize(_eohl_a4_objective(), config, 2**70)
+    assert first.parameters == vqa.optimize(_eohl_a4_objective(), config, 2**70).parameters
+    ExperimentConfig("a4", config, seed=2**70)
 
 
 def test_qubit_cap_is_checked_before_any_encoding(monkeypatch):
@@ -289,6 +327,8 @@ def test_an_objective_rejects_zero_shots_before_any_run(monkeypatch, mode):
     instance = vqa.Instance(reference_problem("EOHL"))
     with pytest.raises(ValueError, match="shots must be >= 1"):
         vqa.Objective(instance, vqa.build_circuit("a4", instance), mode, 0)
+    with pytest.raises(ValueError, match="shots must be an integer, got 2.5"):
+        vqa.Objective(instance, vqa.build_circuit("a4", instance), mode, 2.5)
     assert runs == []
 
 
@@ -299,6 +339,7 @@ def test_an_objective_rejects_zero_shots_before_any_run(monkeypatch, mode):
           for name in ("A4", "QAOA", "a5")),
         pytest.param("a4", 3, "reps applies to qaoa only, got reps 3 for a4", id="a4-3"),
         pytest.param("qaoa", 0, "reps must be >= 1", id="qaoa-0"),
+        pytest.param("qaoa", 1.5, "reps must be an integer, got 1.5", id="qaoa-1.5"),
     ],
 )
 def test_build_circuit_rejects_a_name_outside_algorithms_before_caching(name, reps, message):
