@@ -21,11 +21,11 @@ from statistics import mean, stdev
 import numpy as np
 
 from .circuits import check_algorithm
-from .errors import InstanceMismatchError, check_count
+from .errors import InstanceMismatchError, check_count, check_seed
 from .oracle import OracleReport, enumerate_solutions
 from .problem import ECHL, AssignmentProblem, ProblemVariant, make_problem
 from .simulator import Circuit, Counts, run
-from .vqa import DEFAULT_MAX_QUBITS, MODES, SEED_RANGE, Instance, Objective
+from .vqa import DEFAULT_MAX_QUBITS, SEED_RANGE, Instance, Objective, check_mode
 from .vqa import DEFAULT_MODE, DEFAULT_SHOTS, OptimizerConfig, build_circuit, optimize
 
 # Not called here; bound only because perfbench/tracing.py wraps these names
@@ -88,9 +88,8 @@ class ExperimentConfig:
         check_count("runs", self.runs)
         check_count("shots", self.shots)
         check_algorithm(self.algorithm, self.reps)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        check_count("seed", self.seed, minimum=0, maximum=None)
+        check_mode(self.mode)
+        check_seed("seed", self.seed)
 
     @property
     def algorithm_label(self) -> str:

@@ -33,7 +33,7 @@ from math import pi
 from typing import Iterator
 
 from .encoder import IsingModel, to_terms
-from .errors import check_integer
+from .errors import check_count
 from .problem import VariableLayout, parse_bits
 from .simulator import Circuit, Gate, Param
 
@@ -160,9 +160,7 @@ def check_algorithm(algorithm: str, reps: int = 1):
     """Raise ValueError unless algorithm is in ALGORITHMS as written and reps fits it."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    check_integer("reps", reps)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_count("reps", reps, maximum=None)
     if reps != 1 and algorithm != "qaoa":
         raise ValueError(f"reps applies to qaoa only, got reps {reps} for {algorithm}")
 

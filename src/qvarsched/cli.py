@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import bench
 from .encoder import encode, format_fraction, model_to_text
-from .errors import COUNT_LIMIT, ParseError, QubitCountExceededError, QvarschedError, check_qubit_count
+from .errors import ParseError, QubitCountExceededError, QvarschedError
+from .errors import check_count, check_qubit_count, check_seed
 from .files import parse_experiment, parse_problem, read_text
 from .oracle import enumerate_solutions
 from .problem import VARIANTS, build_layout
@@ -123,22 +124,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(minimum: int, maximum: int | None = None):
-    """argparse type: an integer no smaller than minimum, nor larger than
-    maximum when given."""
+def _checked(check, name: str, *bounds):
+    """argparse type: the integer in text, which check(name, value, *bounds)
+    must accept; int's ValueError is argparse's "invalid integer value", and
+    check's message is argparse's error (exit 2)."""
 
     def integer(text: str) -> int:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
+        try:
+            return check(name, value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return integer
 
 
-_COUNT = _at_least(1, COUNT_LIMIT)  # shots, runs, restarts, max_iterations
+_MAX_QUBITS = _checked(check_count, "max_qubits", 1, None)
 
 
 def _out_path(directory_ok: bool = False):
@@ -172,32 +173,32 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="exact optima and feasibility counts")
     oracle_p.add_argument("problem")
     oracle_p.add_argument("--out", type=_out_path())
-    oracle_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
+    oracle_p.add_argument("--max-qubits", type=_MAX_QUBITS, default=DEFAULT_MAX_QUBITS)
     oracle_p.set_defaults(func=cmd_oracle)
 
     solve_p = sub.add_parser("solve", help="run an experiment spec file")
     solve_p.add_argument("spec")
     solve_p.add_argument("--out", type=_out_path(directory_ok=True), default="results")
-    solve_p.add_argument("--seed", type=_at_least(0))
-    solve_p.add_argument("--runs", type=_COUNT)
-    solve_p.add_argument("--shots", type=_COUNT)
+    solve_p.add_argument("--seed", type=_checked(check_seed, "seed"))
+    solve_p.add_argument("--runs", type=_checked(check_count, "runs"))
+    solve_p.add_argument("--shots", type=_checked(check_count, "shots"))
     solve_p.add_argument("--mode", type=str.lower, choices=MODES)
-    solve_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
+    solve_p.add_argument("--max-qubits", type=_MAX_QUBITS, default=DEFAULT_MAX_QUBITS)
     solve_p.set_defaults(func=cmd_solve)
 
     sweep_p = sub.add_parser("sweep", help="scaling sweep over the synthetic family")
     # Flags left out take scaling_sweep's and SWEEP_CONFIG's defaults.
     sweep_p.add_argument("--variant", type=str.upper, choices=VARIANTS)
     sweep_p.add_argument("--algorithm", type=str.lower, choices=ALGORITHMS)
-    sweep_p.add_argument("--pmin", type=_at_least(1), default=3)
-    sweep_p.add_argument("--pmax", type=_at_least(1), default=7)
-    sweep_p.add_argument("--max-iterations", type=_COUNT)
-    sweep_p.add_argument("--restarts", type=_COUNT)
-    sweep_p.add_argument("--seed", type=_at_least(0))
-    sweep_p.add_argument("--runs", type=_COUNT)
-    sweep_p.add_argument("--shots", type=_COUNT)
+    sweep_p.add_argument("--pmin", type=_checked(check_count, "pmin", 1, None), default=3)
+    sweep_p.add_argument("--pmax", type=_checked(check_count, "pmax", 1, None), default=7)
+    sweep_p.add_argument("--max-iterations", type=_checked(check_count, "max_iterations"))
+    sweep_p.add_argument("--restarts", type=_checked(check_count, "restarts"))
+    sweep_p.add_argument("--seed", type=_checked(check_seed, "seed"))
+    sweep_p.add_argument("--runs", type=_checked(check_count, "runs"))
+    sweep_p.add_argument("--shots", type=_checked(check_count, "shots"))
     sweep_p.add_argument("--mode", type=str.lower, choices=MODES)
-    sweep_p.add_argument("--max-qubits", type=_at_least(1), default=DEFAULT_MAX_QUBITS)
+    sweep_p.add_argument("--max-qubits", type=_MAX_QUBITS, default=DEFAULT_MAX_QUBITS)
     sweep_p.add_argument("--out", type=_out_path())
     sweep_p.set_defaults(func=cmd_sweep)
     return parser

@@ -1,24 +1,32 @@
-"""Exception hierarchy and input checks shared across the package."""
+"""Exception hierarchy, and the input rules shared across the package, each
+with one owner that raises a ValueError naming the field: check_integer (no
+bool), check_count (1..COUNT_LIMIT by default) and check_seed (>= 0)."""
 import operator
 
 COUNT_LIMIT = 2**63 - 1  # the largest shots, runs, restarts or max_iterations: a C long
 
 
 def check_integer(name: str, value) -> int:
-    """value as an int; anything operator.index rejects is a ValueError naming it."""
-    try:
-        return operator.index(value)
+    """value as an int; a bool, or anything operator.index rejects, is a ValueError naming it."""
+    try:  # operator.index takes a bool as 0 or 1, so a bool is tried as None
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_count(name: str, value: int, minimum: int = 1, maximum: int | None = COUNT_LIMIT):
-    """Raise ValueError unless value is an integer >= minimum and, if maximum is not None, <= it."""
-    check_integer(name, value)
+def check_count(name: str, value, minimum: int = 1, maximum: int | None = COUNT_LIMIT) -> int:
+    """value as an int; ValueError unless it is an integer >= minimum and, if maximum is not None, <= it."""
+    value = check_integer(name, value)
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
+    return value
+
+
+def check_seed(name: str, value) -> int:
+    """value as an int; a seed is an integer >= 0 with no upper bound."""
+    return check_count(name, value, minimum=0, maximum=None)
 
 
 class QvarschedError(Exception):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import MalformedBitstringError, check_integer
+from .errors import MalformedBitstringError, check_count
 
 #: Sentinel target meaning "process runs on the Cloud".
 CLOUD = -1
@@ -62,10 +62,8 @@ class ProcessSpec:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", check_integer("process weight", self.weight))
+        object.__setattr__(self, "weight", check_count("process weight", self.weight, maximum=None))
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-        if self.weight < 1:
-            raise ValueError(f"process weight must be >= 1, got {self.weight}")
         if any(v < 0 for v in self.values):
             raise ValueError("process values must be non-negative")
 
@@ -78,12 +76,8 @@ class NodeSpec:
     threshold: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "capacity", check_integer("node capacity", self.capacity))
-        object.__setattr__(self, "threshold", check_integer("node threshold", self.threshold))
-        if self.capacity < 1:
-            raise ValueError(f"node capacity must be >= 1, got {self.capacity}")
-        if self.threshold < 0:
-            raise ValueError(f"node threshold must be >= 0, got {self.threshold}")
+        object.__setattr__(self, "capacity", check_count("node capacity", self.capacity, maximum=None))
+        object.__setattr__(self, "threshold", check_count("node threshold", self.threshold, 0, None))
 
     @property
     def usable_capacity(self) -> int:

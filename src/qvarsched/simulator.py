@@ -106,9 +106,8 @@ bit for bit.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby, product
 from math import cos, isfinite, sin
 from typing import Mapping, Sequence
@@ -116,7 +115,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import IsingModel, to_terms
-from .errors import UnboundParameterError, check_count
+from .errors import UnboundParameterError, check_count, check_integer, check_seed
 
 NORM_TOLERANCE = 1e-9
 
@@ -154,9 +153,10 @@ class Gate:
     angle times scale (see phase_gates).
 
     Built, it checks (ValueError naming the gate) its name (a str in
-    GATE_NAMES) and operand count, distinct integer operands >= 0 (kept as a
-    tuple), an angle just for rx/ry/rz/cry/rzz/cost, an integer constant just
-    for csub, and terms just for cost, each on one or two of its qubits; and
+    GATE_NAMES) and operand count, distinct operands >= 0 (a sequence of
+    integers by check_integer, so no bool; kept as a tuple of ints), an angle
+    just for rx/ry/rz/cry/rzz/cost, an integer constant just for csub, and
+    terms just for cost, each on one or two of its qubits; and
     (ArithmeticError) that a literal angle and every term scale are finite.
     """
 
@@ -170,8 +170,13 @@ class Gate:
         gate = f"gate {self.name!r} on {self.qubits!r}"
         if not isinstance(self.name, str) or self.name not in _OPERANDS:
             raise ValueError(f"unknown {gate}")
-        qubits, (fewest, most) = _integers(self.qubits, f"{gate}: operands"), _OPERANDS[self.name]
-        distinct = set(qubits)
+        operand = partial(check_integer, f"{gate}: operand")
+        try:
+            qubits = tuple(map(operand, self.qubits))
+            terms = tuple((scale, tuple(map(operand, t))) for scale, t in self.terms)
+        except TypeError:
+            raise ValueError(f"{gate}: operands and terms must be sequences") from None
+        distinct, (fewest, most) = set(qubits), _OPERANDS[self.name]
         if min(qubits, default=0) < 0 or len(distinct) < len(qubits):
             raise ValueError(f"{gate}: operands must be distinct and >= 0")
         if not fewest <= len(qubits) <= (most or len(qubits)):
@@ -180,7 +185,6 @@ class Gate:
         for field, value, kinds in exactly:
             if (value is None) == (self.name in kinds):
                 raise ValueError(f"{gate}: {field} is {'missing' if value is None else 'not allowed'}")
-        terms = tuple((scale, _integers(term, f"{gate}: term qubits")) for scale, term in self.terms)
         if terms and self.name != "cost":
             raise ValueError(f"{gate}: terms are not allowed")
         if not all(1 <= len(set(t)) == len(t) <= 2 and set(t) <= distinct for _, t in terms):
@@ -189,16 +193,9 @@ class Gate:
             raise ArithmeticError(f"{gate}: non-finite literal angle {self.angle}")
         if bad := [(scale, t) for scale, t in terms if not isfinite(scale)]:
             raise ArithmeticError(f"{gate}: non-finite term scales {bad}")
-        constant = None if self.constant is None else _integers((self.constant,), f"{gate}: constant")[0]
+        constant = None if self.constant is None else check_integer(f"{gate}: constant", self.constant)
         for field, value in (("qubits", qubits), ("constant", constant), ("terms", terms)):
             object.__setattr__(self, field, value)
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -214,10 +211,8 @@ class Circuit:
     parameters: tuple[str, ...]
 
     def __post_init__(self):
-        (n,) = _integers((self.qubit_count,), "qubit_count")
+        n = check_count("qubit_count", self.qubit_count, 0, None)
         gates, parameters = tuple(self.gates), tuple(self.parameters)
-        if n < 0:
-            raise ValueError(f"qubit_count must be >= 0, got {n}")
         if len(set(parameters)) < len(parameters):
             raise ValueError(f"parameter names repeat in {parameters}")
         for i, g in enumerate(gates):
@@ -718,12 +713,14 @@ class Counts:
 
 
 def sample(state: StateVector, shots: int, seed: int, out: np.ndarray | None = None) -> Counts:
-    """Multinomial measurement sample; deterministic for a given seed.
+    """Multinomial measurement sample; deterministic for a given seed, an
+    integer >= 0 by check_seed (None, which draws OS entropy, is a ValueError).
 
     Every index hit has p > 0 (see the module docstring). Given out, the
     probabilities are written into it by state.probabilities_into.
     """
     check_count("shots", shots)
+    check_seed("seed", seed)
     probs = state.probabilities() if out is None else state.probabilities_into(out)
     total = probs.sum()
     if state.support is not None:

@@ -46,7 +46,7 @@ import numpy as np
 from .circuits import ALGORITHMS, build_ansatz, build_qaoa, check_algorithm  # noqa: F401 (re-exported)
 from .encoder import encode, to_terms
 from .errors import COUNT_LIMIT, InstanceMismatchError, NonFiniteObjectiveError  # noqa: F401 (re-exported)
-from .errors import check_count, check_qubit_count
+from .errors import check_count, check_integer, check_qubit_count, check_seed
 from .problem import AssignmentProblem, build_layout
 from .simulator import Circuit, Counts, diagonal_energies
 from .simulator import energies_at, run, sample
@@ -57,6 +57,12 @@ DEFAULT_MODE = "exact"
 MODES = (DEFAULT_MODE, "sampled")  # the objectives optimize evaluates
 DEFAULT_SHOTS = 4096  # of the final measurement, and of each sampled evaluation
 DEFAULT_MAX_QUBITS = 24  # the widest problem an Instance accepts by default
+
+
+def check_mode(mode: str):
+    """Raise ValueError unless mode is in MODES as written."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ class Instance:
 
     def __init__(self, problem: AssignmentProblem, max_qubits: int = DEFAULT_MAX_QUBITS):
         layout = build_layout(problem)
-        check_qubit_count(layout.qubit_count, max_qubits)
+        check_qubit_count(layout.qubit_count, check_integer("max_qubits", max_qubits))
         self.problem = problem
         self.layout = layout
         self.model = encode(layout)
@@ -219,8 +225,7 @@ class Objective:
     def __init__(
         self, instance: Instance, circuit: Circuit, mode: str = DEFAULT_MODE, shots: int = DEFAULT_SHOTS
     ):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        check_mode(mode)
         q = instance.layout.qubit_count
         if circuit.qubit_count != q:
             raise InstanceMismatchError(f"circuit has {circuit.qubit_count} qubits, instance has {q}")
@@ -251,7 +256,7 @@ def optimize(objective: Objective, config: OptimizerConfig, seed: int) -> VqaRes
     """Minimize the objective over its circuit's parameters, then measure the
     best point with the objective's number of shots. seed, the run's master
     seed (>= 0), draws the final measurement's seed, then each restart's."""
-    check_count("seed", seed, minimum=0, maximum=None)
+    check_seed("seed", seed)
     started = time.perf_counter()
     dim = len(objective.circuit.parameters)
     master = np.random.default_rng(seed)

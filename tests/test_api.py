@@ -5,10 +5,14 @@ A VariableLayout and an Instance each carry their problem, so a public
 function that takes both can only be handed two that disagree. The qubit cap
 has one owner: the Instance checks it when it is built and keeps no copy, so
 only Instance, and scaling_sweep, which builds one per point, take
-max_qubits. The algorithm names and reps have one owner too: only
-circuits.check_algorithm raises their errors. No qvarsched module imports
-another one's _-prefixed names, the package exports no test-only reference,
-and every qvarsched name that README.md puts in backticks resolves.
+max_qubits. Each input rule has one owner too: only circuits.check_algorithm
+rejects an algorithm name or its reps, vqa.check_mode a mode,
+errors.check_integer a non-integer (a bool included) and errors.check_count
+a count out of its bounds; seeds pass through errors.check_seed alone, and
+every public integer field names itself when it rejects a value. No
+qvarsched module imports another one's _-prefixed names, the package exports
+no test-only reference, and every qvarsched name that README.md puts in
+backticks resolves.
 """
 import ast
 import importlib
@@ -17,9 +21,16 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvarsched
+from qvarsched.bench import ExperimentConfig
+from qvarsched.problem import NodeSpec, ProcessSpec
+from qvarsched.simulator import Circuit, Gate, run, sample
+from qvarsched.vqa import Instance, Objective, OptimizerConfig, build_circuit, optimize
+
+from helpers import reference_problem
 
 # (carried, carrier): a function that takes the carrier reads the carried fact from it.
 CARRIED = (("problem", "layout"), ("problem", "instance"))
@@ -93,9 +104,101 @@ def raisers(phrase: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("phrase", ["unknown algorithm", "reps must be >= 1", "reps applies to qaoa only"])
+@pytest.mark.parametrize("phrase", ["unknown algorithm", "reps applies to qaoa only"])
 def test_only_check_algorithm_rejects_an_algorithm_name_or_reps(phrase):
     assert raisers(phrase) == ["qvarsched.circuits.check_algorithm"]
+
+
+@pytest.mark.parametrize(
+    "phrase, owner",
+    [
+        ("must be an integer", "qvarsched.errors.check_integer"),
+        ("must be >= ", "qvarsched.errors.check_count"),  # reps >= 1 included
+        ("unknown mode", "qvarsched.vqa.check_mode"),
+    ],
+)
+def test_each_input_rule_has_one_raiser(phrase, owner):
+    assert raisers(phrase) == [owner]
+
+
+_INPUT_CHECKS = {"check_integer", "check_count", "check_seed"}
+
+
+def seed_checks() -> list[tuple[str, list[str]]]:
+    """(module, the errors checks it names) for every call in a qvarsched
+    module that passes the literal "seed" and names one of them."""
+    found = []
+    for name in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            if not isinstance(node, ast.Call) or not any(
+                isinstance(arg, ast.Constant) and arg.value == "seed" for arg in node.args
+            ):
+                continue
+            checks = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & _INPUT_CHECKS
+            if checks:
+                found.append((name, sorted(checks)))
+    return found
+
+
+def test_every_seed_is_checked_by_check_seed():
+    # optimize, ExperimentConfig, sample and the CLI's two --seed flags.
+    assert sorted(seed_checks()) == [
+        ("qvarsched.bench", ["check_seed"]),
+        ("qvarsched.cli", ["check_seed"]),
+        ("qvarsched.cli", ["check_seed"]),
+        ("qvarsched.simulator", ["check_seed"]),
+        ("qvarsched.vqa", ["check_seed"]),
+    ]
+
+
+_INSTANCE = Instance(reference_problem("EOHL"))
+_OBJECTIVE = Objective(_INSTANCE, build_circuit("a4", _INSTANCE))
+_STATE = run(Circuit(1, (Gate("h", (0,)),), ()))
+_ONE_RESTART = OptimizerConfig(max_iterations=20, restarts=1)
+
+# (owner, field as its message names it, build with value, a value it
+# takes, whether None is a value to reject: seeds and caps default to one).
+INTEGER_FIELDS = [
+    ("OptimizerConfig", "max_iterations", lambda v: OptimizerConfig(max_iterations=v), 1, False),
+    ("OptimizerConfig", "restarts", lambda v: OptimizerConfig(restarts=v), 1, False),
+    ("ExperimentConfig", "runs", lambda v: ExperimentConfig("a4", OptimizerConfig(), runs=v), 1, False),
+    ("ExperimentConfig", "shots", lambda v: ExperimentConfig("a4", OptimizerConfig(), shots=v), 1, False),
+    ("ExperimentConfig", "seed", lambda v: ExperimentConfig("a4", OptimizerConfig(), seed=v), 0, True),
+    ("ExperimentConfig", "reps", lambda v: ExperimentConfig("qaoa", OptimizerConfig(), reps=v), 1, False),
+    ("Objective", "shots", lambda v: Objective(_INSTANCE, _OBJECTIVE.circuit, shots=v), 1, False),
+    ("optimize", "seed", lambda v: optimize(_OBJECTIVE, _ONE_RESTART, v), 0, True),
+    ("sample", "shots", lambda v: sample(_STATE, v, 0), 1, False),
+    ("sample", "seed", lambda v: sample(_STATE, 1, v), 0, True),
+    ("Instance", "max_qubits", lambda v: Instance(reference_problem("EOHL"), v), 8, True),
+    ("Gate", "operand", lambda v: Gate("x", (v,)), 0, False),
+    ("Gate", "constant", lambda v: Gate("csub", (0, 1), constant=v), 1, False),
+    ("Circuit", "qubit_count", lambda v: Circuit(v, (), ()), 0, False),
+    ("ProcessSpec", "process weight", lambda v: ProcessSpec(v, (1,)), 1, False),
+    ("NodeSpec", "node capacity", lambda v: NodeSpec(v), 1, False),
+    ("NodeSpec", "node threshold", lambda v: NodeSpec(3, v), 0, False),
+]
+
+
+@pytest.mark.parametrize(
+    "field, build, value",
+    [
+        pytest.param(field, build, value, id=f"{owner}.{field}={value!r}")
+        for owner, field, build, _, nullable in INTEGER_FIELDS
+        for value in (True, False, 1.5, "3", *([None] if nullable else []))
+    ],
+)
+def test_every_public_integer_field_rejects_a_non_integer_by_name(field, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}") + "$"):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [pytest.param(build, value, id=f"{owner}.{field}") for owner, field, build, value, _ in INTEGER_FIELDS],
+)
+def test_every_public_integer_field_takes_an_int_and_a_numpy_integer(build, value):
+    build(value)
+    build(np.int64(value))
 
 
 def private_imports(name: str) -> list[str]:

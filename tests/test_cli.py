@@ -437,6 +437,29 @@ def test_cmd_solve_rejects_out_of_range_overrides_before_running(
 
 
 @pytest.mark.parametrize(
+    "flag, value, check",
+    [
+        ("--runs", "0", errors.check_count),
+        ("--seed", "-1", errors.check_seed),
+        ("--runs", _PAST_COUNT_LIMIT, errors.check_count),
+    ],
+)
+def test_cmd_solve_prints_the_library_message_for_a_bad_count_or_seed(
+    tmp_path, monkeypatch, capsys, flag, value, check
+):
+    # argparse exits 2 with the message errors.check_count gives for the field.
+    with pytest.raises(ValueError) as expected:
+        check(flag.lstrip("-"), int(value))
+    spec_path = _solve_files(tmp_path)
+    experiments = spy_calls(monkeypatch, bench, "run_experiment")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(spec_path), "--out", str(tmp_path / "r"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {expected.value}\n" in capsys.readouterr().err
+    assert experiments == []
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ("shots 0", "shots must be >= 1"),

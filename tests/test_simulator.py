@@ -238,7 +238,7 @@ def test_sample_basis_state():
     assert counts.shots == 100
     # shots has the bounds of check_count: past a C long numpy would overflow.
     for shots, message in (
-        (0, "shots must be >= 1"),
+        (0, "shots must be >= 1, got 0"),
         (2**63, f"shots must be <= {2**63 - 1}, got {2**63}"),
         (2.5, "shots must be an integer, got 2.5"),
     ):

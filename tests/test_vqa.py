@@ -280,7 +280,7 @@ def test_each_restart_starts_from_a_point_its_own_seed_draws(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "seed, message", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer, got 1.5")]
+    "seed, message", [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")]
 )
 def test_optimize_and_an_experiment_config_check_a_seed_by_one_rule(monkeypatch, seed, message):
     minimized = spy_calls(monkeypatch, vqa, "minimize")
@@ -338,7 +338,7 @@ def test_an_objective_rejects_zero_shots_before_any_run(monkeypatch, mode):
         *(pytest.param(name, 1, f"unknown algorithm {name!r}, expected one of {vqa.ALGORITHMS}", id=name)
           for name in ("A4", "QAOA", "a5")),
         pytest.param("a4", 3, "reps applies to qaoa only, got reps 3 for a4", id="a4-3"),
-        pytest.param("qaoa", 0, "reps must be >= 1", id="qaoa-0"),
+        pytest.param("qaoa", 0, "reps must be >= 1, got 0", id="qaoa-0"),
         pytest.param("qaoa", 1.5, "reps must be an integer, got 1.5", id="qaoa-1.5"),
     ],
 )
