@@ -22,19 +22,18 @@ m - t register bits per set bit t of the subtrahend, each a chain of
 multi-controlled X gates. An MCX with c controls is charged 1 gate / depth 1
 for c = 1 and 2c^2 - 2c + 2 gates / depth 2c for c >= 2 (quadratic size,
 linear depth); cx, cry and rzz are charged as an MCX with one control, and
-a QAOA cost gate as its phase_gates, so one rzz per pair term. Depth is
-greedy as-soon-as-possible layering of two-qubit work; single-qubit gates
-are ignored.
+a QAOA cost gate by its terms, as one rzz per pair term. Depth is greedy
+as-soon-as-possible layering of two-qubit work; single-qubit gates are
+ignored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
 from typing import Iterator
 
 from .encoder import IsingModel, to_terms
 from .errors import check_count
-from .problem import VariableLayout, parse_bits
+from .problem import VariableLayout
 from .simulator import Circuit, Gate, Param
 
 
@@ -191,27 +190,6 @@ def build_qaoa(model: IsingModel, reps: int) -> Circuit:
     return Circuit(n, tuple(gates), tuple(parameters))
 
 
-def a1_basis_angles(layout: VariableLayout, bits: str) -> tuple[float, ...]:
-    """a1 parameters that prepare a structurally consistent basis state.
-
-    Within a block the CRY cascade selects option t exactly when the first t
-    angles are pi and the next is 0; slack RY angles are 0 or pi per bit.
-    """
-    problem = layout.problem
-    values = parse_bits(bits, layout.qubit_count)
-    angles: list[float] = []
-    for i in range(problem.num_processes):
-        block = layout.process_block(i)
-        chosen = [t for t, q in enumerate(block) if values[q]]
-        if len(chosen) != 1:
-            raise ValueError(f"process {i} block is not one-hot in {bits!r}")
-        option = chosen[0]
-        angles.extend(pi if t < option else 0.0 for t in range(len(block) - 1))
-    for q in _all_slack(layout):
-        angles.append(pi if values[q] else 0.0)
-    return tuple(angles)
-
-
 def _mcx_cost(controls: int) -> tuple[int, int]:
     """(gate cost, depth cost) of a flip with that many controls: none is an
     x and costs nothing, one is a cx."""
@@ -223,7 +201,7 @@ def _mcx_cost(controls: int) -> tuple[int, int]:
 def _accounting_units(circuit: Circuit) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(qubits, gate cost, depth cost) per two-qubit unit, cost and csub expanded."""
     for gate in circuit.gates:
-        if gate.name == "cost":  # an rzz per pair term, as in its phase_gates
+        if gate.name == "cost":  # an rzz per pair term
             yield from ((qubits, *_mcx_cost(1)) for _, qubits in gate.terms if len(qubits) == 2)
         elif gate.name in ("cx", "cry", "rzz", "mcx"):
             cost, duration = _mcx_cost(len(gate.qubits) - 1)

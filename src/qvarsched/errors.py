@@ -1,6 +1,8 @@
 """Exception hierarchy, and the input rules shared across the package, each
-with one owner that raises a ValueError naming the field: check_integer (no
-bool), check_count (1..COUNT_LIMIT by default) and check_seed (>= 0)."""
+with one owner that raises a ValueError naming the field and rejects a bool:
+check_integer, check_count (1..COUNT_LIMIT by default), check_seed (>= 0), check_real."""
+import math
+import numbers
 import operator
 
 COUNT_LIMIT = 2**63 - 1  # the largest shots, runs, restarts or max_iterations: a C long
@@ -27,6 +29,23 @@ def check_count(name: str, value, minimum: int = 1, maximum: int | None = COUNT_
 def check_seed(name: str, value) -> int:
     """value as an int; a seed is an integer >= 0 with no upper bound."""
     return check_count(name, value, minimum=0, maximum=None)
+
+
+class NonFiniteError(ValueError, ArithmeticError):
+    """A real input that is NaN or infinite: bad input and bad arithmetic both."""
+
+
+def check_real(name: str, value) -> float:
+    """value as a float; a bool or a non-real is a ValueError, NaN or +-inf a NonFiniteError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or Fraction past the float range
+        finite = False
+    if not finite:
+        raise NonFiniteError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 class QvarschedError(Exception):

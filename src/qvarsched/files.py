@@ -40,13 +40,7 @@ from pathlib import Path
 
 from .bench import ExperimentConfig
 from .errors import ParseError
-from .problem import (
-    AssignmentProblem,
-    NodeSpec,
-    ProblemVariant,
-    ProcessSpec,
-    as_fraction,
-)
+from .problem import AssignmentProblem, NodeSpec, ProblemVariant, ProcessSpec
 from .vqa import OptimizerConfig
 
 PROBLEM_HEADER = ("qvarsched-v1", "problem")
@@ -99,8 +93,7 @@ def parse_problem(text: str) -> AssignmentProblem:
                 variant = ProblemVariant.from_name(rest.strip())
             elif keyword == "process":
                 fields = _fields(rest, number, ("weight", "values"))
-                values = tuple(as_fraction(v) for v in fields["values"].split(","))
-                processes.append(ProcessSpec(int(fields["weight"]), values))
+                processes.append(ProcessSpec(int(fields["weight"]), fields["values"].split(",")))
             elif keyword == "node":
                 fields = _fields(rest, number, ("capacity", "threshold"))
                 nodes.append(
@@ -110,7 +103,7 @@ def parse_problem(text: str) -> AssignmentProblem:
                 raise ParseError(f"unknown keyword {keyword!r}", number)
         except ParseError:
             raise
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ParseError(str(exc), number)
     if variant is None:
         raise ParseError("missing 'variant' line")
@@ -118,16 +111,6 @@ def parse_problem(text: str) -> AssignmentProblem:
         return AssignmentProblem(variant, tuple(processes), tuple(nodes))
     except ValueError as exc:
         raise ParseError(str(exc))
-
-
-def format_problem(problem: AssignmentProblem) -> str:
-    lines = ["qvarsched-v1 problem", f"variant {problem.variant.name}"]
-    for proc in problem.processes:
-        values = ",".join(str(v) for v in proc.values)
-        lines.append(f"process weight={proc.weight} values={values}")
-    for node in problem.nodes:
-        lines.append(f"node capacity={node.capacity} threshold={node.threshold}")
-    return "\n".join(lines) + "\n"
 
 
 # How each experiment keyword's text is read; the keyword is the field it

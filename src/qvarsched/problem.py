@@ -11,6 +11,7 @@ character of a bitstring.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -46,17 +47,19 @@ VARIANTS = {"ECFL": ECFL, "EOFL": EOFL, "ECHL": ECHL, "EOHL": EOHL}
 
 
 def as_fraction(value) -> Fraction:
-    """Exact conversion; decimal strings like "0.5" parse exactly."""
-    if isinstance(value, float):
-        # Floats are accepted but converted through their shortest repr so
-        # that 0.1 means 1/10, not its binary approximation.
-        return Fraction(repr(value))
-    return Fraction(value)
+    """A gain as an exact Fraction: a rational or a string like "0.5" exactly,
+    any other real (numpy floats too) by its float's shortest repr, so 0.1 is
+    1/10. A bool, or what Fraction rejects ("1/0", NaN, None), is a ValueError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational)
+    try:  # Fraction takes a bool as 0 or 1, so a bool is tried as None
+        return Fraction(None if isinstance(value, bool) else repr(float(value)) if real else value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"process value must be a rational number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """One process: integer resource demand and per-node gains."""
+    """One process: integer resource demand and per-node gains (as_fraction)."""
 
     weight: int
     values: tuple[Fraction, ...]
@@ -312,7 +315,7 @@ def make_problem(
     capacities = tuple(capacities)
     thresholds = tuple(thresholds) if thresholds is not None else (0,) * len(capacities)
     processes = tuple(
-        ProcessSpec(w, tuple(as_fraction(v) for v in row))
+        ProcessSpec(w, tuple(row))
         for w, row in zip(weights, values, strict=True)
     )
     nodes = tuple(

@@ -10,8 +10,8 @@ Conventions:
     m-bit slack register (least significant qubit first) holding value r is
     mapped to (r - constant) mod 2^m.
   - cost is a QAOA cost layer exp(-i g H_C) (Farhi et al.,
-    arXiv:1411.4028): it stands for its phase_gates, one rz or rzz gate per
-    term (scale, qubits) at its angle times scale.
+    arXiv:1411.4028): it stands for one rz (one qubit) or rzz (two) gate
+    per term (scale, qubits), at its angle times scale.
 
 run() compiles each Circuit once, on its first run, into a program that the
 Circuit object keeps; every later run of that object executes the program.
@@ -41,7 +41,7 @@ complex128 amplitudes:
   - a circuit that opens with an h on every qubit starts from the uniform
     state instead, whose amplitude is the chain of products by 1/sqrt(2)
     that those h gates compute;
-  - each cost gate is one diagonal op: its phase gates multiply amplitude z
+  - each cost gate is one diagonal op: its terms' phases multiply amplitude z
     by exp(-0.5j * value * w(z)), w(z) the sum over its terms of p * s(z),
     p the term's scale times the Param's (value 1.0 and p times the angle if
     literal), s(z) = +1 at even parity of the term's qubits in z, -1 at odd.
@@ -106,7 +106,7 @@ bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby, product
 from math import cos, isfinite, sin
@@ -115,7 +115,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import IsingModel, to_terms
-from .errors import UnboundParameterError, check_count, check_integer, check_seed
+from .errors import UnboundParameterError, check_count, check_integer, check_real, check_seed
 
 NORM_TOLERANCE = 1e-9
 
@@ -137,10 +137,13 @@ _ROW_QUBITS = 12
 
 @dataclass(frozen=True)
 class Param:
-    """Named parameter slot; the bound angle is scale * value."""
+    """Named parameter slot; the bound angle is scale * value, scale a float by check_real."""
 
     name: str
     scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", check_real(f"parameter {self.name!r}: scale", self.scale))
 
 
 @dataclass(frozen=True)
@@ -149,15 +152,15 @@ class Gate:
 
     qubits: operands in gate-specific order — (control, target) for cx/cry,
     (*controls, target) for mcx, (control, *register) for csub.
-    terms: a cost gate's (scale, qubits) pairs, each one rz or rzz gate at
-    angle times scale (see phase_gates).
+    terms: a cost gate's (scale, qubits) pairs, each standing for an rz (one
+    qubit) or rzz (two) gate at angle times scale.
 
     Built, it checks (ValueError naming the gate) its name (a str in
     GATE_NAMES) and operand count, distinct operands >= 0 (a sequence of
     integers by check_integer, so no bool; kept as a tuple of ints), an angle
     just for rx/ry/rz/cry/rzz/cost, an integer constant just for csub, and
-    terms just for cost, each on one or two of its qubits; and
-    (ArithmeticError) that a literal angle and every term scale are finite.
+    terms just for cost, each on one or two of its qubits; and a literal
+    angle and every term scale by check_real, kept as floats.
     """
 
     name: str
@@ -170,10 +173,10 @@ class Gate:
         gate = f"gate {self.name!r} on {self.qubits!r}"
         if not isinstance(self.name, str) or self.name not in _OPERANDS:
             raise ValueError(f"unknown {gate}")
-        operand = partial(check_integer, f"{gate}: operand")
+        operand, real = partial(check_integer, f"{gate}: operand"), partial(check_real, f"{gate}: term scale")
         try:
             qubits = tuple(map(operand, self.qubits))
-            terms = tuple((scale, tuple(map(operand, t))) for scale, t in self.terms)
+            terms = tuple((real(scale), tuple(map(operand, t))) for scale, t in self.terms)
         except TypeError:
             raise ValueError(f"{gate}: operands and terms must be sequences") from None
         distinct, (fewest, most) = set(qubits), _OPERANDS[self.name]
@@ -189,12 +192,11 @@ class Gate:
             raise ValueError(f"{gate}: terms are not allowed")
         if not all(1 <= len(set(t)) == len(t) <= 2 and set(t) <= distinct for _, t in terms):
             raise ValueError(f"{gate}: a term is not on one or two of its qubits")
-        if self.angle is not None and not isinstance(self.angle, Param) and not isfinite(self.angle):
-            raise ArithmeticError(f"{gate}: non-finite literal angle {self.angle}")
-        if bad := [(scale, t) for scale, t in terms if not isfinite(scale)]:
-            raise ArithmeticError(f"{gate}: non-finite term scales {bad}")
+        angle = self.angle
+        if angle is not None and not isinstance(angle, Param):
+            angle = check_real(f"{gate}: angle", angle)
         constant = None if self.constant is None else check_integer(f"{gate}: constant", self.constant)
-        for field, value in (("qubits", qubits), ("constant", constant), ("terms", terms)):
+        for field, value in (("qubits", qubits), ("angle", angle), ("constant", constant), ("terms", terms)):
             object.__setattr__(self, field, value)
 
 
@@ -280,14 +282,12 @@ def index_to_bits(index: int, qubit_count: int) -> str:
 
 
 def _resolve_angle(gate: Gate, binding: Mapping[str, float]) -> float | None:
-    if gate.angle is None:
-        return None
-    if isinstance(gate.angle, Param):
-        try:
-            return gate.angle.scale * binding[gate.angle.name]
-        except KeyError:
-            raise UnboundParameterError(f"parameter {gate.angle.name!r} is not bound")
-    return float(gate.angle)
+    if not isinstance(gate.angle, Param):
+        return gate.angle  # None, or a float by construction
+    try:
+        return gate.angle.scale * binding[gate.angle.name]
+    except KeyError:
+        raise UnboundParameterError(f"parameter {gate.angle.name!r} is not bound")
 
 
 def _bind(circuit: Circuit, params) -> dict[str, float]:
@@ -313,16 +313,6 @@ def _bind(circuit: Circuit, params) -> dict[str, float]:
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _SWAP = np.array([1, 0])  # a mixer's swap takes the halves in this order
-
-
-def phase_gates(cost: Gate) -> list[Gate]:
-    """The rz (one qubit) and rzz (two) gates a cost gate stands for, one
-    per term (scale, qubits) in term order, at its angle times scale."""
-    angle, gates = cost.angle, []
-    for s, qubits in cost.terms:
-        scaled = replace(angle, scale=angle.scale * s) if isinstance(angle, Param) else angle * s
-        gates.append(Gate("rz" if len(qubits) == 1 else "rzz", qubits, scaled))
-    return gates
 
 
 def _matrix(name: str, angle: float | None) -> np.ndarray:
@@ -381,8 +371,8 @@ def apply_gate(amplitudes: np.ndarray, gate: Gate, qubit_count: int, angle: floa
         where every control is 1, all of it for no controls;
       - controlled 2x2 mixers (h, rx, ry, cry) apply _matrix to the target
         on that view;
-      - a cost gate applies each term's parity phase at angle * scale, as
-        its phase_gates do; an rz or rzz is one term of scale 1.0.
+      - a cost gate applies each term's parity phase at angle * scale; an
+        rz or rzz is one term of scale 1.0.
     """
     nd = amplitudes.reshape((2,) * qubit_count)
     name = gate.name
@@ -542,8 +532,8 @@ def _mixer_key(gate: Gate, n: int):
         return None
     angle = gate.angle
     if isinstance(angle, Param):
-        return "param", angle.name, float(angle.scale).hex()
-    return "literal", float(angle).hex()
+        return "param", angle.name, angle.scale.hex()
+    return "literal", angle.hex()
 
 
 def _compile_dense(circuit: Circuit) -> _DenseProgram:
@@ -565,7 +555,7 @@ def _compile_dense(circuit: Circuit) -> _DenseProgram:
             if gate.name != "cost":
                 ops.append(("gate", gate, position, None))
                 continue
-            # The angle scales of its phase_gates; run multiplies by the value.
+            # Each term's angle scale; run multiplies by the value.
             scale = gate.angle.scale if isinstance(gate.angle, Param) else gate.angle
             terms = tuple((scale * s, qubits) for s, qubits in gate.terms)
             if terms not in diagonals:

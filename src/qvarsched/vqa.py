@@ -46,7 +46,7 @@ import numpy as np
 from .circuits import ALGORITHMS, build_ansatz, build_qaoa, check_algorithm  # noqa: F401 (re-exported)
 from .encoder import encode, to_terms
 from .errors import COUNT_LIMIT, InstanceMismatchError, NonFiniteObjectiveError  # noqa: F401 (re-exported)
-from .errors import check_count, check_integer, check_qubit_count, check_seed
+from .errors import check_count, check_integer, check_qubit_count, check_real, check_seed
 from .problem import AssignmentProblem, build_layout
 from .simulator import Circuit, Counts, diagonal_energies
 from .simulator import energies_at, run, sample
@@ -74,13 +74,9 @@ class OptimizerConfig:
     def __post_init__(self):
         check_count("max_iterations", self.max_iterations)
         check_count("restarts", self.restarts)
-        if not (isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.tolerance > _COBYLA_RHOBEG:
-            raise ValueError(
-                f"cobyla tolerance must be <= the initial trust radius "
-                f"{_COBYLA_RHOBEG}, got {self.tolerance}"
-            )
+        object.__setattr__(self, "tolerance", check_real("tolerance", self.tolerance))
+        if not 0 < self.tolerance <= _COBYLA_RHOBEG:  # a final radius above the initial one resets
+            raise ValueError(f"tolerance must be in (0, {_COBYLA_RHOBEG}], got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,12 @@ simulator.apply_gate and simulator.run: gate_unitary builds one gate as a
 by those matrices in gate order (up to DENSE_MAX_QUBITS qubits unless told
 otherwise). They share no kernel code with the simulator; they read
 phase_gates only for the gates a cost gate stands for.
+qaoa1_expectation is the closed-form counterpart of the exact objective of
+a one-layer QAOA circuit: <H> from products of cosines over each qubit's
+pair terms, with no state and no 2^Q work.
+a1_basis_angles, phase_gates and format_problem build test inputs: a1
+parameters for a basis state, the rz/rzz gates of a cost gate, and the text
+of a problem file.
 reference_sample is the dense counterpart of simulator.sample: a
 multinomial over every one of the 2^Q indices, which hands the draws left
 after its last category with p > 0 to index 2^Q - 1 even at p = 0, where
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, product
-from math import cos, sin
+from math import cos, pi, sin
 
 import numpy as np
 
@@ -47,15 +53,7 @@ from qvarsched import (
 from qvarsched.encoder import IsingModel, penalty_weight
 from qvarsched.errors import QubitCountExceededError
 from qvarsched.problem import CLOUD, Assignment, assignment_index, parse_bits
-from qvarsched.simulator import (
-    Circuit,
-    Gate,
-    Param,
-    _bind,
-    _resolve_angle,
-    apply_gate,
-    phase_gates,
-)
+from qvarsched.simulator import Circuit, Gate, Param, _bind, _resolve_angle, apply_gate
 
 REFERENCE_WEIGHTS = (2, 1, 1)
 REFERENCE_VALUES = ((2, 1), (3, 1), (2, 1))
@@ -363,23 +361,22 @@ def dense_state(
     return state
 
 
+def phase_gates(cost: Gate) -> list[Gate]:
+    """The rz (one qubit) and rzz (two) gates a cost gate stands for, one per
+    term (scale, qubits) in term order: at angle Param(name, p * scale) for a
+    cost angle Param(name, p), at the literal angle times scale otherwise."""
+    angle, gates = cost.angle, []
+    for s, qubits in cost.terms:
+        scaled = replace(angle, scale=angle.scale * s) if isinstance(angle, Param) else angle * s
+        gates.append(Gate("rz" if len(qubits) == 1 else "rzz", qubits, scaled))
+    return gates
+
+
 def expand_cost_gates(circuit: Circuit) -> Circuit:
-    """circuit with each cost gate replaced by one rz (one qubit) or rzz (two)
-    per term (scale, qubits), in term order: at angle Param(name, p * scale)
-    for a cost angle Param(name, p), at the literal angle times scale
-    otherwise."""
+    """circuit with each cost gate replaced by its phase_gates."""
     gates = []
     for gate in circuit.gates:
-        if gate.name != "cost":
-            gates.append(gate)
-            continue
-        for scale, qubits in gate.terms:
-            angle = gate.angle
-            if isinstance(angle, Param):
-                angle = Param(angle.name, angle.scale * scale)
-            else:
-                angle = angle * scale
-            gates.append(Gate("rz" if len(qubits) == 1 else "rzz", qubits, angle))
+        gates += phase_gates(gate) if gate.name == "cost" else [gate]
     return Circuit(circuit.qubit_count, tuple(gates), circuit.parameters)
 
 
@@ -441,3 +438,73 @@ def reference_sample(amplitudes: np.ndarray, shots: int, seed: int) -> tuple[np.
     draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     indices = np.nonzero(draws)[0]
     return indices, draws[indices]
+
+
+def qaoa1_expectation(model: IsingModel, g: float, b: float) -> float:
+    """<H> after one QAOA layer of build_qaoa, exp(-i g (H - c)) and then
+    RX(2b) on every qubit, on |+>^Q, from the closed forms of <Z_u> and
+    <Z_u Z_v> for a model with local fields h and pair terms J (Ozaeta, van
+    Dam and McMahon, arXiv:2012.03421, with gamma = g and beta = b):
+
+        <Z_u> = sin 2b sin 2gh_u prod_w cos 2gJ_uw
+        <Z_u Z_v> = (sin 4b / 2) sin 2gJ_uv (cos 2gh_u prod' cos 2gJ_uw
+                                             + cos 2gh_v prod' cos 2gJ_vw)
+                  + (sin^2 2b / 2) (cos 2g(h_u - h_v) prod' cos 2g(J_uw - J_vw)
+                                    - cos 2g(h_u + h_v) prod' cos 2g(J_uw + J_vw))
+
+    prod_w over every other qubit, prod' over every qubit but u and v; a
+    missing pair has J = 0. In float64, O(Q) work per term.
+    """
+    q = model.qubit_count
+    h = np.array([float(coeff) for coeff in model.linear])
+    pairs = np.zeros((q, q))
+    for (u, v), coeff in model.pairwise.items():
+        pairs[u, v] = pairs[v, u] = float(coeff)
+
+    def mean_cos(offset, couplings) -> float:
+        """The mean over uniform spins z of cos 2g(offset + couplings . z)."""
+        return cos(2 * g * offset) * float(np.prod(np.cos(2 * g * couplings)))
+
+    energy = float(model.constant)
+    for u in range(q):  # pairs[u, u] = 0 adds a factor cos 0 = 1
+        energy += h[u] * sin(2 * b) * sin(2 * g * h[u]) * float(np.prod(np.cos(2 * g * pairs[u])))
+    for (u, v), coeff in model.pairwise.items():
+        rest = [w for w in range(q) if w not in (u, v)]
+        ju, jv = pairs[u, rest], pairs[v, rest]
+        cross = mean_cos(h[u], ju) + mean_cos(h[v], jv)
+        spread = mean_cos(h[u] - h[v], ju - jv) - mean_cos(h[u] + h[v], ju + jv)
+        zz = sin(4 * b) / 2 * sin(2 * g * pairs[u, v]) * cross + sin(2 * b) ** 2 / 2 * spread
+        energy += float(coeff) * zz
+    return float(energy)
+
+
+def a1_basis_angles(layout: VariableLayout, bits: str) -> tuple[float, ...]:
+    """a1 parameters that prepare a structurally consistent basis state.
+
+    Within a block the CRY cascade selects option t exactly when the first t
+    angles are pi and the next is 0; slack RY angles are 0 or pi per bit.
+    """
+    problem = layout.problem
+    values = parse_bits(bits, layout.qubit_count)
+    angles: list[float] = []
+    for i in range(problem.num_processes):
+        block = layout.process_block(i)
+        chosen = [t for t, q in enumerate(block) if values[q]]
+        if len(chosen) != 1:
+            raise ValueError(f"process {i} block is not one-hot in {bits!r}")
+        option = chosen[0]
+        angles.extend(pi if t < option else 0.0 for t in range(len(block) - 1))
+    for j in range(problem.num_nodes):
+        angles.extend(pi if values[q] else 0.0 for q in layout.slack_qubits(j))
+    return tuple(angles)
+
+
+def format_problem(problem: AssignmentProblem) -> str:
+    """The problem file text that parse_problem reads back as problem."""
+    lines = ["qvarsched-v1 problem", f"variant {problem.variant.name}"]
+    for proc in problem.processes:
+        values = ",".join(str(v) for v in proc.values)
+        lines.append(f"process weight={proc.weight} values={values}")
+    for node in problem.nodes:
+        lines.append(f"node capacity={node.capacity} threshold={node.threshold}")
+    return "\n".join(lines) + "\n"

@@ -7,18 +7,22 @@ has one owner: the Instance checks it when it is built and keeps no copy, so
 only Instance, and scaling_sweep, which builds one per point, take
 max_qubits. Each input rule has one owner too: only circuits.check_algorithm
 rejects an algorithm name or its reps, vqa.check_mode a mode,
-errors.check_integer a non-integer (a bool included) and errors.check_count
-a count out of its bounds; seeds pass through errors.check_seed alone, and
-every public integer field names itself when it rejects a value. No
-qvarsched module imports another one's _-prefixed names, the package exports
-no test-only reference, and every qvarsched name that README.md puts in
-backticks resolves.
+errors.check_integer a non-integer (a bool included), errors.check_count
+a count out of its bounds, errors.check_real a real-valued input that is no
+finite real (a bool included) and problem.as_fraction a gain; seeds pass
+through errors.check_seed alone, and every public integer and real field
+names itself when it rejects a value. No qvarsched module imports another
+one's _-prefixed names, every public function of a qvarsched module is
+exported by the package or named in the code of src/ (so no test-only
+helper lives there), the package exports no test-only reference, and every
+qvarsched name that README.md puts in backticks resolves.
 """
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +31,7 @@ import pytest
 import qvarsched
 from qvarsched.bench import ExperimentConfig
 from qvarsched.problem import NodeSpec, ProcessSpec
-from qvarsched.simulator import Circuit, Gate, run, sample
+from qvarsched.simulator import Circuit, Gate, Param, run, sample
 from qvarsched.vqa import Instance, Objective, OptimizerConfig, build_circuit, optimize
 
 from helpers import reference_problem
@@ -115,6 +119,9 @@ def test_only_check_algorithm_rejects_an_algorithm_name_or_reps(phrase):
         ("must be an integer", "qvarsched.errors.check_integer"),
         ("must be >= ", "qvarsched.errors.check_count"),  # reps >= 1 included
         ("unknown mode", "qvarsched.vqa.check_mode"),
+        ("must be a real number", "qvarsched.errors.check_real"),
+        ("must be finite", "qvarsched.errors.check_real"),
+        ("must be a rational number", "qvarsched.problem.as_fraction"),
     ],
 )
 def test_each_input_rule_has_one_raiser(phrase, owner):
@@ -199,6 +206,86 @@ def test_every_public_integer_field_rejects_a_non_integer_by_name(field, build, 
 def test_every_public_integer_field_takes_an_int_and_a_numpy_integer(build, value):
     build(value)
     build(np.int64(value))
+
+
+# (owner, field as its message names it, build with value, read the stored value back).
+REAL_FIELDS = [
+    ("OptimizerConfig", "tolerance", lambda v: OptimizerConfig(tolerance=v), lambda c: c.tolerance),
+    ("Gate", "angle", lambda v: Gate("rx", (0,), v), lambda g: g.angle),
+    ("Gate", "term scale", lambda v: Gate("cost", (0,), 0.5, terms=((v, (0,)),)), lambda g: g.terms[0][0]),
+    ("Param", "scale", lambda v: Param("t", v), lambda p: p.scale),
+]
+
+
+@pytest.mark.parametrize(
+    "field, build, value",
+    [
+        pytest.param(field, build, value, id=f"{owner}.{field}={value!r}")
+        for owner, field, build, _ in REAL_FIELDS
+        for value in (True, False, "0.5", 1j)
+    ],
+)
+def test_every_public_real_field_rejects_a_non_real_by_name(field, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a real number, got {value!r}") + "$"):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "field, build, value",
+    [
+        pytest.param(field, build, value, id=f"{owner}.{field}={value!r}")
+        for owner, field, build, _ in REAL_FIELDS
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ],
+)
+def test_every_public_real_field_rejects_a_non_finite_value_as_bad_input_and_arithmetic(field, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value!r}") + "$") as raised:
+        build(value)
+    assert isinstance(raised.value, ArithmeticError)
+
+
+@pytest.mark.parametrize(
+    "build, read",
+    [pytest.param(build, read, id=f"{owner}.{field}") for owner, field, build, read in REAL_FIELDS],
+)
+def test_every_public_real_field_takes_any_finite_real_and_keeps_a_float(build, read):
+    for value in (1, np.float32(0.5), np.float64(0.5), Fraction(1, 2)):
+        stored = read(build(value))
+        assert type(stored) is float and stored == value
+
+
+SRC = Path(qvarsched.__file__).parent
+
+
+def _code_names(node) -> set[str]:
+    """Every name and attribute read or written in node's code; a docstring
+    is a constant, so the names it mentions are not among them."""
+    names = (n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in names}
+
+
+def unused_public_functions() -> list[str]:
+    """Every public module-level function of a qvarsched module that the
+    package does not export and no code of src/ names outside its own
+    definition."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            function = getattr(importlib.import_module(f"qvarsched.{module}"), node.name)
+            if getattr(qvarsched, node.name, None) is function:
+                continue
+            elsewhere = [other for name, other in trees.items() if name != module]
+            elsewhere += [other for other in tree.body if other is not node]
+            if not any(node.name in _code_names(other) for other in elsewhere):
+                found.append(f"qvarsched.{module}.{node.name}")
+    return found
+
+
+def test_every_public_function_is_exported_or_used_in_the_library():
+    assert unused_public_functions() == []
 
 
 def private_imports(name: str) -> list[str]:

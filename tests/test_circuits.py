@@ -17,13 +17,13 @@ from qvarsched import (
     run,
 )
 from qvarsched.bench import scaling_instance
-from qvarsched.circuits import ANSATZ_BUILDERS, CircuitMetrics, a1_basis_angles
+from qvarsched.circuits import ANSATZ_BUILDERS, CircuitMetrics
 from qvarsched.encoder import IsingModel
 from qvarsched.oracle import enumerate_solutions
 from qvarsched.files import parse_problem
 from qvarsched.simulator import Circuit, Gate, Param, diagonal_energies, index_to_bits
 
-from helpers import bits_to_index, expand_cost_gates, random_problem, reference_problem
+from helpers import a1_basis_angles, bits_to_index, expand_cost_gates, random_problem, reference_problem
 
 REFERENCE_METRICS = {
     "a1": (10, 12, 4),

@@ -16,12 +16,12 @@ from qvarsched import bench, cli, errors, files, make_problem, vqa
 from qvarsched.cli import main
 from qvarsched.encoder import encode, model_to_text
 from qvarsched.errors import ParseError
-from qvarsched.files import format_problem, parse_experiment, parse_problem
+from qvarsched.files import parse_experiment, parse_problem
 from qvarsched.problem import EOFL, build_layout
 from qvarsched.simulator import Circuit
 from qvarsched.vqa import DEFAULT_MAX_QUBITS
 
-from helpers import reference_problem, spy_calls
+from helpers import format_problem, reference_problem, spy_calls
 
 EOHL_FILE = """\
 qvarsched-v1 problem
@@ -700,6 +700,14 @@ def test_cmd_solve_rejects_a_gain_past_the_float64_limit_before_the_oracle(
     assert main(["encode", str(tmp_path / "huge.problem")]) == 0
     assert main(["oracle", str(tmp_path / "huge.problem")]) == 0
     assert f"optimal_gain {10**400 + 4}" in capsys.readouterr().out
+
+
+def test_a_gain_of_one_over_zero_exits_2_naming_its_line(tmp_path, capsys):
+    spec = _gain_spec(tmp_path, "1/0", "a4", "exact")
+    assert main(["solve", str(spec), "--out", str(tmp_path / "r")]) == 2
+    assert main(["encode", str(tmp_path / "gain.problem")]) == 2
+    message = "error: line 3: process value must be a rational number, got '1/0'\n"
+    assert capsys.readouterr().err == message * 2
 
 
 def _gain_spec(tmp_path, gain: str, algorithm: str, mode: str) -> Path:

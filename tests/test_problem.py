@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,27 @@ def test_numpy_integers_pass_as_python_ints():
     )
     assert problem == reference_problem("EOHL")
     assert type(problem.processes[0].weight) is int and type(problem.nodes[0].capacity) is int
+
+
+def test_a_float_gain_is_the_fraction_of_its_shortest_repr_numpy_floats_included():
+    assert ProcessSpec(1, (np.float64(0.1),)).values == (Fraction(1, 10),)
+    assert ProcessSpec(1, (0.1, np.float32(0.5), "0.25", "1/3")).values == (
+        Fraction(1, 10), Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
+    )
+    halves = np.array([[2, 1], [3, 1], [2, 1]]) * 0.5
+    problem = make_problem("EOHL", [2, 1, 1], halves, [3, 2], [2, 1])
+    assert [p.values for p in problem.processes] == [
+        (Fraction(1), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))
+    ]
+
+
+@pytest.mark.parametrize("value", [True, False, None, 1j, "1/0", "x", float("nan"), float("inf")])
+def test_a_gain_that_is_no_rational_number_is_a_value_error_naming_it(value):
+    message = re.escape(f"process value must be a rational number, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        ProcessSpec(1, (value,))
+    with pytest.raises(ValueError, match=message):
+        make_problem("EOFL", [1], [(value,)], [1])
 
 
 def test_infeasible_instance_is_constructible():

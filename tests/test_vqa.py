@@ -6,6 +6,8 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import rosen
 
 from qvarsched import (
@@ -18,7 +20,7 @@ from qvarsched import (
     vqa,
 )
 from qvarsched.bench import ExperimentConfig, scaling_instance
-from qvarsched.circuits import a1_basis_angles, build_ansatz, build_qaoa
+from qvarsched.circuits import build_ansatz, build_qaoa
 from qvarsched.errors import (
     InstanceMismatchError,
     NonFiniteObjectiveError,
@@ -28,7 +30,15 @@ from qvarsched.oracle import enumerate_solutions
 from qvarsched.simulator import diagonal_energies, run, sample
 from qvarsched.vqa import COUNT_LIMIT, minimize
 
-from helpers import bits_to_index, dense_state, reference_problem, spy_calls
+from helpers import (
+    a1_basis_angles,
+    bits_to_index,
+    dense_state,
+    qaoa1_expectation,
+    random_problem,
+    reference_problem,
+    spy_calls,
+)
 
 
 def test_minimize_quadratic():
@@ -156,6 +166,32 @@ def test_qaoa_gamma_zero_objective_is_constant():
     objective = vqa.Objective(instance, vqa.build_circuit("qaoa", instance))
     result = minimize(partial(objective, rng=None), (0.0, 0.9), OptimizerConfig(max_iterations=1))
     assert abs(result.trace[0] - float(instance.model.constant)) < 1e-9
+    assert qaoa1_expectation(instance.model, 0.0, 0.9) == float(instance.model.constant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("ECFL", "EOFL", "ECHL", "EOHL")),
+    st.integers(0, 2**32 - 1),
+    st.floats(-pi, pi),
+    st.floats(-pi, pi),
+)
+def test_the_closed_form_p1_energy_equals_the_exact_objective(variant, seed, g, b):
+    # The closed form shares no code with the diagonal op, the mixer or the energies.
+    instance = vqa.Instance(random_problem(np.random.default_rng(seed), max_qubits=12, variants=(variant,)))
+    objective = vqa.Objective(instance, vqa.build_circuit("qaoa", instance))
+    exact = objective(np.array([g, b]), None)
+    assert abs(qaoa1_expectation(instance.model, g, b) - exact) <= 1e-12 * float(instance.energy_bound)
+
+
+def test_the_closed_form_p1_energy_equals_the_exact_objective_at_23_qubits():
+    # One circuit, compiled once, at three points of the scaling family's P=7.
+    instance = vqa.Instance(scaling_instance(7))
+    objective = vqa.Objective(instance, vqa.build_circuit("qaoa", instance))
+    assert instance.layout.qubit_count == 23
+    for g, b in ((0.013, 0.7), (-0.05, 2.1), (1.3, -0.4)):
+        exact = objective(np.array([g, b]), None)
+        assert abs(qaoa1_expectation(instance.model, g, b) - exact) <= 1e-12 * float(instance.energy_bound)
 
 
 def test_qaoa_expectation_matches_dense_evolution():
