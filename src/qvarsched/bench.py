@@ -85,11 +85,12 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        check_count("runs", self.runs)
-        check_count("shots", self.shots)
-        check_algorithm(self.algorithm, self.reps)
+        object.__setattr__(self, "runs", check_count("runs", self.runs))
+        object.__setattr__(self, "shots", check_count("shots", self.shots))
+        object.__setattr__(self, "reps", check_algorithm(self.algorithm, self.reps))
         check_mode(self.mode)
-        check_seed("seed", self.seed)
+        seed = check_seed("seed", self.seed)  # apart: only the check call passes "seed" (tests/test_api.py)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def algorithm_label(self) -> str:

@@ -155,13 +155,14 @@ ANSATZ_BUILDERS = {"a1": build_a1, "a2": build_a2, "a3": build_a3, "a4": build_a
 ALGORITHMS = (*ANSATZ_BUILDERS, "qaoa")  # the names vqa.build_circuit takes
 
 
-def check_algorithm(algorithm: str, reps: int = 1):
-    """Raise ValueError unless algorithm is in ALGORITHMS as written and reps fits it."""
+def check_algorithm(algorithm: str, reps: int = 1) -> int:
+    """reps as an int; ValueError unless algorithm is in ALGORITHMS as written and reps fits it."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    check_count("reps", reps, maximum=None)
+    reps = check_count("reps", reps, maximum=None)
     if reps != 1 and algorithm != "qaoa":
         raise ValueError(f"reps applies to qaoa only, got reps {reps} for {algorithm}")
+    return reps
 
 
 def build_ansatz(kind: str, layout: VariableLayout) -> Circuit:
@@ -177,7 +178,7 @@ def build_qaoa(model: IsingModel, reps: int) -> Circuit:
     linear and pair term of to_terms, so RZ(2 g coeff) and RZZ(2 g coeff);
     mixer: RX(2 b) on every qubit. Parameters are (g0, b0, g1, b1, ...).
     """
-    check_algorithm("qaoa", reps)
+    reps = check_algorithm("qaoa", reps)
     n = model.qubit_count
     terms = tuple((2.0 * float(coeff), qubits) for qubits, coeff in to_terms(model)[1:])
     gates = [Gate("h", (q,)) for q in range(n)]

@@ -51,7 +51,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     problem = parse_problem(read_text(args.problem))
     layout = build_layout(problem)
-    # Not through an Instance: the walk sums exact Fractions and needs no float64 bound.
+    # Not through an Instance: the walk sums exact ints and needs no float64 bound.
     check_qubit_count(layout.qubit_count, args.max_qubits)
     report = enumerate_solutions(layout)
     lines = [

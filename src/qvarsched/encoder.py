@@ -2,9 +2,11 @@
 
 The extended objective is the negated gain plus, for every equality
 constraint, the squared residual scaled by the penalty weight A. Substituting
-x = (1 - z)/2 turns it into a polynomial in spin variables z in {+1, -1};
-coefficients are collected exactly with Fractions. ``IsingModel`` stores the
-expanded polynomial directly:
+x = (1 - z)/2 turns it into a polynomial in spin variables z in {+1, -1}.
+encode collects its coefficients exactly as Python ints over the one
+denominator 4g, g being the problem's gain_scale (the lcm of the gains'
+denominators), and builds a Fraction only for each finished coefficient and
+the penalty. ``IsingModel`` stores the expanded polynomial directly:
 
     E(z) = constant + sum_i linear[i] * z_i + sum_{i<j} pairwise[(i,j)] * z_i z_j
 
@@ -42,74 +44,53 @@ class IsingModel:
 
 def penalty_weight(problem: AssignmentProblem) -> Fraction:
     """A = 1 + total gain, so one violated constraint outweighs all gains."""
-    return Fraction(1) + sum(
-        (v for proc in problem.processes for v in proc.values), Fraction(0)
-    )
-
-
-class _Polynomial:
-    """Accumulator for constant/linear/pairwise terms over spin variables."""
-
-    def __init__(self, qubit_count: int):
-        self.constant = Fraction(0)
-        self.linear = [Fraction(0)] * qubit_count
-        self.pairwise: dict[tuple[int, int], Fraction] = {}
-
-    def add_affine_square(self, scale: Fraction, constant: Fraction, coeffs: dict[int, Fraction]):
-        """Add scale * (constant + sum coeffs[q] * z_q)^2, using z_q^2 = 1."""
-        self.constant += scale * constant * constant
-        items = sorted(coeffs.items())
-        for q, a in items:
-            self.constant += scale * a * a
-            self.linear[q] += scale * 2 * constant * a
-        for idx, (q1, a1) in enumerate(items):
-            for q2, a2 in items[idx + 1 :]:
-                key = (q1, q2)
-                self.pairwise[key] = self.pairwise.get(key, Fraction(0)) + scale * 2 * a1 * a2
+    g = problem.gain_scale
+    return Fraction(g + sum(map(sum, problem.scaled_values)), g)
 
 
 def encode(layout: VariableLayout) -> IsingModel:
     """Expand the penalized objective of layout.problem into an IsingModel."""
     problem = layout.problem
+    g = problem.gain_scale
     a = penalty_weight(problem)
-    half = Fraction(1, 2)
-    poly = _Polynomial(layout.qubit_count)
+    scale = a.numerator * (g // a.denominator)  # A * g
+    # Each term's coefficient times 4g, keyed by its qubits as in to_terms.
+    sums = {(): 0} | {(q,): 0 for q in range(layout.qubit_count)}
+
+    def add_square(constant: int, coeffs: dict[int, int]):
+        """Add 4g * A * (constant/2 + sum coeffs[q]/2 * z_q)^2, using z_q^2 = 1."""
+        items = sorted(coeffs.items())
+        sums[()] += scale * (constant * constant + sum(c * c for _, c in items))
+        for idx, (q1, a1) in enumerate(items):
+            sums[(q1,)] += scale * 2 * constant * a1
+            for q2, a2 in items[idx + 1 :]:
+                sums[q1, q2] = sums.get((q1, q2), 0) + scale * 2 * a1 * a2
 
     # Gain term: -v * x = -v/2 + (v/2) z for each assignment variable.
-    for i, proc in enumerate(problem.processes):
-        for j, v in enumerate(proc.values):
-            if v:
-                poly.constant -= v * half
-                poly.linear[layout.assign_qubit(i, j)] += v * half
+    for i, values in enumerate(problem.scaled_values):
+        for j, v in enumerate(values):
+            sums[()] -= 2 * v
+            sums[(layout.assign_qubit(i, j),)] += 2 * v
 
     # Process one-hot penalties: A * (1 - sum of block variables)^2.
     for i in range(problem.num_processes):
         block = layout.process_block(i)
-        constant = Fraction(1) - Fraction(len(block), 2)
-        poly.add_affine_square(a, constant, {q: half for q in block})
+        add_square(2 - len(block), {q: 1 for q in block})
 
     # Node capacity penalties: A * (B_j - load_j - slack_j)^2 with slack bit
     # k carrying weight 2^k; high-load registers are sized by the usable
     # capacity but the equality keeps the full capacity on the right side.
     for j, node in enumerate(problem.nodes):
-        coeffs: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for i in range(problem.num_processes):
-            w = Fraction(problem.processes[i].weight)
-            coeffs[layout.assign_qubit(i, j)] = w * half
-            total += w
-        for k, q in enumerate(layout.slack_qubits(j)):
-            weight = Fraction(1 << k)
-            coeffs[q] = weight * half
-            total += weight
-        constant = Fraction(node.capacity) - total * half
-        poly.add_affine_square(a, constant, coeffs)
+        coeffs = {layout.assign_qubit(i, j): proc.weight for i, proc in enumerate(problem.processes)}
+        coeffs |= {q: 1 << k for k, q in enumerate(layout.slack_qubits(j))}
+        add_square(2 * node.capacity - sum(coeffs.values()), coeffs)
 
+    d = 4 * g
     return IsingModel(
         qubit_count=layout.qubit_count,
-        constant=poly.constant,
-        linear=tuple(poly.linear),
-        pairwise={key: c for key, c in poly.pairwise.items() if c},
+        constant=Fraction(sums[()], d),
+        linear=tuple(Fraction(sums[(q,)], d) for q in range(layout.qubit_count)),
+        pairwise={key: Fraction(c, d) for key, c in sums.items() if len(key) == 2 and c},
         penalty=a,
     )
 

@@ -2,18 +2,22 @@
 
 enumerate_solutions takes a VariableLayout alone and reads its problem. It
 walks the target tuples depth first, leaving out every tuple whose prefix
-already loads a node past its capacity, derives each slack register and sums
-exact Fraction gains into a report of basis indices; it never visits the 2^Q
-basis states. Per-string check_feasible(layout, bits) over all of them, and
-the full walk over every tuple in tests/helpers.py, are its independent
+already loads a node past its capacity, and derives each feasible tuple's
+basis index, slack registers included (problem.slack_index); it never visits
+the 2^Q basis states. Its arithmetic is on Python ints: each prefix carries
+its gain times the problem's gain_scale g, and the one Fraction it builds is
+the report's optimal_gain, best / g. check_feasible(layout, bits) with the
+Fraction gain of problem.gain on every one of the 2^Q strings, and the full
+walk over every tuple, both in tests/helpers.py, are its independent
 counterparts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .problem import CLOUD, Assignment, VariableLayout, assignment_index, gain
+from .problem import CLOUD, VariableLayout, slack_index
 
 
 @dataclass(frozen=True)
@@ -53,46 +57,51 @@ def enumerate_solutions(layout: VariableLayout) -> OracleReport:
     tuple and the walk drops a prefix at the first node it loads past its
     capacity. A tuple is feasible exactly when every residual capacity fits
     its slack register, in which case the register value is unique, so each
-    feasible tuple gives exactly one feasible basis index. Gains are exact
-    Fractions.
+    feasible tuple gives exactly one feasible basis index.
     """
     problem, q = layout.problem, layout.qubit_count
     options = list(range(problem.num_nodes))
     if problem.variant.cloud_allowed:
         options.append(CLOUD)
+    # Per process, each target with the basis-index bit of its qubit and its
+    # gain times g: process_block lists the qubits, and values the gains, in
+    # the order of options, and the Cloud (last where allowed) gains 0.
+    choices = [
+        [(t, 1 << (q - 1 - qubit), v) for t, qubit, v in zip(options, layout.process_block(i), values + (0,))]
+        for i, values in enumerate(problem.scaled_values)
+    ]
+    capacities = [node.capacity for node in problem.nodes]
     register_sizes = [1 << len(layout.slack_qubits(j)) for j in range(problem.num_nodes)]
+    gains: dict[int, int] = {}  # each feasible basis index's gain times g
 
-    def fitting(targets: tuple, loads: tuple):
-        """Each full tuple that extends targets, with its loads, keeping
-        every load within its node's capacity."""
-        i = len(targets)
-        if i == problem.num_processes:
-            yield targets, loads
+    @cache
+    def slack_bits(loads: tuple) -> int | None:
+        """The slack registers' index bits at a full tuple's loads, or None
+        when a residual capacity does not fit its register."""
+        fits = all(0 <= c - load < size for c, load, size in zip(capacities, loads, register_sizes))
+        return slack_index(layout, loads) if fits else None
+
+    def walk(i: int, loads: tuple, value: int, index: int):
+        """Visit every full tuple that extends a prefix of i targets with
+        these loads, gain times g and target bits, keeping every load within
+        its node's capacity."""
+        if i == len(choices):
+            bits = slack_bits(loads)
+            if bits is not None:
+                gains[index | bits] = value
             return
         weight = problem.processes[i].weight
-        for target in options:
+        for target, bit, gain in choices[i]:
             grown = loads
             if target != CLOUD:
                 load = loads[target] + weight
-                if load > problem.nodes[target].capacity:
+                if load > capacities[target]:
                     continue
                 grown = loads[:target] + (load,) + loads[target + 1 :]
-            yield from fitting(targets + (target,), grown)
+            walk(i + 1, grown, value + gain, index | bit)
 
-    feasible: list[int] = []
-    best: Fraction | None = None
-    optimal: list[int] = []
-    for targets, loads in fitting((), (0,) * problem.num_nodes):
-        residuals = [node.capacity - load for node, load in zip(problem.nodes, loads)]
-        if any(not 0 <= r < size for r, size in zip(residuals, register_sizes)):
-            continue
-        assignment = Assignment(targets, loads, tuple(residuals))
-        index = assignment_index(layout, assignment)
-        feasible.append(index)
-        value = gain(problem, assignment)
-        if best is None or value > best:
-            best = value
-            optimal = []
-        if value == best:
-            optimal.append(index)
-    return OracleReport(best, frozenset(optimal), frozenset(feasible), q)
+    walk(0, (0,) * problem.num_nodes, 0, 0)
+    best = max(gains.values(), default=None)
+    optimal = frozenset(index for index, value in gains.items() if value == best)
+    optimal_gain = None if best is None else Fraction(best, problem.gain_scale)
+    return OracleReport(optimal_gain, optimal, frozenset(gains), q)

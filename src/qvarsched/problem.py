@@ -14,6 +14,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from .errors import MalformedBitstringError, check_count
@@ -123,6 +125,17 @@ class AssignmentProblem:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def gain_scale(self) -> int:
+        """g, the lcm of every process value's denominator, so each value times g is an int."""
+        return lcm(*(v.denominator for proc in self.processes for v in proc.values))
+
+    @cached_property
+    def scaled_values(self) -> tuple[tuple[int, ...], ...]:
+        """Each process's values times gain_scale, as exact ints."""
+        g = self.gain_scale
+        return tuple(tuple(v.numerator * (g // v.denominator) for v in p.values) for p in self.processes)
 
 
 def slack_bit_count(node: NodeSpec) -> int:
@@ -252,23 +265,29 @@ def decode(layout: VariableLayout, bits: str) -> Assignment:
 
 
 def assignment_index(layout: VariableLayout, assignment: Assignment) -> int:
-    """Basis index of a structurally consistent assignment.
-
-    Slack registers are set to the residual capacity modulo the register
-    size, which is the unique value satisfying the node equality whenever one
-    exists.
-    """
-    problem = layout.problem
+    """Basis index of a structurally consistent assignment (see slack_index)."""
     if not assignment.consistent:
         raise ValueError("assignment is structurally inconsistent")
     top = layout.qubit_count - 1  # qubit 0 is the most significant bit
-    index = 0
+    index = slack_index(layout, assignment.loads)
     for i, target in enumerate(assignment.targets):
         qubit = layout.cloud_qubit(i) if target == CLOUD else layout.assign_qubit(i, target)
         index |= 1 << (top - qubit)
-    for j, node in enumerate(problem.nodes):
+    return index
+
+
+def slack_index(layout: VariableLayout, loads: tuple[int, ...]) -> int:
+    """The basis-index bits of every slack register, the rest 0.
+
+    Each register is set to its node's residual capacity modulo the register
+    size, which is the unique value satisfying the node equality whenever one
+    exists.
+    """
+    top = layout.qubit_count - 1
+    index = 0
+    for j, node in enumerate(layout.problem.nodes):
         reg = layout.slack_qubits(j)
-        residual = (node.capacity - assignment.loads[j]) % (1 << len(reg))
+        residual = (node.capacity - loads[j]) % (1 << len(reg))
         for k, q in enumerate(reg):
             index |= ((residual >> k) & 1) << (top - q)
     return index

@@ -38,8 +38,9 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
-from math import isfinite, pi
+from math import isfinite, lcm, pi
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class OptimizerConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        check_count("max_iterations", self.max_iterations)
-        check_count("restarts", self.restarts)
+        object.__setattr__(self, "max_iterations", check_count("max_iterations", self.max_iterations))
+        object.__setattr__(self, "restarts", check_count("restarts", self.restarts))
         object.__setattr__(self, "tolerance", check_real("tolerance", self.tolerance))
         if not 0 < self.tolerance <= _COBYLA_RHOBEG:  # a final radius above the initial one resets
             raise ValueError(f"tolerance must be in (0, {_COBYLA_RHOBEG}], got {self.tolerance}")
@@ -165,7 +166,10 @@ class Instance:
         self.problem = problem
         self.layout = layout
         self.model = encode(layout)
-        self.energy_bound = sum(abs(coeff) for _, coeff in to_terms(self.model))
+        coeffs = [coeff for _, coeff in to_terms(self.model)]
+        denominator = lcm(*(c.denominator for c in coeffs))
+        numerator = sum(abs(c.numerator) * (denominator // c.denominator) for c in coeffs)
+        self.energy_bound = Fraction(numerator, denominator)
         _check_float64(2 * self.energy_bound, "twice the Ising model's energy bound")
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.views: dict[Circuit, np.ndarray] = {}
@@ -197,7 +201,7 @@ def build_circuit(algorithm: str, instance: Instance, reps: int = 1) -> Circuit:
     Built once per instance and kept on it: every call with the same instance
     returns the same Circuit object, so its program is compiled only once.
     """
-    check_algorithm(algorithm, reps)
+    reps = check_algorithm(algorithm, reps)
     key = (algorithm, reps)
     if key not in instance.circuits:
         if algorithm == "qaoa":
@@ -225,7 +229,7 @@ class Objective:
         q = instance.layout.qubit_count
         if circuit.qubit_count != q:
             raise InstanceMismatchError(f"circuit has {circuit.qubit_count} qubits, instance has {q}")
-        check_count("shots", shots)
+        shots = check_count("shots", shots)
         if mode == "sampled":  # its sum of hits times energies reaches shots * |E|
             _check_float64(shots * instance.energy_bound, f"{shots} shots times the energy bound")
         self.circuit, self.mode, self.shots = circuit, mode, shots

@@ -201,13 +201,33 @@ def direct_objective_vector(layout: VariableLayout) -> np.ndarray:
     return total
 
 
+# The numerators and denominators of the wide gains: a common denominator
+# of two or three of them overflows int64, so any fixed-width scaling of the
+# gains would wrap.
+WIDE_NUMERATORS = (0, 2**31)
+WIDE_DENOMINATORS = (2**31 - 64, 2**31 + 64)
+
+
+def random_gain(rng: np.random.Generator, wide: bool = False) -> Fraction:
+    """A gain from {0, 1, 2, 3, 1/2, 3/2}; with wide, one of 1/3, 7/9 and
+    1/10 or, as often, a ratio of WIDE_NUMERATORS over WIDE_DENOMINATORS."""
+    if not wide:
+        return (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))[int(rng.integers(6))]
+    if rng.integers(2):
+        return (Fraction(1, 3), Fraction(7, 9), Fraction(1, 10))[int(rng.integers(3))]
+    numerator = int(rng.integers(WIDE_NUMERATORS[0], WIDE_NUMERATORS[1], endpoint=True))
+    return Fraction(numerator, int(rng.integers(*WIDE_DENOMINATORS, endpoint=True)))
+
+
 def random_problem(
     rng: np.random.Generator,
     max_qubits: int = 14,
     pow2_slack: bool = False,
     variants=("ECFL", "EOFL", "ECHL", "EOHL"),
+    wide_gains: bool = False,
 ) -> AssignmentProblem:
-    """Random valid instance with at most max_qubits binary variables.
+    """Random valid instance with at most max_qubits binary variables and
+    gains from random_gain.
 
     With pow2_slack the usable capacity is drawn from {1, 3, 7} so the slack
     register range matches the residual interval exactly.
@@ -219,10 +239,7 @@ def random_problem(
         p = int(rng.integers(1, 5))
         n = int(rng.integers(1, 4))
         weights = [int(rng.integers(1, 4)) for _ in range(p)]
-        choices = (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))
-        values = [
-            [choices[int(rng.integers(len(choices)))] for _ in range(n)] for _ in range(p)
-        ]
+        values = [[random_gain(rng, wide_gains) for _ in range(n)] for _ in range(p)]
         high_load = variant.endswith("HL")
         capacities, thresholds = [], []
         for _ in range(n):

@@ -164,25 +164,32 @@ _STATE = run(Circuit(1, (Gate("h", (0,)),), ()))
 _ONE_RESTART = OptimizerConfig(max_iterations=20, restarts=1)
 
 # (owner, field as its message names it, build with value, a value it
-# takes, whether None is a value to reject: seeds and caps default to one).
+# takes, whether None is a value to reject: seeds and caps default to one,
+# read the stored value back: None where nothing keeps it).
 INTEGER_FIELDS = [
-    ("OptimizerConfig", "max_iterations", lambda v: OptimizerConfig(max_iterations=v), 1, False),
-    ("OptimizerConfig", "restarts", lambda v: OptimizerConfig(restarts=v), 1, False),
-    ("ExperimentConfig", "runs", lambda v: ExperimentConfig("a4", OptimizerConfig(), runs=v), 1, False),
-    ("ExperimentConfig", "shots", lambda v: ExperimentConfig("a4", OptimizerConfig(), shots=v), 1, False),
-    ("ExperimentConfig", "seed", lambda v: ExperimentConfig("a4", OptimizerConfig(), seed=v), 0, True),
-    ("ExperimentConfig", "reps", lambda v: ExperimentConfig("qaoa", OptimizerConfig(), reps=v), 1, False),
-    ("Objective", "shots", lambda v: Objective(_INSTANCE, _OBJECTIVE.circuit, shots=v), 1, False),
-    ("optimize", "seed", lambda v: optimize(_OBJECTIVE, _ONE_RESTART, v), 0, True),
-    ("sample", "shots", lambda v: sample(_STATE, v, 0), 1, False),
-    ("sample", "seed", lambda v: sample(_STATE, 1, v), 0, True),
-    ("Instance", "max_qubits", lambda v: Instance(reference_problem("EOHL"), v), 8, True),
-    ("Gate", "operand", lambda v: Gate("x", (v,)), 0, False),
-    ("Gate", "constant", lambda v: Gate("csub", (0, 1), constant=v), 1, False),
-    ("Circuit", "qubit_count", lambda v: Circuit(v, (), ()), 0, False),
-    ("ProcessSpec", "process weight", lambda v: ProcessSpec(v, (1,)), 1, False),
-    ("NodeSpec", "node capacity", lambda v: NodeSpec(v), 1, False),
-    ("NodeSpec", "node threshold", lambda v: NodeSpec(3, v), 0, False),
+    ("OptimizerConfig", "max_iterations", lambda v: OptimizerConfig(max_iterations=v), 1, False,
+     lambda c: c.max_iterations),
+    ("OptimizerConfig", "restarts", lambda v: OptimizerConfig(restarts=v), 1, False, lambda c: c.restarts),
+    ("ExperimentConfig", "runs", lambda v: ExperimentConfig("a4", OptimizerConfig(), runs=v), 1, False,
+     lambda c: c.runs),
+    ("ExperimentConfig", "shots", lambda v: ExperimentConfig("a4", OptimizerConfig(), shots=v), 1, False,
+     lambda c: c.shots),
+    ("ExperimentConfig", "seed", lambda v: ExperimentConfig("a4", OptimizerConfig(), seed=v), 0, True,
+     lambda c: c.seed),
+    ("ExperimentConfig", "reps", lambda v: ExperimentConfig("qaoa", OptimizerConfig(), reps=v), 1, False,
+     lambda c: c.reps),
+    ("Objective", "shots", lambda v: Objective(_INSTANCE, _OBJECTIVE.circuit, shots=v), 1, False,
+     lambda o: o.shots),
+    ("optimize", "seed", lambda v: optimize(_OBJECTIVE, _ONE_RESTART, v), 0, True, None),
+    ("sample", "shots", lambda v: sample(_STATE, v, 0), 1, False, lambda c: c.shots),
+    ("sample", "seed", lambda v: sample(_STATE, 1, v), 0, True, None),
+    ("Instance", "max_qubits", lambda v: Instance(reference_problem("EOHL"), v), 8, True, None),
+    ("Gate", "operand", lambda v: Gate("x", (v,)), 0, False, lambda g: g.qubits[0]),
+    ("Gate", "constant", lambda v: Gate("csub", (0, 1), constant=v), 1, False, lambda g: g.constant),
+    ("Circuit", "qubit_count", lambda v: Circuit(v, (), ()), 0, False, lambda c: c.qubit_count),
+    ("ProcessSpec", "process weight", lambda v: ProcessSpec(v, (1,)), 1, False, lambda p: p.weight),
+    ("NodeSpec", "node capacity", lambda v: NodeSpec(v), 1, False, lambda n: n.capacity),
+    ("NodeSpec", "node threshold", lambda v: NodeSpec(3, v), 0, False, lambda n: n.threshold),
 ]
 
 
@@ -190,7 +197,7 @@ INTEGER_FIELDS = [
     "field, build, value",
     [
         pytest.param(field, build, value, id=f"{owner}.{field}={value!r}")
-        for owner, field, build, _, nullable in INTEGER_FIELDS
+        for owner, field, build, _, nullable, _ in INTEGER_FIELDS
         for value in (True, False, 1.5, "3", *([None] if nullable else []))
     ],
 )
@@ -200,12 +207,18 @@ def test_every_public_integer_field_rejects_a_non_integer_by_name(field, build, 
 
 
 @pytest.mark.parametrize(
-    "build, value",
-    [pytest.param(build, value, id=f"{owner}.{field}") for owner, field, build, value, _ in INTEGER_FIELDS],
+    "build, value, read",
+    [
+        pytest.param(build, value, read, id=f"{owner}.{field}")
+        for owner, field, build, value, _, read in INTEGER_FIELDS
+    ],
 )
-def test_every_public_integer_field_takes_an_int_and_a_numpy_integer(build, value):
-    build(value)
-    build(np.int64(value))
+def test_every_public_integer_field_takes_an_int_and_a_numpy_integer(build, value, read):
+    for given in (value, np.int64(value)):
+        built = build(given)
+        if read is not None:
+            stored = read(built)
+            assert type(stored) is int and stored == value
 
 
 # (owner, field as its message names it, build with value, read the stored value back).

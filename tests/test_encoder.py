@@ -193,12 +193,15 @@ def test_format_fraction():
 
 
 def test_randomized_encode_matches_direct_objective():
+    # Dyadic gains, then the wide ones of helpers.random_gain, so that the
+    # common denominator 4g of the encoding is not a power of two.
     rng = np.random.default_rng(91)
-    for _ in range(15):
-        problem = random_problem(rng, max_qubits=10)
-        layout = build_layout(problem)
-        model = encode(layout)
-        for _ in range(25):
-            index = int(rng.integers(1 << layout.qubit_count))
-            bits = format(index, f"0{layout.qubit_count}b")
-            assert energy(model, bits) == direct_objective(layout, bits)
+    for wide_gains in (False, True):
+        for _ in range(15):
+            problem = random_problem(rng, max_qubits=10, wide_gains=wide_gains)
+            layout = build_layout(problem)
+            model = encode(layout)
+            for _ in range(25):
+                index = int(rng.integers(1 << layout.qubit_count))
+                bits = format(index, f"0{layout.qubit_count}b")
+                assert energy(model, bits) == direct_objective(layout, bits)

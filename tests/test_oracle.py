@@ -21,6 +21,8 @@ from qvarsched.simulator import Circuit, Gate, diagonal_energies, index_to_bits
 
 from helpers import (
     REFERENCE_COUNTS,
+    WIDE_DENOMINATORS,
+    WIDE_NUMERATORS,
     bits_to_index,
     brute_force_oracle,
     dense_state,
@@ -80,11 +82,8 @@ def test_feasible_indices_match_check_feasible():
         assert np.flatnonzero(feasible_mask(report)).tolist() == sorted(expected)
 
 
-# Gains with denominators near 2^31: a common denominator of two or three of
-# them overflows int64, so any fixed-width scaling of the gains would wrap.
-_WIDE_GAINS = st.builds(
-    Fraction, st.integers(0, 2**31), st.integers(2**31 - 64, 2**31 + 64)
-)
+# Gains with denominators near 2^31 (see helpers.WIDE_DENOMINATORS).
+_WIDE_GAINS = st.builds(Fraction, st.integers(*WIDE_NUMERATORS), st.integers(*WIDE_DENOMINATORS))
 
 
 @st.composite
